@@ -28,15 +28,6 @@ This benchmark demonstrates exactly that claim and turns it into assertions:
    beyond its window under ``tracemalloc``, asserting the peak is bounded
    by the *eviction window*, not the horizon — closing the historical
    caveat that streaming bounded the trace but not the generator's cache.
-5. **Checkpoint fan-out** — the same windowed Phased Greedy run with
-   ``jobs`` worker processes: the parent pipelines the (inherently
-   sequential) forward generation, snapshots the state at every chunk
-   boundary through the :class:`~repro.core.schedule.GeneratorSchedule`
-   checkpoint protocol, and workers resume the snapshots to build and fold
-   their blocks.  The report must be *identical* to the serial generator
-   stage, and ``parallel_speedup`` is recorded so the first real >1-core
-   number lands in the artifact trail.  (On a single-core container expect
-   <1×: generation is duplicated parent+worker with no parallel hardware.)
 
 Results land in ``BENCH_stream.json`` (see ``docs/bench_schema.md``).
 
@@ -52,8 +43,7 @@ Notes: the default scheduler is perfectly periodic (``degree-periodic``), so
 no schedule prefix is ever materialised — that is the fast path the 10⁸
 claim rests on.  The generator stage runs Phased Greedy, whose per-holiday
 cost is inherently Python-loop-bound, so its horizon is set in the millions
-rather than 10⁸; the pure-Python ``bitmask`` backend walks appearances bit
-by bit, so the full horizon is a numpy-backend benchmark.
+rather than 10⁸.
 """
 
 from __future__ import annotations
@@ -96,7 +86,7 @@ def society_workload():
     return get_workload("society", seed=BENCH_SEED, graph_name="society-60")
 
 
-def memory_budget(num_nodes: int, chunk: int, backend: str) -> int:
+def memory_budget(num_nodes: int, chunk: int) -> int:
     """The peak-allocation bound the streaming run must stay under.
 
     One resident chunk costs ``dense_trace_bytes(n, chunk)``; the builder,
@@ -105,7 +95,7 @@ def memory_budget(num_nodes: int, chunk: int, backend: str) -> int:
     floor.  The budget is deliberately generous — the point is that it is a
     function of the *chunk*, not of the horizon.
     """
-    return 10 * dense_trace_bytes(num_nodes, chunk, backend) + 48 * MIB
+    return 10 * dense_trace_bytes(num_nodes, chunk) + 48 * MIB
 
 
 def equivalence_check(graph, algorithm: str, backend: str, chunk: int):
@@ -146,8 +136,8 @@ def streaming_run(graph, algorithm: str, horizon: int, chunk: int, backend: str,
     serial stage remains the memory receipt.
     """
     scheduler = get_scheduler(algorithm)
-    budget = memory_budget(graph.num_nodes(), chunk, backend)
-    dense_bytes = dense_trace_bytes(graph.num_nodes(), horizon, backend)
+    budget = memory_budget(graph.num_nodes(), chunk)
+    dense_bytes = dense_trace_bytes(graph.num_nodes(), horizon)
 
     tracemalloc.start()
     start = time.perf_counter()
@@ -203,7 +193,7 @@ def streaming_run(graph, algorithm: str, horizon: int, chunk: int, backend: str,
     return record, outcome
 
 
-def generator_memory_budget(window: int, chunk: int, num_nodes: int, backend: str) -> int:
+def generator_memory_budget(window: int, chunk: int, num_nodes: int) -> int:
     """The peak-allocation bound of the windowed-generator stage.
 
     A function of the *window* and the *chunk* only — never the horizon:
@@ -213,7 +203,7 @@ def generator_memory_budget(window: int, chunk: int, num_nodes: int, backend: st
     usual interpreter floor.  An unwindowed Phased Greedy cache would grow
     linearly with the horizon instead.
     """
-    return 2 * window * 2048 + 10 * dense_trace_bytes(num_nodes, chunk, backend) + 48 * MIB
+    return 2 * window * 2048 + 10 * dense_trace_bytes(num_nodes, chunk) + 48 * MIB
 
 
 def generator_streaming_run(graph, horizon: int, window: int, chunk: int, backend: str):
@@ -228,7 +218,7 @@ def generator_streaming_run(graph, horizon: int, window: int, chunk: int, backen
     assert window >= chunk, "the window must cover at least one chunk"
     assert horizon >= 8 * window, "horizon must dwarf the window for the claim to mean anything"
     scheduler = PhasedGreedyScheduler(initial_coloring="greedy", window=window)
-    budget = generator_memory_budget(window, chunk, graph.num_nodes(), backend)
+    budget = generator_memory_budget(window, chunk, graph.num_nodes())
 
     tracemalloc.start()
     start = time.perf_counter()
@@ -272,70 +262,6 @@ def generator_streaming_run(graph, horizon: int, window: int, chunk: int, backen
     return record, outcome
 
 
-def checkpoint_streaming_run(
-    graph, horizon: int, window: int, chunk: int, backend: str, jobs: int,
-    serial_record, serial_outcome,
-):
-    """The checkpoint fan-out stage: the serial generator stage re-run with
-    ``jobs`` worker processes.
-
-    Phased Greedy implements the :class:`~repro.core.schedule
-    .GeneratorSchedule` checkpoint/restore protocol, so ``stream_jobs > 1``
-    takes the checkpoint plan instead of the serial fallback: the parent
-    pipelines the forward generation, snapshotting the evolving coloring at
-    every chunk boundary, while workers resume the snapshots and fold their
-    blocks.  The report must match the serial generator stage verbatim —
-    that is the ``jobs=1 ≡ jobs=N`` contract extended to aperiodic
-    schedulers — and the wall-time ratio is recorded as
-    ``parallel_speedup``.  The parent runs under ``tracemalloc`` like the
-    serial stage so the ratio compares like with like, but no memory
-    assertion is made: ``tracemalloc`` is per-process and never sees the
-    workers' blocks (same caveat as the parallel-stream stage).
-    """
-    assert jobs > 1, "the checkpoint stage exists to measure the fan-out"
-    scheduler = PhasedGreedyScheduler(initial_coloring="greedy", window=window)
-    tracemalloc.start()
-    start = time.perf_counter()
-    outcome = run_scheduler(
-        scheduler, graph, horizon=horizon, seed=1,
-        config=EngineConfig(
-            backend=backend, horizon_mode="stream", chunk=chunk, stream_jobs=jobs
-        ),
-    )
-    seconds = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    assert outcome.horizon_mode == "stream"
-    if outcome.report.summary() != serial_outcome.report.summary():
-        raise AssertionError(
-            f"checkpoint fan-out jobs={jobs} diverges from the serial generator "
-            f"stage: {outcome.report.summary()} != {serial_outcome.report.summary()}"
-        )
-    assert outcome.report.muls == serial_outcome.report.muls
-    assert outcome.validation.ok == serial_outcome.validation.ok
-    assert outcome.bound_satisfied == serial_outcome.bound_satisfied
-    return bench_record(
-        "checkpoint_stream_stage",
-        horizon,
-        seconds,
-        backend,
-        workload=graph.name,
-        scheduler="phased-greedy",
-        horizon_mode="stream",
-        chunk=chunk,
-        window=window,
-        jobs=jobs,
-        num_chunks=-(-horizon // chunk),
-        max_mul=int(outcome.report.max_mul),
-        legal=1.0,
-        bound_satisfied=1.0,
-        build_seconds=outcome.build_seconds,
-        measure_seconds=outcome.measure_seconds,
-        parent_peak_traced_bytes=int(peak),
-        parallel_speedup=round(serial_record["seconds"] / seconds, 3) if seconds else None,
-    )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -344,12 +270,11 @@ def main(argv=None) -> int:
                         help="override the streamed horizon")
     parser.add_argument("--chunk", type=int, default=DEFAULT_CHUNK,
                         help=f"streaming chunk width (default {DEFAULT_CHUNK})")
-    parser.add_argument("--backend", default="auto", choices=["auto", "numpy", "bitmask"])
+    parser.add_argument("--backend", default="auto", choices=["auto", "numpy"])
     parser.add_argument("--algorithm", default="degree-periodic",
                         help="registered scheduler (default: degree-periodic, perfectly periodic)")
     parser.add_argument("--jobs", "--stream-jobs", type=int, default=2, dest="jobs",
-                        help="worker processes for the parallel-stream and "
-                             "checkpoint stages (default 2)")
+                        help="worker processes for the parallel-stream stage (default 2)")
     parser.add_argument("--generator-horizon", type=int, default=None,
                         help="override the windowed-generator stage horizon")
     parser.add_argument("--window", type=int, default=None,
@@ -359,12 +284,6 @@ def main(argv=None) -> int:
 
     backend = resolve_backend(args.backend)
     horizon = args.horizon or (QUICK_HORIZON if args.quick else FULL_HORIZON)
-    if backend == "bitmask" and horizon > 10_000_000:
-        print(
-            f"note: backend 'bitmask' walks appearances in pure Python; "
-            f"horizon {horizon:,} will be very slow (use --backend numpy)",
-            file=sys.stderr,
-        )
     graph = society_workload()
 
     eq_horizon = equivalence_check(graph, args.algorithm, backend, args.chunk)
@@ -395,18 +314,8 @@ def main(argv=None) -> int:
     # the chunk scan is not the bottleneck here (the generator is); a chunk
     # a quarter of the window keeps window >= chunk with headroom
     gen_chunk = max(1024, window // 4)
-    gen_record, gen_outcome = generator_streaming_run(
-        graph, gen_horizon, window, gen_chunk, backend
-    )
+    gen_record, _ = generator_streaming_run(graph, gen_horizon, window, gen_chunk, backend)
     records.append(gen_record)
-    if args.jobs > 1:
-        ckpt = checkpoint_streaming_run(
-            graph, gen_horizon, window, gen_chunk, backend, args.jobs,
-            gen_record, gen_outcome,
-        )
-        records.append(ckpt)
-        print(f"checkpoint fan-out jobs={args.jobs} == serial generator stage: "
-              f"reports identical (speedup {ckpt['parallel_speedup']}x)")
 
     print_table(
         f"E14 streaming trace (backend {backend}, {graph.name})",
@@ -469,20 +378,6 @@ def test_e14_generator_window_bounds_memory():
     record, _ = generator_streaming_run(graph, 40_000, window=4096, chunk=2048, backend=backend)
     assert record["peak_traced_bytes"] <= record["budget_bytes"]
     assert record["window"] == 4096
-
-
-def test_e14_checkpoint_stream_matches_serial():
-    graph = society_workload()
-    backend = resolve_backend("auto")
-    serial, outcome = generator_streaming_run(
-        graph, 20_000, window=2048, chunk=1024, backend=backend
-    )
-    record = checkpoint_streaming_run(
-        graph, 20_000, window=2048, chunk=1024, backend=backend, jobs=2,
-        serial_record=serial, serial_outcome=outcome,
-    )
-    assert record["metric"] == "checkpoint_stream_stage" and record["jobs"] == 2
-    assert record["parallel_speedup"] is not None
 
 
 if __name__ == "__main__":

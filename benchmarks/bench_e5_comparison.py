@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small smoke grid for CI")
     parser.add_argument("--horizon", type=int, default=None, help="evaluation horizon (default: 2048 quick, 10000 full)")
-    parser.add_argument("--backend", default="auto", choices=["auto", "numpy", "bitmask"])
+    parser.add_argument("--backend", default="auto", choices=["auto", "numpy"])
     parser.add_argument("--jobs", type=int, default=1, help="engine worker processes for the comparison stage")
     args = parser.parse_args(argv)
     horizon = args.horizon or (2048 if args.quick else 10_000)

@@ -4,10 +4,8 @@ Plain ``setup.py`` (no build-backend requirement) so that ``pip install -e .``
 works on environments whose setuptools predates PEP 660 editable wheels and
 on offline machines that cannot fetch build backends.
 
-The core package is pure Python.  ``numpy`` is an *optional* accelerator for
-the bit-parallel trace engine (:mod:`repro.core.trace`): install it with
-``pip install .[fast]``; without it the engine transparently falls back to
-the pure-Python int-bitmask backend.
+Runtime dependencies are ``networkx`` (conflict graphs) and ``numpy`` (the
+trace engine, :mod:`repro.core.trace`, and the seeded random streams).
 """
 
 from setuptools import find_packages, setup
@@ -22,11 +20,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["networkx"],
+    install_requires=["networkx", "numpy"],
     extras_require={
-        # accelerates TraceMatrix (dense numpy backend); everything works
-        # without it via the int-bitmask fallback
-        "fast": ["numpy"],
         "test": ["pytest", "pytest-benchmark"],
     },
     entry_points={

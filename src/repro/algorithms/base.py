@@ -38,22 +38,7 @@ class SchedulerInfo:
 
 
 class Scheduler(ABC):
-    """Abstract scheduler: ``build`` a schedule for a conflict graph.
-
-    Schedulers producing generator-backed (run-forward) schedules should
-    additionally implement the **checkpoint protocol** whenever their state
-    is a pure function of the generated prefix: construct the
-    :class:`~repro.core.schedule.GeneratorSchedule` with ``checkpoint=`` (a
-    state serializer) and ``restore=`` (a module-level factory rebuilding
-    the step callback from those bytes).  Checkpointable schedules
-    parallelise under the streaming trace engine and support second-pass
-    queries on evicted windows; non-checkpointable ones degrade to a serial
-    scan (with a logged warning when ``stream_jobs > 1`` asked for more).
-    See :class:`repro.algorithms.phased_greedy.PhasedGreedyScheduler` (state
-    = the evolving coloring) and the rng-positioned
-    :class:`repro.algorithms.naive.FirstComeFirstGrabScheduler` for the two
-    canonical shapes.
-    """
+    """Abstract scheduler: ``build`` a schedule for a conflict graph."""
 
     info: SchedulerInfo
 

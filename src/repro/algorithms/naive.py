@@ -100,40 +100,6 @@ class RoundRobinColorScheduler(Scheduler):
         return lambda p: float(num_colors)
 
 
-def _fcfg_step(nodes, neighbors, rng) -> Callable[[int], FrozenSet[Node]]:
-    """The per-holiday body of first-come-first-grab over a given rng.
-
-    Shared by :meth:`FirstComeFirstGrabScheduler.build` and the checkpoint
-    ``restore`` path so both sides draw the exact same wake-up sequence.
-    """
-
-    def step(holiday: int) -> FrozenSet[Node]:
-        wake = {p: rng.random() for p in nodes}
-        happy = [
-            p
-            for p in nodes
-            if all(wake[p] < wake[q] for q in neighbors[p])
-        ]
-        return frozenset(happy)
-
-    return step
-
-
-def _fcfg_restore(graph: ConflictGraph, state: bytes) -> Callable[[int], FrozenSet[Node]]:
-    """Module-level ``restore`` half of the checkpoint protocol: the whole
-    algorithm state is the rng position (the step body never reads the
-    holiday index), so resuming is just rewinding a fresh stream to the
-    serialized position."""
-    nodes = graph.nodes()
-    neighbors = {p: graph.neighbors(p) for p in nodes}
-    rng = RngStream(0, ("fcfg", graph.name))
-    rng.setstate(state)
-    step = _fcfg_step(nodes, neighbors, rng)
-    # resumed schedules are checkpointable in turn (checkpoints chain)
-    step.checkpoint = rng.getstate
-    return step
-
-
 class FirstComeFirstGrabScheduler(Scheduler):
     """The randomized "first come first grab" process.
 
@@ -155,14 +121,17 @@ class FirstComeFirstGrabScheduler(Scheduler):
         nodes = graph.nodes()
         neighbors = {p: graph.neighbors(p) for p in nodes}
         rng = RngStream(seed, ("fcfg", graph.name))
-        return GeneratorSchedule(
-            graph,
-            _fcfg_step(nodes, neighbors, rng),
-            validate=False,
-            name=self.info.name,
-            checkpoint=rng.getstate,
-            restore=_fcfg_restore,
-        )
+
+        def step(holiday: int) -> FrozenSet[Node]:
+            wake = {p: rng.random() for p in nodes}
+            happy = [
+                p
+                for p in nodes
+                if all(wake[p] < wake[q] for q in neighbors[p])
+            ]
+            return frozenset(happy)
+
+        return GeneratorSchedule(graph, step, validate=False, name=self.info.name)
 
     def bound_function(self, graph: ConflictGraph) -> None:
         # Randomized: no deterministic worst-case bound to certify.

@@ -20,7 +20,6 @@ by the E1/E6 benchmarks.
 
 from __future__ import annotations
 
-import pickle
 from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.algorithms.base import Scheduler, SchedulerInfo
@@ -72,55 +71,6 @@ class PhasedGreedyState:
     def next_hosting(self, node: Node) -> int:
         """The next holiday at which ``node`` will host (its current color)."""
         return self.colors[node]
-
-    # -- checkpoint protocol -------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialize the state for :meth:`GeneratorSchedule.checkpoint`.
-
-        The whole algorithm state is the evolving coloring plus the holiday
-        counter — a pure function of the generated prefix, which is what
-        makes Phased Greedy checkpointable.  Colors are stored by node
-        *index* (graph order), so the bytes never depend on node pickling
-        and stay compact.
-        """
-        colors = [self.colors[p] for p in self.graph.nodes()]
-        return pickle.dumps((self.holiday, self.recolor_events, colors))
-
-    @classmethod
-    def from_bytes(cls, graph: ConflictGraph, state: bytes) -> "PhasedGreedyState":
-        """Rebuild a state snapshotted by :meth:`to_bytes` over ``graph``."""
-        holiday, recolor_events, colors = pickle.loads(state)
-        nodes = graph.nodes()
-        if len(colors) != len(nodes):
-            raise ValueError(
-                f"checkpoint carries {len(colors)} colors but graph "
-                f"{graph.name!r} has {len(nodes)} nodes"
-            )
-        obj = cls.__new__(cls)
-        obj.graph = graph
-        obj.colors = dict(zip(nodes, colors))
-        obj.holiday = holiday
-        obj.recolor_events = recolor_events
-        return obj
-
-
-def _phased_greedy_restore(graph: ConflictGraph, state: bytes) -> Callable[[int], FrozenSet[Node]]:
-    """Module-level ``restore`` half of the checkpoint protocol (picklable
-    by reference, so :class:`~repro.core.schedule.GeneratorCheckpoint`
-    handles can cross process boundaries)."""
-    resumed = PhasedGreedyState.from_bytes(graph, state)
-
-    def step(holiday: int) -> FrozenSet[Node]:
-        if holiday != resumed.holiday + 1:
-            raise RuntimeError(
-                f"Phased Greedy must be advanced sequentially (expected holiday "
-                f"{resumed.holiday + 1}, got {holiday})"
-            )
-        return resumed.step()
-
-    # resumed schedules are checkpointable in turn (checkpoints chain)
-    step.checkpoint = resumed.to_bytes
-    return step
 
 
 class PhasedGreedyScheduler(Scheduler):
@@ -198,13 +148,7 @@ class PhasedGreedyScheduler(Scheduler):
             return state.step()
 
         return GeneratorSchedule(
-            graph,
-            step,
-            validate=False,
-            name=self.info.name,
-            window=self._window,
-            checkpoint=state.to_bytes,
-            restore=_phased_greedy_restore,
+            graph, step, validate=False, name=self.info.name, window=self._window
         )
 
     def bound_function(self, graph: ConflictGraph) -> Callable[[Node], float]:

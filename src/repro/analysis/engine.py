@@ -497,15 +497,13 @@ class ExperimentCell:
             "graph_key": self.graph_key,
         }
         # Only non-default knobs mark the id (EngineConfig.non_default):
-        # the horizon representation and the parallelism knobs — including
-        # ``checkpoint``, whose default-True value therefore never moves a
-        # pre-checkpoint id — never change a record, so ids (and resumable
-        # sinks) recorded before each knob existed stay valid.  ``backend``
-        # predates the config and is always hashed, exactly as it was
-        # pre-consolidation.  ``batch`` is never hashed: the batching
-        # planner provably produces the same record for every batch size
-        # (differentially tested), so hashing it would declare equivalent
-        # runs mutually unresumable.
+        # the horizon representation and the parallelism knobs never change
+        # a record, so ids (and resumable sinks) recorded before each knob
+        # existed stay valid.  ``backend`` predates the config and is always
+        # hashed, exactly as it was pre-consolidation.  ``batch`` is never
+        # hashed: the batching planner provably produces the same record for
+        # every batch size (differentially tested), so hashing it would
+        # declare equivalent runs mutually unresumable.
         identity.update(
             {
                 k: v
@@ -628,7 +626,7 @@ def _auto_batch_size(num_nodes: int, horizon: int, config: EngineConfig) -> int:
     full-horizon in dense mode)."""
     engine = config.resolve(num_nodes, horizon)
     width = horizon if engine.mode != "stream" else min(engine.chunk or DEFAULT_CHUNK, horizon)
-    member_bytes = dense_trace_bytes(num_nodes, width, engine.backend)
+    member_bytes = dense_trace_bytes(num_nodes, width)
     return max(1, AUTO_STREAM_BYTES // max(1, member_bytes))
 
 

@@ -114,7 +114,7 @@ def run_scheduler(
     """Build, evaluate and validate one scheduler on one graph.
 
     ``config`` carries the trace-engine knobs: ``backend`` (``"auto"``/
-    ``"numpy"``/``"bitmask"``/``"sets"``), ``horizon_mode`` (``"dense"`` one
+    ``"numpy"``/``"sets"``), ``horizon_mode`` (``"dense"`` one
     n × horizon matrix, ``"stream"`` fixed-width chunks of ``chunk``
     holidays at ``O(n × chunk)`` memory, ``"auto"`` dense until the matrix
     would exceed :data:`repro.core.trace.AUTO_STREAM_BYTES`) and

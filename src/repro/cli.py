@@ -110,6 +110,32 @@ def _write_graph(graph: ConflictGraph, path: str) -> None:
         save_edge_list(graph, path)
 
 
+def _backend_arg(value: str) -> str:
+    """``--backend`` values, rejected at parse time with the config's error."""
+    try:
+        EngineConfig(backend=value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return value
+
+
+class _RemovedFlag(argparse.Action):
+    """A flag earlier releases accepted for a config field that is gone:
+    hidden from ``--help``, and an error naming the field and the valid
+    ones when given."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(
+            option_strings, dest, nargs=0, default=argparse.SUPPRESS, help=argparse.SUPPRESS
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            config_with(None, **{self.dest: None})
+        except ValueError as exc:
+            parser.error(f"{option_string}: {exc}")
+
+
 def add_engine_args(
     parser: argparse.ArgumentParser, stream_jobs_aliases: Sequence[str] = ()
 ) -> None:
@@ -117,7 +143,7 @@ def add_engine_args(
 
     One registration shared by ``schedule``/``compare``/``experiment`` (it
     used to be copied per subcommand): ``--backend``, ``--horizon-mode``,
-    ``--chunk``, ``--stream-jobs``, ``--batch`` and ``--no-checkpoint``.
+    ``--chunk``, ``--stream-jobs`` and ``--batch``.
     ``stream_jobs_aliases`` adds extra
     spellings for the latter — ``schedule``/``compare`` alias their
     historical ``--jobs`` to it (on ``experiment``, ``--jobs`` fans out
@@ -128,10 +154,11 @@ def add_engine_args(
     parser.add_argument(
         "--backend",
         default=None,
-        choices=["auto", "numpy", "bitmask", "sets"],
+        type=_backend_arg,
+        metavar="{auto,numpy,sets}",
         help=(
-            "trace engine: bit-parallel matrix (numpy/bitmask, auto-selected) "
-            "or the frozenset reference (sets)"
+            "evaluation engine: the numpy trace engine (auto/numpy) or the "
+            "frozenset reference (sets)"
         ),
     )
     parser.add_argument(
@@ -178,19 +205,7 @@ def add_engine_args(
             "fields; no effect on single-run 'schedule'"
         ),
     )
-    parser.add_argument(
-        "--no-checkpoint",
-        action="store_const",
-        const=False,
-        dest="checkpoint",
-        default=None,
-        help=(
-            "disable the generator checkpoint/restore protocol: "
-            "generator-backed schedulers then stream with the historical "
-            "serial forward scan (results are identical either way, see "
-            "docs/streaming.md)"
-        ),
-    )
+    parser.add_argument("--no-checkpoint", dest="checkpoint", action=_RemovedFlag)
 
 
 def engine_overrides(args: argparse.Namespace) -> dict:
@@ -214,8 +229,6 @@ def engine_overrides(args: argparse.Namespace) -> dict:
         if args.batch < 1:
             raise SystemExit(f"error: --batch must be >= 1, got {args.batch}")
         overrides["batch"] = args.batch
-    if getattr(args, "checkpoint", None) is not None:
-        overrides["checkpoint"] = args.checkpoint
     return overrides
 
 
@@ -225,8 +238,8 @@ def config_from_args(
     """Build the run's :class:`EngineConfig` from the shared engine flags.
 
     Flags the user typed override ``base`` (a spec's config, or the
-    defaults); the combination is validated up front — including backend
-    availability and the sets/stream conflict — so a bad flag dies with a
+    defaults); the combination is validated up front — including the
+    backend name and the sets/stream conflict — so a bad flag dies with a
     clean one-line error instead of a traceback in a worker process.
     """
     try:
@@ -234,8 +247,6 @@ def config_from_args(
         config.resolve()
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    except RuntimeError as exc:
-        raise SystemExit(f"error: {exc} (install the [fast] extra or use --backend bitmask)")
     return config
 
 

@@ -12,9 +12,8 @@ validated in one place, serializes to JSON (for spec files), and resolves
 
 The knobs:
 
-* ``backend`` — cell storage: ``"numpy"`` (dense bool matrix),
-  ``"bitmask"`` (pure-Python big ints), ``"sets"`` (the frozenset reference
-  engine), or ``"auto"`` (numpy when importable, bitmask otherwise).
+* ``backend`` — evaluation engine: ``"numpy"`` (the trace engine),
+  ``"sets"`` (the frozenset reference engine), or ``"auto"`` (numpy).
 * ``horizon_mode`` — horizon representation: one ``"dense"`` n × horizon
   matrix, ``"stream"``ed fixed-width chunks at O(n × chunk) memory, or
   ``"auto"`` (dense until the matrix would exceed
@@ -37,13 +36,10 @@ The knobs:
   Purely a wall-clock knob: the planner provably never changes a record
   (differentially tested), so records are byte-identical for every value
   modulo the timing metrics.
-* ``checkpoint`` — whether streamed traces may use the generator
-  checkpoint/restore protocol (:class:`~repro.core.schedule.GeneratorSchedule`
-  built with ``checkpoint=``/``restore=``) to parallelise generator-backed
-  schedules and replay evicted windows.  ``False`` forces the historical
-  serial forward scan.  Purely a wall-clock knob by the same determinism
-  contract as ``stream_jobs``; like every knob it marks ``cell_id`` only
-  when non-default, so existing sinks and store cells never move.
+
+Values earlier releases accepted and this one dropped (:data:`REMOVED`: the
+``bitmask`` backend and the ``checkpoint`` field) fail with a
+:class:`ValueError` that says so and lists the valid choices.
 
 Every entry point from :func:`repro.core.metrics.build_trace` up to the CLI
 accepts ``config: EngineConfig``; the historical per-call keywords survive
@@ -55,7 +51,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional
 
 from repro.core.trace import (
@@ -83,31 +79,43 @@ __all__ = [
 RESULT_KNOBS = frozenset({"backend", "horizon_mode", "chunk", "window"})
 
 #: knobs the determinism contracts prove result-neutral (``stream_jobs``,
-#: ``batch``, ``checkpoint`` — parallelism and batching never change an
-#: answer, differentially tested): excluded from cache keys so warming a
-#: cache at one parallelism serves every other.
-WALL_CLOCK_KNOBS = frozenset({"stream_jobs", "batch", "checkpoint"})
+#: ``batch`` — parallelism and batching never change an answer,
+#: differentially tested): excluded from cache keys so warming a cache at
+#: one parallelism serves every other.
+WALL_CLOCK_KNOBS = frozenset({"stream_jobs", "batch"})
 
 #: backends EngineConfig accepts: the matrix backends plus the frozenset
 #: reference engine (which is handled above the TraceMatrix layer).
 CONFIG_BACKENDS = tuple(BACKENDS) + ("sets",)
 
+#: backend values and config fields earlier releases accepted: the
+#: pure-Python ``bitmask`` backend (numpy is now required) and the
+#: ``checkpoint`` knob of the deleted generator checkpoint fan-out.
+REMOVED = frozenset({"bitmask", "checkpoint"})
+
 _SETS_STREAM_ERROR = (
     "backend='sets' (the frozenset reference) has no streaming mode; "
-    "use backend='auto'/'numpy'/'bitmask' with horizon_mode='stream', "
+    "use backend='auto'/'numpy' with horizon_mode='stream', "
     "or horizon_mode='dense'/'auto' with backend='sets'"
 )
+
+
+def _bad_choice(what: str, value: object, choices) -> ValueError:
+    """The one error for a value outside ``choices``: it names the value,
+    says whether an earlier release accepted it, and lists the choices."""
+    status = "removed" if isinstance(value, str) and value in REMOVED else "unknown"
+    return ValueError(f"{status} {what} {value!r}; expected one of {tuple(choices)}")
 
 
 @dataclass(frozen=True)
 class ResolvedEngine:
     """The concrete engine choice an :class:`EngineConfig` resolves to.
 
-    ``backend`` is always concrete (``"numpy"``, ``"bitmask"`` or
-    ``"sets"``).  ``mode`` is ``"dense"`` or ``"stream"`` when the graph
-    size and horizon were supplied to :meth:`EngineConfig.resolve` (or the
-    mode was explicit), ``"auto"`` when they weren't, and ``"sets"`` for the
-    reference engine — matching the ``horizon_mode`` stamp
+    ``backend`` is always concrete (``"numpy"`` or ``"sets"``).  ``mode`` is
+    ``"dense"`` or ``"stream"`` when the graph size and horizon were
+    supplied to :meth:`EngineConfig.resolve` (or the mode was explicit),
+    ``"auto"`` when they weren't, and ``"sets"`` for the reference engine —
+    matching the ``horizon_mode`` stamp
     :class:`~repro.analysis.runner.RunOutcome` records.
     """
 
@@ -116,7 +124,6 @@ class ResolvedEngine:
     chunk: Optional[int]
     stream_jobs: int
     window: Optional[int]
-    checkpoint: bool = True
 
     @property
     def uses_matrix(self) -> bool:
@@ -142,13 +149,10 @@ class EngineConfig:
     stream_jobs: int = 1
     window: Optional[int] = None
     batch: Optional[int] = None
-    checkpoint: bool = True
 
     def __post_init__(self) -> None:
         if self.backend not in CONFIG_BACKENDS:
-            raise ValueError(
-                f"unknown trace backend {self.backend!r}; expected one of {CONFIG_BACKENDS}"
-            )
+            raise _bad_choice("trace backend", self.backend, CONFIG_BACKENDS)
         if self.horizon_mode not in HORIZON_MODES:
             raise ValueError(
                 f"unknown horizon_mode {self.horizon_mode!r}; expected one of {HORIZON_MODES}"
@@ -163,8 +167,6 @@ class EngineConfig:
             raise ValueError(f"window must be >= 1, got {self.window!r}")
         if self.batch is not None and int(self.batch) < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch!r}")
-        if not isinstance(self.checkpoint, bool):
-            raise ValueError(f"checkpoint must be a bool, got {self.checkpoint!r}")
 
     # -- resolution ----------------------------------------------------------
     def resolve(
@@ -172,24 +174,20 @@ class EngineConfig:
     ) -> ResolvedEngine:
         """Resolve ``"auto"`` values to the concrete engine for one run.
 
-        The backend always resolves (raising :class:`RuntimeError` when
-        ``"numpy"`` is requested but not installed); ``horizon_mode="auto"``
-        resolves by estimated dense-matrix size when ``num_nodes`` and
-        ``horizon`` are given and stays ``"auto"`` otherwise — so the CLI
-        can validate a config up front before any graph exists.
+        The backend resolves to ``"numpy"`` (``"sets"`` stays itself);
+        ``horizon_mode="auto"`` resolves by estimated dense-matrix size when
+        ``num_nodes`` and ``horizon`` are given and stays ``"auto"``
+        otherwise — so the CLI can validate a config up front before any
+        graph exists.
         """
         if self.backend == "sets":
-            return ResolvedEngine(
-                "sets", "sets", self.chunk, self.stream_jobs, self.window, self.checkpoint
-            )
+            return ResolvedEngine("sets", "sets", self.chunk, self.stream_jobs, self.window)
         backend = resolve_backend(self.backend)
         if self.horizon_mode == "auto" and num_nodes is not None and horizon is not None:
-            mode = resolve_horizon_mode("auto", num_nodes, horizon, backend)
+            mode = resolve_horizon_mode("auto", num_nodes, horizon)
         else:
             mode = self.horizon_mode
-        return ResolvedEngine(
-            backend, mode, self.chunk, self.stream_jobs, self.window, self.checkpoint
-        )
+        return ResolvedEngine(backend, mode, self.chunk, self.stream_jobs, self.window)
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
@@ -199,10 +197,10 @@ class EngineConfig:
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "EngineConfig":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(payload) - set(known))
         if unknown:
-            raise ValueError(f"unknown EngineConfig fields: {sorted(unknown)}")
+            raise _bad_choice("EngineConfig field", unknown[0], known)
         return cls(**payload)
 
     def to_json(self) -> str:
@@ -307,5 +305,6 @@ def coerce_config(
 
 def config_with(config: Optional[EngineConfig], **overrides: object) -> EngineConfig:
     """A copy of ``config`` (default config when ``None``) with overrides
-    applied — convenience for callers layering flags over a spec config."""
-    return replace(config or DEFAULT_CONFIG, **overrides)
+    applied — convenience for callers layering flags over a spec config.
+    Unknown or removed fields fail like :meth:`EngineConfig.from_dict`."""
+    return EngineConfig.from_dict({**(config or DEFAULT_CONFIG).to_dict(), **overrides})

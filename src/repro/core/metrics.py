@@ -20,11 +20,10 @@ the architecture notes):
   holiday, walked node by node through :class:`HappinessTrace`.  Exact but
   O(n·horizon) Python-object churn; kept as ground truth for differential
   testing.
-* ``backend="auto"`` / ``"numpy"`` / ``"bitmask"`` — the bit-parallel
-  :class:`~repro.core.trace.TraceMatrix` engine: the occupancy matrix is
-  built once (vectorized for periodic schedules) and every metric becomes a
-  run-length-encoding query over dense rows.  ``"auto"`` picks numpy when it
-  is installed and the pure-Python bitmask otherwise.
+* ``backend="auto"`` / ``"numpy"`` — the numpy trace engine
+  (:mod:`repro.core.trace`): the occupancy matrix is built once (vectorized
+  for periodic schedules), folded into one per-node summary, and every
+  metric becomes a lookup in that summary.
 
 Execution knobs — backend, horizon representation (``dense`` one n × horizon
 matrix vs ``stream``ed fixed-width chunks at ``O(n × chunk)`` memory), chunk
@@ -51,7 +50,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from repro.core.config import EngineConfig, coerce_config
 from repro.core.problem import ConflictGraph, Node
 from repro.core.schedule import Schedule
-from repro.core.trace import StreamedTrace, TraceMatrix, materialize_prefix
+from repro.core.trace import StreamedTrace, TraceMatrix, TraceView, materialize_prefix
 
 __all__ = [
     "HappinessTrace",
@@ -69,13 +68,12 @@ __all__ = [
 
 ScheduleLike = Union[Schedule, Sequence[Iterable[Node]]]
 
-#: what the trace-engine entry points accept and return: the dense matrix or
-#: its streaming counterpart — they expose the same query API.  The
-#: ``trace=`` parameters additionally accept any duck-typed equivalent, in
-#: particular the member views of a :class:`~repro.core.trace.TraceBatch`,
+#: what the trace-engine entry points accept and return: any
+#: :class:`~repro.core.trace.TraceView` — a dense matrix, its streaming
+#: counterpart, or a member of a :class:`~repro.core.trace.TraceBatch`,
 #: which is how the experiment engine runs this module unchanged over a
 #: stacked cell-batch.
-TraceLike = Union[TraceMatrix, StreamedTrace]
+TraceLike = TraceView
 
 
 def build_trace(
@@ -129,7 +127,6 @@ def build_trace(
         return StreamedTrace(
             schedule, graph, horizon,
             backend=engine.backend, chunk=engine.chunk, jobs=engine.stream_jobs,
-            checkpoint=engine.checkpoint,
         )
     return TraceMatrix.from_schedule(schedule, graph, horizon, backend=engine.backend)
 
@@ -432,8 +429,8 @@ def evaluate_schedule(
     """Run the full metric suite over a schedule prefix and return a report.
 
     ``config`` selects the evaluation engine: ``EngineConfig.backend``
-    (``"auto"``/``"numpy"``/``"bitmask"`` for the bit-parallel trace,
-    ``"sets"`` for the frozenset reference) and ``EngineConfig.horizon_mode``
+    (``"auto"``/``"numpy"`` for the trace engine, ``"sets"`` for the
+    frozenset reference) and ``EngineConfig.horizon_mode``
     (``"dense"``/``"stream"``/``"auto"``).  Passing a pre-built ``trace``
     skips trace construction entirely so :class:`repro.api.Session` and the
     runner can share one engine with the validator.  The ``backend``/

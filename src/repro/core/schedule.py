@@ -33,7 +33,6 @@ __all__ = [
     "PeriodicSchedule",
     "ExplicitSchedule",
     "GeneratorSchedule",
-    "GeneratorCheckpoint",
     "SlotAssignment",
 ]
 
@@ -83,12 +82,11 @@ class Schedule(ABC):
     def trace(self, horizon: int, backend: str = "auto") -> "TraceMatrix":
         """Materialise the first ``horizon`` holidays as a dense occupancy matrix.
 
-        This is the bit-parallel counterpart of :meth:`prefix`: one
+        This is the vectorized counterpart of :meth:`prefix`: one
         :class:`~repro.core.trace.TraceMatrix` built once and shared by the
         metric suite and the validator.  Subclasses get vectorized fast paths
         automatically (periodic schedules never materialise a single happy
-        set).  ``backend`` is ``"auto"`` (numpy when available, else the
-        pure-Python bitmask), ``"numpy"`` or ``"bitmask"``.
+        set).  ``backend`` is ``"auto"`` or ``"numpy"`` (the same engine).
         """
         from repro.core.trace import TraceMatrix
 
@@ -292,40 +290,9 @@ class GeneratorSchedule(Schedule):
     streaming trace engine's one summary pass
     (:class:`repro.core.trace.StreamedTrace`), so ``window= a few chunks``
     lets generator-backed schedulers evaluate arbitrary horizons in
-    ``O(window + chunk)`` memory.  Re-reads of evicted history are only
-    possible through the checkpoint protocol below; without it,
-    per-appearance queries that stream a second pass
-    (``appearances``/``all_gaps``) are off the table for windowed schedules.
-
-    **Checkpoint/restore contract.**  A generator schedule is
-    *checkpointable* when constructed with both
-
-    * ``checkpoint=`` — a zero-argument callable returning ``bytes`` that
-      serialize the generator's state *at the current generation frontier*
-      (typically a bound method of the scheduler's state object; it is
-      called only in the constructing process and never pickled), and
-    * ``restore=`` — a **module-level, picklable** callable
-      ``restore(graph, state: bytes) -> step`` rebuilding an equivalent
-      step callback from those bytes.
-
-    :meth:`checkpoint` then snapshots the state after holiday ``t`` (only
-    at the frontier — generator state cannot be rewound), and
-    :meth:`checkpoint_handle` packages the snapshot into a picklable
-    :class:`GeneratorCheckpoint` whose :meth:`GeneratorCheckpoint.resume`
-    — possibly in another process — yields a schedule producing holidays
-    ``t+1, t+2, ...`` byte-identically to the original.  This is what lets
-    :class:`repro.core.trace.StreamedTrace` fan generator-backed schedules
-    out to worker processes instead of falling back to a serial scan, and
-    what restores second-pass queries on windowed schedules.  The resumed
-    schedule is created with ``start=t``: holidays ``<= t`` count as
-    evicted (they live only on the side that generated them).
-
-    A ``restore=`` factory may additionally attach a zero-argument
-    ``checkpoint`` attribute to the step it returns (serializing the
-    *resumed* state); when present, the resumed schedule is checkpointable
-    in turn, so checkpoints chain indefinitely.  Both in-tree
-    implementations (:mod:`repro.algorithms.phased_greedy`,
-    first-come-first-grab in :mod:`repro.algorithms.naive`) do this.
+    ``O(window + chunk)`` memory — but per-appearance queries that stream a
+    second pass (``appearances``/``all_gaps``/``happy_set``), and any other
+    re-read of evicted history, are off the table.
     """
 
     def __init__(
@@ -335,111 +302,27 @@ class GeneratorSchedule(Schedule):
         validate: bool = True,
         name: str = "generator",
         window: Optional[int] = None,
-        start: int = 0,
-        checkpoint: Optional[Callable[[], bytes]] = None,
-        restore: Optional[Callable[[ConflictGraph, bytes], Callable[[int], Iterable[Node]]]] = None,
     ) -> None:
         super().__init__(graph)
         if window is not None and window < 1:
             raise ValueError(f"window must be >= 1, got {window!r}")
-        if start < 0:
-            raise ValueError(f"start must be >= 0, got {start!r}")
         self._step = step
         self._cache: List[FrozenSet[Node]] = []
         self.validate = validate
         self.name = name
         self.window = window
-        self.start = int(start)
-        # holidays <= start were generated before this (possibly resumed)
-        # schedule existed; they share the eviction bookkeeping.
-        self._evicted = self.start  # number of leading holidays not in the cache
-        self._checkpoint = checkpoint
-        self._restore = restore
+        self._evicted = 0  # number of leading holidays dropped from the cache
 
     @property
     def evicted_below(self) -> int:
         """Holidays ``1..evicted_below`` are no longer retrievable (0 when
-        nothing has been evicted; always 0 for unwindowed, unresumed
-        schedules)."""
+        nothing has been evicted; always 0 for unwindowed schedules)."""
         return self._evicted
-
-    @property
-    def checkpointable(self) -> bool:
-        """True when this schedule carries both sides of the checkpoint
-        protocol (a ``checkpoint=`` serializer and a ``restore=`` factory)."""
-        return self._checkpoint is not None and self._restore is not None
-
-    def frontier(self) -> int:
-        """The generation frontier: the highest holiday generated so far
-        (``start`` for a fresh schedule)."""
-        return self._evicted + len(self._cache)
-
-    def checkpoint(self, t: int) -> bytes:
-        """Serialize the generator's state after holiday ``t``.
-
-        ``t`` must equal :meth:`frontier` — generator state only exists at
-        the frontier and cannot be rewound.  Feed the bytes to
-        :meth:`restore` (or ship a :meth:`checkpoint_handle`) to resume.
-        """
-        if not self.checkpointable:
-            raise ValueError(
-                f"{self.describe()} does not implement the checkpoint protocol "
-                "(constructed without checkpoint=/restore= callables)"
-            )
-        if t != self.frontier():
-            raise ValueError(
-                f"checkpoints are taken at the generation frontier: requested "
-                f"t={t}, frontier={self.frontier()}"
-            )
-        return self._checkpoint()
-
-    def restore(self, state: bytes, start: int) -> "GeneratorSchedule":
-        """A new schedule resuming from ``state`` (as returned by
-        :meth:`checkpoint` at holiday ``start``), generating holidays
-        ``start+1, start+2, ...`` identically to this one."""
-        if self._restore is None:
-            raise ValueError(
-                f"{self.describe()} does not implement the checkpoint protocol "
-                "(constructed without a restore= callable)"
-            )
-        step = self._restore(self.graph, state)
-        return GeneratorSchedule(
-            self.graph,
-            step,
-            validate=self.validate,
-            name=self.name,
-            window=self.window,
-            start=start,
-            # restore factories attach a `checkpoint` attribute to the step
-            # they return (serializing the resumed state), which makes the
-            # resumed schedule checkpointable in turn — checkpoints chain.
-            checkpoint=getattr(step, "checkpoint", None),
-            restore=self._restore,
-        )
-
-    def checkpoint_handle(self, t: int) -> "GeneratorCheckpoint":
-        """A picklable :class:`GeneratorCheckpoint` of the state after
-        holiday ``t`` (which must be the frontier, like :meth:`checkpoint`)."""
-        return GeneratorCheckpoint(
-            graph=self.graph,
-            restore=self._restore,
-            state=self.checkpoint(t),
-            start=t,
-            name=self.name,
-            validate=self.validate,
-            window=self.window,
-        )
 
     def happy_set(self, holiday: int) -> FrozenSet[Node]:
         if holiday < 1:
             raise ValueError(f"holidays are numbered from 1, got {holiday!r}")
         if holiday <= self._evicted:
-            if holiday <= self.start:
-                raise ValueError(
-                    f"holiday {holiday} predates this resumed schedule "
-                    f"(resumed from a checkpoint at holiday {self.start}); "
-                    "only the generating side retains earlier holidays"
-                )
             raise ValueError(
                 f"holiday {holiday} was evicted from the generator's sliding window "
                 f"(window={self.window}, retained from holiday {self._evicted + 1}); "
@@ -462,43 +345,5 @@ class GeneratorSchedule(Schedule):
 
     def describe(self) -> str:
         suffix = "" if self.window is None else f", window={self.window}"
-        if self.start:
-            suffix += f", resumed@{self.start}"
         return f"{type(self).__name__}({self.name}{suffix})"
 
-
-@dataclass(frozen=True)
-class GeneratorCheckpoint:
-    """A picklable resume point of a checkpointable :class:`GeneratorSchedule`.
-
-    Created by :meth:`GeneratorSchedule.checkpoint_handle`; everything it
-    carries pickles by value or by reference (``restore`` must be a
-    module-level function — closures from a scheduler's ``build()`` cannot
-    cross process boundaries, which is exactly why the protocol splits the
-    serializer from the factory).  :meth:`resume` reconstructs a schedule
-    generating holidays ``start+1, start+2, ...`` byte-identically to the
-    one that was checkpointed — the unit the streaming trace engine ships
-    to its worker processes.
-    """
-
-    graph: ConflictGraph
-    restore: Callable[[ConflictGraph, bytes], Callable[[int], Iterable[Node]]]
-    state: bytes
-    start: int
-    name: str = "generator"
-    validate: bool = True
-    window: Optional[int] = None
-
-    def resume(self) -> GeneratorSchedule:
-        """Rebuild the schedule from this snapshot (any process)."""
-        step = self.restore(self.graph, self.state)
-        return GeneratorSchedule(
-            self.graph,
-            step,
-            validate=self.validate,
-            name=self.name,
-            window=self.window,
-            start=self.start,
-            checkpoint=getattr(step, "checkpoint", None),
-            restore=self.restore,
-        )

@@ -1,159 +1,123 @@
-"""Bit-parallel trace engine: dense node × holiday occupancy matrices.
+"""Trace engine: node × holiday occupancy matrices and their one summary.
 
 Every metric and validation question in this package reduces to queries over
 the *occupancy trace* of a schedule prefix — "was node ``p`` happy at holiday
 ``t``?" for ``p`` in the graph and ``t`` in ``1..horizon``.  The historical
 implementation (:class:`repro.core.metrics.HappinessTrace`) answers these by
-materialising one ``frozenset`` per holiday and walking them node by node,
-which caps practical horizons at a few tens of thousands.
+materialising one ``frozenset`` per holiday and walking them node by node;
+it stays the semantic reference (``backend="sets"`` throughout
+:mod:`repro.core.metrics`), and every engine here is differentially tested
+against it.
 
-:class:`TraceMatrix` stores the same information as a dense boolean matrix
-with one row per node and one column per holiday, built **once** per run and
-shared by the metric suite, the validator and the benchmark harness.  Two
-storage backends implement the matrix:
+The engine stores the trace as numpy boolean blocks — one row per node, one
+column per holiday — and reduces them to one :class:`TraceSummary`: per row
+the appearance count, the first and last appearance, the largest and
+smallest inter-appearance difference (plus the distinct differences of the
+rows whose gaps vary), per graph edge the holidays at which both ends are
+happy, and the scheduled nodes the graph does not know.  Every summary
+query — ``mul``, observed period, happiness rate, distinct differences,
+edge collisions, legality — reads that summary.
 
-``numpy``
-    A ``numpy.ndarray`` of ``bool_`` — rows are contiguous byte vectors, so
-    gap/run-length queries become ``flatnonzero``/``diff`` calls and edge
-    collision tests become elementwise ``&`` reductions.  Selected by
-    default whenever :mod:`numpy` is importable.
+One kernel builds it: :func:`fold` summarises a ``rows × width`` block whose
+column ``j`` is holiday ``start + j``, and :meth:`TraceSummary.merge`
+combines the summaries of two adjacent holiday ranges associatively.  The
+three trace kinds feed the same fold:
 
-``bitmask``
-    One arbitrary-precision Python integer per node, bit ``t - 1`` set when
-    the node is happy at holiday ``t``.  CPython's big-int machinery gives
-    64-bit-word-parallel ``&``/``|``/``popcount`` without any third-party
-    dependency; this is the fallback that keeps numpy strictly optional.
+:class:`TraceMatrix`
+    A dense ``n × horizon`` matrix, folded as one block.
+:class:`StreamedTrace`
+    The fixed-width chunks of a :class:`TraceStream`, folded one at a time
+    at ``O(n × chunk)`` resident bytes whatever the horizon — serially, or
+    with ``jobs > 1`` over contiguous chunk ranges on worker processes whose
+    partial summaries merge in order.
+:class:`TraceBatch`
+    ``S`` schedules over one graph and horizon stacked into ``S·n`` rows and
+    folded at once; each member view reads its slice of the one summary.
 
-Both backends expose identical query methods and are differentially tested
-against the ``frozenset`` reference (``backend="sets"`` throughout
-:mod:`repro.core.metrics`), which remains the semantic ground truth.
+:class:`TraceView` answers every query for all three kinds: the summary
+queries from the trace's summary, and the per-appearance queries
+(``appearances``, ``gaps``, ``all_gaps``, ``happy_set``) from one positions
+pass over the same blocks.
 
-Memory trade-off — dense vs. stream: a dense numpy trace costs ``n ×
-horizon`` bytes (numpy stores one byte per bool) and a dense bitmask trace
-``n × horizon / 8`` bytes, so a 60-node workload at horizon 10⁶ is ~60 MB /
-~7.5 MB respectively; every consumer reads every cell at least once, so
-below that scale dense is the right call and remains the default.  Dense
-stops scaling around horizon 10⁷–10⁸ (the same 60-node workload at 10⁸
-would need ~6 GB), which is what the **streaming mode** removes:
-:class:`TraceStream` yields the same occupancy information as fixed-width
-:class:`TraceMatrix` chunks, and :class:`StreamedTrace` answers the full
-query API by carrying gap/run-length state across chunk boundaries — O(n ×
-chunk) resident bytes regardless of horizon.  ``horizon_mode="auto"``
-(:func:`resolve_horizon_mode`) picks dense below
-:data:`AUTO_STREAM_BYTES` and stream above it, so small-horizon numbers
-never move while 10⁸-holiday horizons stay bounded.
+Memory trade-off — dense vs. stream: a dense trace costs ``n × horizon``
+bytes (numpy stores one byte per bool), so a 60-node workload at horizon
+10⁶ is ~60 MB; every consumer reads every cell at least once, so below that
+scale dense is the right call and remains the default.  Dense stops scaling
+around horizon 10⁷–10⁸ (the same workload at 10⁸ would need ~6 GB), which
+is what the **streaming mode** removes.  ``horizon_mode="auto"``
+(:func:`resolve_horizon_mode`) picks dense below :data:`AUTO_STREAM_BYTES`
+and stream above it, so small-horizon numbers never move while 10⁸-holiday
+horizons stay bounded.
 
 Construction fast paths (see :meth:`TraceMatrix.from_schedule`):
 
 * :class:`~repro.core.schedule.PeriodicSchedule` — rows are computed directly
   from the ``(period, phase)`` table, grouping nodes by period so each
-  distinct period costs one ``arange % τ`` (numpy) or one doubling-fill
-  (bitmask); **no happy set is ever constructed**.
+  distinct period costs one ``arange % τ``; **no happy set is ever
+  constructed**.
 * cyclic :class:`~repro.core.schedule.ExplicitSchedule` — one cycle of
-  columns is filled and then tiled/repeated out to the horizon.
+  columns is filled and then tiled out to the horizon.
 * everything else (including online :class:`~repro.core.schedule.GeneratorSchedule`
   runs and raw sequences of sets) — columns are filled from the materialised
   prefix in a single batched pass.
 
 The streaming fast paths mirror these: periodic and cyclic schedules tile
-straight into each chunk from the assignment table / one materialised cycle
-(no prefix is ever built), while generic schedules materialise one chunk of
-happy sets at a time.  :class:`~repro.core.schedule.GeneratorSchedule`
-memoises what it has produced (its future depends on its past); constructed
-with a ``window=`` it evicts holidays far behind the generation frontier, so
-aperiodic generator-backed schedulers also stream at bounded memory (at the
-price of supporting a single forward pass — see the class notes).
+straight into each chunk, while generic schedules materialise one chunk of
+happy sets at a time.  A :class:`~repro.core.schedule.GeneratorSchedule`
+constructed with a ``window=`` evicts holidays far behind its generation
+frontier, so aperiodic generator-backed schedulers also stream at bounded
+memory — at the price of supporting a single forward pass: the summary pass
+is that pass, and a second pass over evicted history (``appearances``,
+``all_gaps``, ``happy_set``) raises :class:`ValueError`.
 
-Parallel streaming (``jobs=``): :meth:`StreamedTrace._scan` folds chunks
-through an *associative* accumulator (:meth:`_NodeStreamStats.absorb` per
-chunk, :meth:`_NodeStreamStats.merge` across chunk ranges), so the summary
-pass — and the dedicated per-appearance passes behind ``appearances`` /
-``all_gaps`` — can be split into contiguous blocks of chunks evaluated on
-worker processes and merged in order.  Because the periodic and cyclic fast
-paths are offset-aware, a worker needs only ``(schedule, chunk range)`` — no
-schedule prefix is ever shipped; raw happy-set sequences ship just the slice
-a worker's block covers.  Generator-backed schedules, whose future depends
-on their past, parallelise through the **checkpoint protocol**
-(:class:`~repro.core.schedule.GeneratorSchedule` constructed with
-``checkpoint=``/``restore=``): the parent runs the generator forward —
-the inherently sequential part — snapshotting its state at every chunk
-boundary, and each worker resumes a picklable
-:class:`~repro.core.schedule.GeneratorCheckpoint` to regenerate and fold
-its own block while the parent races ahead.  Non-checkpointable generator
-schedules still fall back to the serial scan, now with one logged warning
-naming the schedule and the reason.  Either way the determinism contract
-holds: ``jobs=1`` and ``jobs=N`` produce *identical* summaries, collisions
-and validation reports for every schedule kind (asserted by
-``tests/core/test_stream_parallel.py`` and the checkpoint parity suite).
-The legality scan parallelises the same way, and with ``fail_fast`` the
-parent cancels every outstanding block past the first violating chunk.
-
-Batched kernels (:class:`TraceBatch`): experiment campaigns evaluate many
-schedules that differ only in the scheduler over the *same* graph and
-horizon, and per-cell execution pays the construction dispatch, the summary
-reductions and the per-edge legality AND once per schedule.  A
-:class:`TraceBatch` stacks ``S`` compatible schedules into one ``S × n ×
-horizon`` boolean tensor (numpy) or ``S`` lists of bitmask rows (pure
-Python), built through the same periodic/cyclic fast paths broadcast across
-the schedule axis — all rows with the same ``(period, phase)`` are filled
-from one shared expansion regardless of which schedule they belong to.  One
-stacked :meth:`~TraceBatch.scan` then answers the full summary query API
-for every member at once: gap/run-length statistics come from a single
-``nonzero``/``diff``/``reduceat`` sweep over the flattened ``S·n`` row
-block, and one adjacency-masked pass per graph edge yields the collision
-holidays of *all* members.  :meth:`TraceBatch.member` returns a lightweight
-view with the :class:`TraceMatrix` query API (answered from the shared
-scan) that plugs into the metric and validation entry points through their
-``trace=`` parameter, so batched execution reuses the exact same
-downstream code as per-cell execution and produces identical reports.
-Oversized batches compose with streaming: in ``stream`` mode the members'
-chunks are folded column-block by column-block through the same
-associative accumulators, so resident memory is ``O(S × n × chunk)``.
+Parallel streaming (``jobs=``): periodic and cyclic schedules rebuild any
+chunk from ``(schedule, chunk range)`` alone, and raw happy-set sequences
+ship each worker just its slice, so the fold splits into contiguous chunk
+ranges evaluated on worker processes.  Generator schedules must run forward
+in one process and keep the serial scan (with one logged warning).  Either
+way ``jobs=1`` and ``jobs=N`` produce *identical* summaries, collisions and
+validation reports (``tests/core/test_stream_parallel.py``); with
+``fail_fast`` the legality pass stops at the first violating chunk and the
+parent cancels every outstanding range past it.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
+from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.problem import ConflictGraph, Node
-from repro.core.schedule import (
-    ExplicitSchedule,
-    GeneratorCheckpoint,
-    GeneratorSchedule,
-    PeriodicSchedule,
-    Schedule,
-)
+from repro.core.schedule import ExplicitSchedule, PeriodicSchedule, Schedule
 
 _LOG = logging.getLogger(__name__)
 
-try:  # numpy is an optional extra (``pip install .[fast]``)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
-
 __all__ = [
+    "TraceSummary",
+    "TraceView",
     "TraceMatrix",
     "TraceStream",
     "StreamedTrace",
     "TraceBatch",
+    "fold",
     "BACKENDS",
     "HORIZON_MODES",
     "DEFAULT_CHUNK",
     "AUTO_STREAM_BYTES",
     "dense_trace_bytes",
     "materialize_prefix",
-    "numpy_available",
     "resolve_backend",
     "resolve_horizon_mode",
 ]
 
-#: Backends accepted by :func:`resolve_backend`.  ``"sets"`` is *not* a
-#: :class:`TraceMatrix` backend — it names the frozenset reference path and is
-#: handled by the callers in :mod:`repro.core.metrics` / ``validation``.
-BACKENDS = ("auto", "numpy", "bitmask")
+#: Backends accepted by :func:`resolve_backend`; both name the numpy
+#: engine.  ``"sets"`` is *not* a trace backend — it names the frozenset
+#: reference path and is handled by :mod:`repro.core.metrics` / ``validation``.
+BACKENDS = ("auto", "numpy")
 
 #: Horizon representations accepted by :func:`resolve_horizon_mode`:
 #: ``dense`` materialises one n × horizon matrix, ``stream`` evaluates
@@ -161,8 +125,8 @@ BACKENDS = ("auto", "numpy", "bitmask")
 HORIZON_MODES = ("auto", "dense", "stream")
 
 #: Default streaming chunk width (holidays per block).  At 60 nodes one
-#: numpy chunk is ~15 MB — large enough to amortise per-chunk Python
-#: overhead, small enough that a handful of live blocks stay cache-friendly.
+#: chunk is ~15 MB — large enough to amortise per-chunk Python overhead,
+#: small enough that a handful of live blocks stay cache-friendly.
 DEFAULT_CHUNK = 1 << 18
 
 #: ``auto`` switches from dense to stream when the dense matrix would exceed
@@ -176,40 +140,63 @@ AUTO_STREAM_BYTES = 1 << 28
 #: outstanding blocks at a finer granularity than one block per worker.
 BLOCKS_PER_JOB = 4
 
+#: :func:`fold` scans blocks at most this many holidays wide flat — one
+#: ``flatnonzero`` over the whole block, rows recovered by ``divmod`` and
+#: reduced by ``reduceat`` — and wider blocks row by row.  The flat scan
+#: saves the per-row Python overhead that dominates narrow blocks (policy
+#: horizons, batches of many members), but it spends several int64
+#: temporaries per appearance, which on wide blocks (streaming chunks) costs
+#: more time than the per-row loop and far more memory.  On 64 periodic
+#: rows (2-vCPU x86-64, numpy 2.4) the flat scan takes half the per-row
+#: time at 2048 holidays wide and 1.7× it at 4096.
+FLAT_FOLD_WIDTH = 1 << 11
+
+#: On narrow blocks :func:`fold` ANDs edge rows in groups of at most this
+#: many cells, so the collision pass stays vectorised without holding an
+#: ``edges × width`` temporary (groups that fit in cache also run fastest);
+#: wide blocks AND one edge's rows at a time.
+EDGE_GROUP_CELLS = 1 << 16
+
+#: min-diff of a row with fewer than two appearances; guarded by count
+#: checks, so it never leaks into a query result.
+_NO_DIFF = 1 << 62
+
 ScheduleOrSets = Union[Schedule, Sequence[Iterable[Node]]]
 
 
-def dense_trace_bytes(num_nodes: int, horizon: int, backend: str) -> int:
-    """Estimated resident size of a dense trace (one byte per cell under
-    numpy, one bit per cell under bitmask)."""
-    cells = num_nodes * horizon
-    return cells if backend == "numpy" else cells // 8
+def dense_trace_bytes(num_nodes: int, horizon: int) -> int:
+    """Estimated resident size of a dense trace (one byte per cell)."""
+    return num_nodes * horizon
 
 
-def resolve_horizon_mode(mode: str, num_nodes: int, horizon: int, backend: str) -> str:
+def resolve_horizon_mode(mode: str, num_nodes: int, horizon: int) -> str:
     """Normalise a horizon mode, resolving ``"auto"`` by estimated memory.
 
     ``"dense"`` and ``"stream"`` pass through unchanged; ``"auto"`` picks
-    ``"stream"`` exactly when the dense matrix
-    (:func:`dense_trace_bytes`, which depends on the backend's cell width)
+    ``"stream"`` exactly when the dense matrix (:func:`dense_trace_bytes`)
     would exceed :data:`AUTO_STREAM_BYTES`, so every horizon a default
-    policy can choose stays dense and pre-streaming numbers never move.
-    ``backend`` must already be resolved (``"numpy"`` or ``"bitmask"``);
-    this is the one place the ``mode`` string is validated, shared by the
-    metric, validation and runner entry points.
+    policy can choose stays dense.  This is the one place the ``mode``
+    string is validated, shared by the metric, validation and runner entry
+    points.
     """
     if mode not in HORIZON_MODES:
         raise ValueError(f"unknown horizon mode {mode!r}; expected one of {HORIZON_MODES}")
     if mode == "auto":
-        if dense_trace_bytes(num_nodes, horizon, backend) > AUTO_STREAM_BYTES:
+        if dense_trace_bytes(num_nodes, horizon) > AUTO_STREAM_BYTES:
             return "stream"
         return "dense"
     return mode
 
 
-def numpy_available() -> bool:
-    """True when the numpy backend can be used in this interpreter."""
-    return _np is not None
+def resolve_backend(backend: str) -> str:
+    """Normalise a backend name: ``"auto"`` and ``"numpy"`` both resolve to
+    ``"numpy"``, the one trace engine."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown trace backend {backend!r}; expected one of {BACKENDS} (or 'sets' "
+            f"at the metrics/validation layer)"
+        )
+    return "numpy"
 
 
 def materialize_prefix(schedule: ScheduleOrSets, horizon: int) -> Sequence[FrozenSet[Node]]:
@@ -226,56 +213,465 @@ def materialize_prefix(schedule: ScheduleOrSets, horizon: int) -> Sequence[Froze
     return sets
 
 
-def resolve_backend(backend: str) -> str:
-    """Normalise a backend name, resolving ``"auto"`` to the fastest available."""
-    if backend == "auto":
-        return "numpy" if _np is not None else "bitmask"
-    if backend not in ("numpy", "bitmask"):
-        raise ValueError(
-            f"unknown trace backend {backend!r}; expected one of {BACKENDS} (or 'sets' "
-            f"at the metrics/validation layer)"
-        )
-    if backend == "numpy" and _np is None:
-        raise RuntimeError("trace backend 'numpy' requested but numpy is not installed")
-    return backend
+# -- the summary and its kernel ---------------------------------------------------
 
 
-class TraceMatrix:
-    """A node × holiday boolean occupancy matrix over a finite horizon.
+@dataclass(eq=False)
+class TraceSummary:
+    """Everything the summary queries need from a range of holidays.
 
-    Rows follow the graph's deterministic node order; column ``j`` is holiday
-    ``j + 1`` (holidays are 1-indexed throughout the package).  Instances are
-    immutable once built; construct them through :meth:`from_schedule`.
-
-    Attributes:
-        graph: the conflict graph the trace was observed on.
-        horizon: number of holidays covered (columns).
-        backend: resolved storage backend, ``"numpy"`` or ``"bitmask"``.
-        unknown: ``(holiday, node)`` pairs scheduled by the source but absent
-            from the graph — impossible for :class:`Schedule` sources that
-            validate, possible for raw sequences; consumed by the validator.
+    Per row (int64 arrays): ``count`` appearances, the global holidays of the
+    ``first`` and ``last`` one (0 when the row is empty), and the largest and
+    smallest inter-appearance difference ``dmax``/``dmin`` (0 and a sentinel
+    when the row has fewer than two appearances).  ``diffs`` maps each row
+    whose differences vary (``dmax != dmin``) to an array holding its
+    distinct differences — possibly repeated; :meth:`distinct` normalises.
+    ``collisions`` maps edge ``k`` (position in the folded edge list) to its
+    collision holidays and omits edges without any; ``unknown`` holds the
+    ``(holiday, node)`` pairs the builder could not place.  Instances pickle
+    as-is, which is how worker processes return partial summaries.
     """
 
-    #: representation tag, mirrored by :class:`StreamedTrace` (``"stream"``).
+    count: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    dmax: np.ndarray
+    dmin: np.ndarray
+    diffs: Dict[int, np.ndarray]
+    collisions: Dict[int, List[int]]
+    unknown: List[Tuple[int, Node]]
+
+    def distinct(self, row: int) -> List[int]:
+        """Sorted distinct inter-appearance differences of ``row``."""
+        if row in self.diffs:
+            return np.unique(self.diffs[row]).tolist()
+        return [int(self.dmax[row])] if self.count[row] >= 2 else []
+
+    def _diff_values(self, row: int) -> np.ndarray:
+        if row in self.diffs:
+            return self.diffs[row]
+        return self.dmax[row:row + 1] if self.count[row] >= 2 else self.dmax[:0]
+
+    def merge(self, later: "TraceSummary") -> "TraceSummary":
+        """The summary of our holiday range followed directly by ``later``'s.
+
+        Equivalent to folding both ranges as one block: the only information
+        spanning the boundary is the gap between a row's last appearance
+        here and its first in ``later``, which becomes one more observed
+        difference.  Associative, so ranges may be folded in any grouping
+        and merged in order.
+        """
+        a, b = self, later
+        has_a, has_b = a.count > 0, b.count > 0
+        both = has_a & has_b
+        gap = np.where(both, b.first - a.last, 0)
+        dmax = np.maximum(np.maximum(a.dmax, b.dmax), gap)
+        dmin = np.minimum(np.minimum(a.dmin, b.dmin), np.where(both, gap, _NO_DIFF))
+        count = a.count + b.count
+        diffs: Dict[int, np.ndarray] = {}
+        for row in np.flatnonzero((count > 1) & (dmax != dmin)).tolist():
+            parts = [a._diff_values(row), b._diff_values(row)]
+            if both[row]:
+                parts.append(gap[row:row + 1])
+            diffs[row] = np.unique(np.concatenate(parts))
+        collisions = {k: list(v) for k, v in a.collisions.items()}
+        for k, hits in b.collisions.items():
+            collisions.setdefault(k, []).extend(hits)
+        return TraceSummary(
+            count,
+            np.where(has_a, a.first, b.first),
+            np.where(has_b, b.last, a.last),
+            dmax,
+            dmin,
+            diffs,
+            collisions,
+            a.unknown + b.unknown,
+        )
+
+    def split(self, parts: int, edges: int) -> List["TraceSummary"]:
+        """Cut a stacked summary into ``parts`` equal row groups, each with
+        its ``edges`` consecutive edges renumbered from 0 (unknowns stay
+        with the caller, who knows which part they belong to)."""
+        n = len(self.count) // parts
+        out = [
+            TraceSummary(
+                self.count[lo:lo + n], self.first[lo:lo + n], self.last[lo:lo + n],
+                self.dmax[lo:lo + n], self.dmin[lo:lo + n], {}, {}, [],
+            )
+            for lo in (s * n for s in range(parts))
+        ]
+        for row, values in self.diffs.items():
+            out[row // n].diffs[row % n] = values
+        for k, hits in self.collisions.items():
+            out[k // edges].collisions[k % edges] = hits
+        return out
+
+
+def _empty_summary(rows: int) -> TraceSummary:
+    zeros = np.zeros(rows, dtype=np.int64)
+    return TraceSummary(
+        zeros, zeros.copy(), zeros.copy(), zeros.copy(),
+        np.full(rows, _NO_DIFF, dtype=np.int64), {}, {}, [],
+    )
+
+
+def fold(
+    block: np.ndarray,
+    start: int,
+    edge_rows: Sequence[Tuple[int, int]] = (),
+    unknown: Sequence[Tuple[int, Node]] = (),
+) -> TraceSummary:
+    """Summarise a ``rows × width`` boolean block whose column ``j`` is
+    holiday ``start + j``.
+
+    ``edge_rows`` lists the row pairs whose collision holidays to collect
+    (edge ``k`` of the summary is pair ``k``); ``unknown`` holds the
+    ``(holiday, node)`` pairs the block's builder could not place, with
+    holiday 1 meaning ``start``.  The arm follows the block's shape (see
+    :data:`FLAT_FOLD_WIDTH`); both produce the same summary.
+    """
+    rows, width = block.shape
+    out = _empty_summary(rows)
+    count, first, last, dmax, dmin = out.count, out.first, out.last, out.dmax, out.dmin
+    if width <= FLAT_FOLD_WIDTH:
+        # every appearance of every row, grouped by row in column order
+        rows_idx, cols = np.divmod(np.flatnonzero(block), width)
+        count[:] = np.bincount(rows_idx, minlength=rows)
+        bounds = np.concatenate(([0], np.cumsum(count)))
+        nonempty = np.flatnonzero(count)
+        if nonempty.size:
+            starts, ends = bounds[nonempty], bounds[nonempty + 1]
+            first[nonempty] = cols[starts] + start
+            last[nonempty] = cols[ends - 1] + start
+            diff = np.diff(cols)
+            # the difference leaving each row's segment crosses into the
+            # next row: neutralise it for both reductions
+            hi = np.append(diff, 0)
+            lo = np.append(diff, _NO_DIFF)
+            hi[ends[:-1] - 1] = 0
+            lo[ends[:-1] - 1] = _NO_DIFF
+            dmax[nonempty] = np.maximum.reduceat(hi, starts)
+            dmin[nonempty] = np.minimum.reduceat(lo, starts)
+            varied = np.flatnonzero((count > 1) & (dmax != dmin))
+            for row, a, b in zip(
+                varied.tolist(), bounds[varied].tolist(), bounds[varied + 1].tolist()
+            ):
+                out.diffs[row] = diff[a:b - 1]
+    else:
+        for row in range(rows):
+            idx = np.flatnonzero(block[row])
+            if idx.size == 0:
+                continue
+            count[row] = idx.size
+            first[row] = idx[0] + start
+            last[row] = idx[-1] + start
+            if idx.size > 1:
+                diff = np.diff(idx)
+                dmax[row] = hi = diff.max()
+                dmin[row] = lo = diff.min()
+                if hi != lo:
+                    out.diffs[row] = np.unique(diff)
+    if width > FLAT_FOLD_WIDTH:
+        for k, (i, j) in enumerate(edge_rows):
+            both = block[i] & block[j]
+            if both.any():
+                out.collisions[k] = (np.flatnonzero(both) + start).tolist()
+    elif len(edge_rows):
+        # narrow rows: AND whole groups of edge pairs at once
+        pairs = np.asarray(edge_rows, dtype=np.intp).reshape(-1, 2)
+        step = max(1, EDGE_GROUP_CELLS // width)
+        for base in range(0, len(pairs), step):
+            group = pairs[base:base + step]
+            both = block[group[:, 0]] & block[group[:, 1]]
+            if both.any():
+                hit_edges, hit_cols = np.divmod(np.flatnonzero(both), width)
+                for k, t in zip((hit_edges + base).tolist(), (hit_cols + start).tolist()):
+                    out.collisions.setdefault(k, []).append(t)
+    out.unknown = [(start + t - 1, p) for t, p in unknown]
+    return out
+
+
+def _merge_in_order(parts: Iterable[TraceSummary], fail_fast: bool) -> TraceSummary:
+    """Merge the summaries of consecutive holiday ranges; with ``fail_fast``,
+    stop after the first range with a collision or an unknown node (``parts``
+    is consumed lazily, so later ranges are never computed)."""
+    summary: Optional[TraceSummary] = None
+    for part in parts:
+        summary = part if summary is None else summary.merge(part)
+        if fail_fast and (part.collisions or part.unknown):
+            break
+    return summary
+
+
+def _fold_blocks(
+    blocks: Iterable[Tuple[int, "TraceMatrix"]],
+    edge_rows: Sequence[Tuple[int, int]],
+    fail_fast: bool = False,
+    offset: int = 0,
+) -> TraceSummary:
+    """Fold ``(start, block)`` pairs in order into one summary — the serial
+    pass, and each worker's share of a parallel one."""
+    return _merge_in_order(
+        (fold(block._matrix, offset + start, edge_rows, block._unknown) for start, block in blocks),
+        fail_fast,
+    )
+
+
+def _gaps(times: Sequence[int], horizon: int) -> List[int]:
+    """Unhappiness interval lengths around ascending appearance holidays."""
+    if not times:
+        return [horizon]
+    gaps = [times[0] - 1]
+    gaps.extend(b - a - 1 for a, b in zip(times, times[1:]))
+    gaps.append(horizon - times[-1])
+    return gaps
+
+
+# -- the one query view -------------------------------------------------------------
+
+
+class TraceView:
+    """The query API shared by dense, streamed and batched traces.
+
+    Summary queries read the trace's :class:`TraceSummary`, built by the
+    first of them (``_scan``) and cached; per-appearance queries run one
+    positions pass over the trace's blocks.  Subclasses supply the blocks
+    (``_blocks``) and may replace how the summary is built.  Rows follow the
+    graph's deterministic node order; holidays are 1-indexed.
+    """
+
+    #: representation tag: ``"dense"`` or ``"stream"``.
+    mode = "dense"
+
+    def __init__(self, graph: ConflictGraph, horizon: int) -> None:
+        self.graph = graph
+        self.horizon = horizon
+        self._order: List[Node] = graph.nodes()
+        self._index: Dict[Node, int] = {p: i for i, p in enumerate(self._order)}
+        self._summary: Optional[TraceSummary] = None
+        self._muls = None
+        self._edge_ids: Optional[Dict[Tuple[Node, Node], int]] = None
+
+    # -- what subclasses provide ---------------------------------------------------
+    def _blocks(self, first: int = 1) -> Iterator[Tuple[int, "TraceMatrix"]]:
+        """``(start, block)`` pairs covering holidays ``first..horizon`` in
+        order, beginning with the block that contains ``first``."""
+        raise NotImplementedError
+
+    def _fold_pass(self, edge_rows: Sequence[Tuple[int, int]], fail_fast: bool = False) -> TraceSummary:
+        return _fold_blocks(self._blocks(), edge_rows, fail_fast)
+
+    def _scan(self) -> None:
+        """Build the summary once (idempotent)."""
+        if self._summary is None:
+            self._summary = self._fold_pass(self._edge_rows(self.graph.edges()))
+
+    def summary(self) -> TraceSummary:
+        """The trace's :class:`TraceSummary` over the graph's own edges."""
+        self._scan()
+        return self._summary
+
+    def _edge_rows(self, edges: Iterable[Tuple[Node, Node]]) -> List[Tuple[int, int]]:
+        return [(self._index[u], self._index[v]) for u, v in edges]
+
+    # -- per-node summary queries --------------------------------------------------
+    def row_index(self, node: Node) -> int:
+        """Row of ``node`` in the trace's blocks (KeyError for unknown nodes)."""
+        return self._index[node]
+
+    def count(self, node: Node) -> int:
+        """Number of holidays within the horizon at which ``node`` is happy."""
+        return int(self.summary().count[self._index[node]])
+
+    def _mul_array(self) -> np.ndarray:
+        if self._muls is None:
+            s = self.summary()
+            muls = np.maximum(s.first - 1, self.horizon - s.last)
+            muls = np.maximum(muls, np.where(s.count > 1, s.dmax - 1, 0))
+            muls[s.count == 0] = self.horizon
+            self._muls = muls
+        return self._muls
+
+    def mul(self, node: Node) -> int:
+        """Maximum unhappiness length of ``node`` within the horizon."""
+        return int(self._mul_array()[self._index[node]])
+
+    def observed_period(self, node: Node) -> Optional[int]:
+        """The constant inter-appearance difference, or None (matches the
+        reference: fewer than two appearances is "insufficient evidence")."""
+        s, i = self.summary(), self._index[node]
+        if s.count[i] < 2 or s.dmax[i] != s.dmin[i]:
+            return None
+        return int(s.dmax[i])
+
+    def happiness_rate(self, node: Node) -> float:
+        """Fraction of observed holidays at which ``node`` was happy."""
+        return self.count(node) / self.horizon
+
+    def distinct_appearance_diffs(self, node: Node) -> List[int]:
+        """Sorted distinct inter-appearance differences of ``node`` — the
+        summary the periodicity certifier needs, which never requires the
+        full O(appearances) diff list."""
+        return self.summary().distinct(self._index[node])
+
+    # -- bulk summary queries (graph-node order) -----------------------------------
+    def muls(self) -> Dict[Node, int]:
+        """``{node: mul(node)}`` for every node, in graph order."""
+        return dict(zip(self._order, self._mul_array().tolist()))
+
+    def observed_periods(self) -> Dict[Node, Optional[int]]:
+        """``{node: observed period or None}`` for every node."""
+        s = self.summary()
+        periodic = ((s.count >= 2) & (s.dmax == s.dmin)).tolist()
+        return {
+            p: period if ok else None
+            for p, period, ok in zip(self._order, s.dmax.tolist(), periodic)
+        }
+
+    def happiness_rates(self) -> Dict[Node, float]:
+        """``{node: happiness rate}`` for every node."""
+        counts = self.summary().count.tolist()
+        return {p: c / self.horizon for p, c in zip(self._order, counts)}
+
+    # -- edge and legality queries ---------------------------------------------------
+    @property
+    def unknown(self) -> List[Tuple[int, Node]]:
+        """``(holiday, node)`` pairs scheduled by the source but absent from
+        the graph — impossible for :class:`Schedule` sources that validate,
+        possible for raw sequences; consumed by the validator."""
+        return self.summary().unknown
+
+    def edge_collisions(self, u: Node, v: Node) -> List[int]:
+        """Holidays at which ``u`` and ``v`` are simultaneously happy.
+
+        Graph edges come from the summary; any other pair gets a dedicated
+        pass over the trace's blocks.
+        """
+        if self._edge_ids is None:
+            self._edge_ids = {edge: k for k, edge in enumerate(self.graph.edges())}
+        k = self._edge_ids.get((u, v), self._edge_ids.get((v, u)))
+        if k is not None:
+            return list(self.summary().collisions.get(k, ()))
+        pair = self._fold_pass([(self._index[u], self._index[v])])
+        return pair.collisions.get(0, [])
+
+    def conflicting_holidays(self) -> Dict[int, List[Tuple[Node, Node]]]:
+        """``{holiday: [(u, v), ...]}`` over all graph edges with collisions."""
+        return self.legality_scan(self.graph)[1]
+
+    def legality_scan(
+        self, graph: ConflictGraph, fail_fast: bool = False
+    ) -> Tuple[Dict[int, List[Node]], Dict[int, List[Tuple[Node, Node]]]]:
+        """Legality evidence against ``graph``'s edges:
+        ``(unknown_by_holiday, collisions_by_holiday)``.
+
+        The trace's own edges read the cached summary.  Other edge sets —
+        or ``fail_fast``, under which a streamed trace stops after the
+        first chunk containing any violation and never builds the rest —
+        take a dedicated pass over the blocks.
+        """
+        edges = graph.edges()
+        if not fail_fast and edges == self.graph.edges():
+            summary = self.summary()
+        else:
+            summary = self._fold_pass(self._edge_rows(edges), fail_fast)
+        unknown_by_holiday: Dict[int, List[Node]] = {}
+        for t, p in summary.unknown:
+            unknown_by_holiday.setdefault(t, []).append(p)
+        collisions: Dict[int, List[Tuple[Node, Node]]] = {}
+        for k, edge in enumerate(edges):
+            for t in summary.collisions.get(k, ()):
+                collisions.setdefault(t, []).append(edge)
+        return unknown_by_holiday, collisions
+
+    # -- per-appearance queries: one positions pass ----------------------------------
+    def _positions(self, rows: Sequence[int]) -> List[List[int]]:
+        """Ascending appearance holidays of each of ``rows``."""
+        out: List[List[int]] = [[] for _ in rows]
+        for start, block in self._blocks():
+            matrix = block._matrix
+            for slot, row in enumerate(rows):
+                out[slot].extend((np.flatnonzero(matrix[row]) + start).tolist())
+        return out
+
+    def appearances(self, node: Node) -> List[int]:
+        """Sorted 1-indexed holidays at which ``node`` is happy."""
+        return self._positions([self._index[node]])[0]
+
+    def appearance_diffs(self, node: Node) -> List[int]:
+        """Differences between consecutive appearances (empty if < 2)."""
+        times = self.appearances(node)
+        return [b - a for a, b in zip(times, times[1:])]
+
+    def gaps(self, node: Node) -> List[int]:
+        """Unhappiness interval lengths, identical in semantics to
+        :meth:`repro.core.metrics.HappinessTrace.gaps`: the run before the
+        first appearance, runs between consecutive appearances, and the run
+        after the last appearance; ``[horizon]`` for a never-happy node."""
+        return _gaps(self.appearances(node), self.horizon)
+
+    def all_gaps(self) -> Dict[Node, List[int]]:
+        """``{node: gap list}`` for every node, in one positions pass."""
+        positions = self._positions(range(len(self._order)))
+        return {p: _gaps(times, self.horizon) for p, times in zip(self._order, positions)}
+
+    def happy_set(self, holiday: int) -> FrozenSet[Node]:
+        """The recorded happy set at ``holiday`` (known nodes only); builds
+        only the block containing it."""
+        if not (1 <= holiday <= self.horizon):
+            raise ValueError(f"holiday {holiday} outside recorded horizon 1..{self.horizon}")
+        start, block = next(self._blocks(holiday))
+        column = np.flatnonzero(block._matrix[:, holiday - start])
+        return frozenset(self._order[i] for i in column.tolist())
+
+
+def _periodic_fast_path(schedule: ScheduleOrSets, graph: ConflictGraph) -> bool:
+    """True when ``schedule``'s ``(period, phase)`` table covers exactly the
+    observed nodes — the precondition of the periodic fast paths (a schedule
+    evaluated against a different graph goes through the generic set fill,
+    which tracks unknowns)."""
+    return isinstance(schedule, PeriodicSchedule) and set(schedule.assignments) == set(graph.nodes())
+
+
+def _fill_periodic(
+    matrix: np.ndarray, by_period: Dict[int, Tuple[List[int], List[int]]], start: int
+) -> None:
+    """Set ``matrix[row, j]`` for every holiday ``start + j ≡ phase (mod
+    period)``: one ``arange % τ`` per distinct period, shared by every row
+    with that period."""
+    holidays = np.arange(start, start + matrix.shape[1], dtype=np.int64)
+    for period, (rows, phases) in by_period.items():
+        mod = holidays % period
+        phase_arr = np.asarray(phases, dtype=np.int64)
+        matrix[np.asarray(rows, dtype=np.intp)] = mod[np.newaxis, :] == phase_arr[:, np.newaxis]
+
+
+class TraceMatrix(TraceView):
+    """A dense node × holiday boolean occupancy matrix over a finite horizon.
+
+    Column ``j`` is holiday ``j + 1``.  Instances are immutable once built;
+    construct them through :meth:`from_schedule`.  The summary is one
+    :func:`fold` of the whole matrix, run by the first summary query.
+    :class:`TraceStream` yields its chunks as ``TraceMatrix`` blocks too,
+    whose local column ``j`` covers global holiday ``start + j``.
+    """
+
     mode = "dense"
 
     def __init__(
         self,
         graph: ConflictGraph,
         horizon: int,
-        backend: str,
-        rows_numpy=None,
-        rows_bitmask: Optional[List[int]] = None,
+        matrix: np.ndarray,
         unknown: Optional[List[Tuple[int, Node]]] = None,
     ) -> None:
-        self.graph = graph
-        self.horizon = horizon
-        self.backend = backend
-        self._order: List[Node] = graph.nodes()
-        self._index: Dict[Node, int] = {p: i for i, p in enumerate(self._order)}
-        self._matrix = rows_numpy
-        self._bits: List[int] = rows_bitmask if rows_bitmask is not None else []
-        self.unknown: List[Tuple[int, Node]] = unknown or []
+        super().__init__(graph, horizon)
+        self._matrix = matrix
+        #: the builder's unplaced ``(holiday, node)`` pairs (block-local holidays)
+        self._unknown: List[Tuple[int, Node]] = unknown or []
+
+    def _blocks(self, first: int = 1) -> Iterator[Tuple[int, "TraceMatrix"]]:
+        return iter(((1, self),))
 
     # -- construction --------------------------------------------------------------
     @classmethod
@@ -293,279 +689,100 @@ class TraceMatrix:
         """
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon!r}")
-        backend = resolve_backend(backend)
-        # The periodic fast path reads the assignment table directly, so it is
-        # only valid when the table covers exactly the nodes being observed;
-        # evaluating a schedule against a different graph (extra or missing
-        # nodes) goes through the generic set fill, which tracks unknowns.
-        if isinstance(schedule, PeriodicSchedule) and set(schedule.assignments) == set(graph.nodes()):
-            return cls._from_periodic(schedule, graph, horizon, backend)
+        resolve_backend(backend)
+        if _periodic_fast_path(schedule, graph):
+            return cls._from_periodic(schedule, graph, horizon)
         if isinstance(schedule, ExplicitSchedule) and schedule.is_periodic() and 0 < len(schedule) < horizon:
-            return cls._from_cyclic_explicit(schedule, graph, horizon, backend)
-        return cls._from_sets(materialize_prefix(schedule, horizon), graph, horizon, backend)
+            return cls._from_cyclic_explicit(schedule, graph, horizon)
+        return cls._from_sets(materialize_prefix(schedule, horizon), graph, horizon)
 
     @classmethod
     def _from_periodic(
-        cls,
-        schedule: PeriodicSchedule,
-        graph: ConflictGraph,
-        horizon: int,
-        backend: str,
-        start: int = 1,
+        cls, schedule: PeriodicSchedule, graph: ConflictGraph, horizon: int, start: int = 1
     ) -> "TraceMatrix":
         """Vectorized build from a ``{node: (period, phase)}`` table.
-
-        Nodes are grouped by period so each distinct period τ is expanded
-        exactly once — one ``arange % τ`` under numpy, one doubling-fill per
-        (τ, phase) under bitmask.  No per-holiday set is constructed.
 
         ``start`` shifts the observation window: column ``j`` covers holiday
         ``start + j``, which is how :class:`TraceStream` tiles the table
         straight into each chunk without materialising any prefix.
         """
         order = graph.nodes()
-        by_period: Dict[int, List[Tuple[int, int]]] = {}
+        by_period: Dict[int, Tuple[List[int], List[int]]] = {}
         for i, p in enumerate(order):
             slot = schedule.assignments[p]
-            by_period.setdefault(slot.period, []).append((i, slot.phase))
-
-        if backend == "numpy":
-            matrix = _np.zeros((len(order), horizon), dtype=_np.bool_)
-            holidays = _np.arange(start, start + horizon, dtype=_np.int64)
-            for period, members in by_period.items():
-                mod = holidays % period
-                rows = _np.fromiter((i for i, _ in members), dtype=_np.intp, count=len(members))
-                phases = _np.fromiter((ph for _, ph in members), dtype=_np.int64, count=len(members))
-                matrix[rows] = mod[_np.newaxis, :] == phases[:, _np.newaxis]
-            return cls(graph, horizon, backend, rows_numpy=matrix)
-
-        bits = [0] * len(order)
-        pattern_cache: Dict[Tuple[int, int], int] = {}
-        for period, members in by_period.items():
-            for i, phase in members:
-                key = (period, phase)
-                if key not in pattern_cache:
-                    pattern_cache[key] = _periodic_bitmask_window(period, phase, start, horizon)
-                bits[i] = pattern_cache[key]
-        return cls(graph, horizon, backend, rows_bitmask=bits)
+            rows, phases = by_period.setdefault(slot.period, ([], []))
+            rows.append(i)
+            phases.append(slot.phase)
+        matrix = np.zeros((len(order), horizon), dtype=np.bool_)
+        _fill_periodic(matrix, by_period, start)
+        return cls(graph, horizon, matrix)
 
     @classmethod
     def _from_cyclic_explicit(
-        cls, schedule: ExplicitSchedule, graph: ConflictGraph, horizon: int, backend: str
+        cls, schedule: ExplicitSchedule, graph: ConflictGraph, horizon: int
     ) -> "TraceMatrix":
         """Fill one cycle of columns, then tile it out to the horizon."""
         cycle = [schedule.happy_set(t) for t in range(1, len(schedule) + 1)]
-        base = cls._from_sets(cycle, graph, len(cycle), backend)
+        base = cls._from_sets(cycle, graph, len(cycle))
         reps = -(-horizon // len(cycle))  # ceil division
         unknown = sorted(
             (
                 (t0 + k * len(cycle), p)
-                for t0, p in base.unknown
+                for t0, p in base._unknown
                 for k in range(reps)
                 if t0 + k * len(cycle) <= horizon
             ),
             key=lambda pair: pair[0],
         )
-        if backend == "numpy":
-            matrix = _np.tile(base._matrix, (1, reps))[:, :horizon]
-            return cls(graph, horizon, backend, rows_numpy=_np.ascontiguousarray(matrix),
-                       unknown=unknown)
-        mask = (1 << horizon) - 1
-        bits = [_repeat_bitmask(row, len(cycle), reps) & mask for row in base._bits]
-        return cls(graph, horizon, backend, rows_bitmask=bits, unknown=unknown)
+        matrix = np.tile(base._matrix, (1, reps))[:, :horizon]
+        return cls(graph, horizon, np.ascontiguousarray(matrix), unknown=unknown)
 
     @classmethod
     def _from_sets(
-        cls, sets: Sequence[FrozenSet[Node]], graph: ConflictGraph, horizon: int, backend: str
+        cls, sets: Sequence[FrozenSet[Node]], graph: ConflictGraph, horizon: int
     ) -> "TraceMatrix":
         """Batched column fill from a materialised prefix of happy sets."""
         order = graph.nodes()
         index = {p: i for i, p in enumerate(order)}
         unknown: List[Tuple[int, Node]] = []
-        if backend == "numpy":
-            # Schedules usually repeat happy sets heavily (periodic phases,
-            # greedy cycles), and frozensets cache their hash — so dedup the
-            # columns, fill one column per *distinct* set and assemble the
-            # matrix with one vectorized gather.  A small sample decides
-            # whether dedup pays: randomized schedules with (almost) all
-            # columns distinct go through a direct scatter instead.
-            sample = sets[:256]
-            if len(sample) >= 64 and len(set(sample)) > 0.9 * len(sample):
-                matrix = _np.zeros((len(order), horizon), dtype=_np.bool_)
-                _scatter_columns(
-                    matrix, enumerate(sets), index,
-                    on_unknown=lambda j, p: unknown.append((j + 1, p)),
-                )
-                return cls(graph, horizon, backend, rows_numpy=matrix, unknown=unknown)
-
-            ids: Dict[FrozenSet[Node], int] = {}
-            uniques: List[FrozenSet[Node]] = []
-            col_ids: List[int] = []
-            for happy in sets:
-                fs = happy if isinstance(happy, frozenset) else frozenset(happy)
-                sid = ids.get(fs)
-                if sid is None:
-                    sid = len(uniques)
-                    ids[fs] = sid
-                    uniques.append(fs)
-                col_ids.append(sid)
-            distinct = _np.zeros((len(order), max(len(uniques), 1)), dtype=_np.bool_)
-            unknown_members: List[List[Node]] = [[] for _ in uniques]
+        # Schedules usually repeat happy sets heavily (periodic phases,
+        # greedy cycles), and frozensets cache their hash — so dedup the
+        # columns, fill one column per *distinct* set and assemble the
+        # matrix with one vectorized gather.  A small sample decides
+        # whether dedup pays: randomized schedules with (almost) all
+        # columns distinct go through a direct scatter instead.
+        sample = sets[:256]
+        if len(sample) >= 64 and len(set(sample)) > 0.9 * len(sample):
+            matrix = np.zeros((len(order), horizon), dtype=np.bool_)
             _scatter_columns(
-                distinct, enumerate(uniques), index,
-                on_unknown=lambda sid, p: unknown_members[sid].append(p),
+                matrix, enumerate(sets), index,
+                on_unknown=lambda j, p: unknown.append((j + 1, p)),
             )
-            if any(unknown_members):
-                for j, sid in enumerate(col_ids):
-                    for p in unknown_members[sid]:
-                        unknown.append((j + 1, p))
-            matrix = distinct[:, _np.asarray(col_ids, dtype=_np.intp)]
-            return cls(graph, horizon, backend, rows_numpy=matrix, unknown=unknown)
-        buffers = [bytearray((horizon + 7) // 8) for _ in order]
-        for j, happy in enumerate(sets):
-            for p in happy:
-                i = index.get(p)
-                if i is None:
+            return cls(graph, horizon, matrix, unknown=unknown)
+
+        ids: Dict[FrozenSet[Node], int] = {}
+        uniques: List[FrozenSet[Node]] = []
+        col_ids: List[int] = []
+        for happy in sets:
+            fs = happy if isinstance(happy, frozenset) else frozenset(happy)
+            sid = ids.get(fs)
+            if sid is None:
+                sid = len(uniques)
+                ids[fs] = sid
+                uniques.append(fs)
+            col_ids.append(sid)
+        distinct = np.zeros((len(order), max(len(uniques), 1)), dtype=np.bool_)
+        unknown_members: List[List[Node]] = [[] for _ in uniques]
+        _scatter_columns(
+            distinct, enumerate(uniques), index,
+            on_unknown=lambda sid, p: unknown_members[sid].append(p),
+        )
+        if any(unknown_members):
+            for j, sid in enumerate(col_ids):
+                for p in unknown_members[sid]:
                     unknown.append((j + 1, p))
-                else:
-                    buffers[i][j >> 3] |= 1 << (j & 7)
-        bits = [int.from_bytes(buf, "little") for buf in buffers]
-        return cls(graph, horizon, backend, rows_bitmask=bits, unknown=unknown)
-
-    # -- per-node queries ----------------------------------------------------------
-    def row_index(self, node: Node) -> int:
-        """Row of ``node`` in the matrix (KeyError for unknown nodes)."""
-        return self._index[node]
-
-    def appearances(self, node: Node) -> List[int]:
-        """Sorted 1-indexed holidays at which ``node`` is happy."""
-        if self.backend == "numpy":
-            return (_np.flatnonzero(self._matrix[self._index[node]]) + 1).tolist()
-        return _bit_positions(self._bits[self._index[node]], offset=1)
-
-    def count(self, node: Node) -> int:
-        """Number of holidays within the horizon at which ``node`` is happy."""
-        if self.backend == "numpy":
-            return int(self._matrix[self._index[node]].sum())
-        return _popcount(self._bits[self._index[node]])
-
-    def gaps(self, node: Node) -> List[int]:
-        """Unhappiness interval lengths, identical in semantics to
-        :meth:`repro.core.metrics.HappinessTrace.gaps`: the run before the
-        first appearance, runs between consecutive appearances, and the run
-        after the last appearance; ``[horizon]`` for a never-happy node."""
-        times = self.appearances(node)
-        if not times:
-            return [self.horizon]
-        gaps = [times[0] - 1]
-        gaps.extend(b - a - 1 for a, b in zip(times, times[1:]))
-        gaps.append(self.horizon - times[-1])
-        return gaps
-
-    def mul(self, node: Node) -> int:
-        """Maximum unhappiness length of ``node`` within the horizon."""
-        if self.backend == "numpy":
-            row = self._matrix[self._index[node]]
-            idx = _np.flatnonzero(row)
-            if idx.size == 0:
-                return self.horizon
-            # run-length encoding of the zero runs via diff over the padded
-            # appearance positions: [-1] + idx + [horizon]
-            before = int(idx[0])
-            after = self.horizon - 1 - int(idx[-1])
-            between = int(_np.diff(idx).max() - 1) if idx.size > 1 else 0
-            return max(before, after, between)
-        return max(self.gaps(node))
-
-    def appearance_diffs(self, node: Node) -> List[int]:
-        """Differences between consecutive appearances (empty if < 2)."""
-        times = self.appearances(node)
-        return [b - a for a, b in zip(times, times[1:])]
-
-    def distinct_appearance_diffs(self, node: Node) -> List[int]:
-        """Sorted distinct inter-appearance differences of ``node``.
-
-        This is the summary the periodicity certifier needs — it never
-        requires the full O(appearances) diff list, which is what lets the
-        streaming engine answer the same question at bounded memory.
-        """
-        if self.backend == "numpy":
-            idx = _np.flatnonzero(self._matrix[self._index[node]])
-            if idx.size < 2:
-                return []
-            return _np.unique(_np.diff(idx)).tolist()
-        return sorted(set(self.appearance_diffs(node)))
-
-    def observed_period(self, node: Node) -> Optional[int]:
-        """The constant inter-appearance difference, or None (matches the
-        reference: fewer than two appearances is "insufficient evidence")."""
-        if self.backend == "numpy":
-            idx = _np.flatnonzero(self._matrix[self._index[node]])
-            if idx.size < 2:
-                return None
-            diffs = _np.diff(idx)
-            first = int(diffs[0])
-            return first if bool((diffs == first).all()) else None
-        diffs = self.appearance_diffs(node)
-        if not diffs:
-            return None
-        first = diffs[0]
-        return first if all(d == first for d in diffs) else None
-
-    def happiness_rate(self, node: Node) -> float:
-        """Fraction of observed holidays at which ``node`` was happy."""
-        return self.count(node) / self.horizon
-
-    # -- bulk queries --------------------------------------------------------------
-    def muls(self) -> Dict[Node, int]:
-        """``{node: mul(node)}`` for every node, in graph order."""
-        return {p: self.mul(p) for p in self._order}
-
-    def all_gaps(self) -> Dict[Node, List[int]]:
-        """``{node: gap list}`` for every node."""
-        return {p: self.gaps(p) for p in self._order}
-
-    def observed_periods(self) -> Dict[Node, Optional[int]]:
-        """``{node: observed period or None}`` for every node."""
-        return {p: self.observed_period(p) for p in self._order}
-
-    def happiness_rates(self) -> Dict[Node, float]:
-        """``{node: happiness rate}`` for every node."""
-        if self.backend == "numpy" and len(self._order) > 0:
-            counts = self._matrix.sum(axis=1)
-            return {p: int(counts[i]) / self.horizon for i, p in enumerate(self._order)}
-        return {p: self.happiness_rate(p) for p in self._order}
-
-    # -- column / edge queries -----------------------------------------------------
-    def happy_set(self, holiday: int) -> FrozenSet[Node]:
-        """The recorded happy set at ``holiday`` (known nodes only)."""
-        if not (1 <= holiday <= self.horizon):
-            raise ValueError(f"holiday {holiday} outside recorded horizon 1..{self.horizon}")
-        if self.backend == "numpy":
-            col = _np.flatnonzero(self._matrix[:, holiday - 1])
-            return frozenset(self._order[i] for i in col)
-        bit = 1 << (holiday - 1)
-        return frozenset(p for i, p in enumerate(self._order) if self._bits[i] & bit)
-
-    def edge_collisions(self, u: Node, v: Node) -> List[int]:
-        """Holidays at which ``u`` and ``v`` are simultaneously happy.
-
-        This is the adjacency-masked column test: a single vectorized AND of
-        the two rows replaces a per-holiday membership scan.
-        """
-        i, j = self._index[u], self._index[v]
-        if self.backend == "numpy":
-            both = self._matrix[i] & self._matrix[j]
-            return (_np.flatnonzero(both) + 1).tolist()
-        return _bit_positions(self._bits[i] & self._bits[j], offset=1)
-
-    def conflicting_holidays(self) -> Dict[int, List[Tuple[Node, Node]]]:
-        """``{holiday: [(u, v), ...]}`` over all graph edges with collisions."""
-        out: Dict[int, List[Tuple[Node, Node]]] = {}
-        for u, v in self.graph.edges():
-            for t in self.edge_collisions(u, v):
-                out.setdefault(t, []).append((u, v))
-        return out
+        matrix = distinct[:, np.asarray(col_ids, dtype=np.intp)]
+        return cls(graph, horizon, matrix, unknown=unknown)
 
 
 class TraceStream:
@@ -573,11 +790,10 @@ class TraceStream:
     blocks of at most ``chunk`` holidays, covering ``1..horizon`` in order.
 
     Each yielded block is an ordinary :class:`TraceMatrix` whose *local*
-    column ``j`` (holiday ``j + 1`` inside the block) covers *global*
-    holiday ``start + j``; ``block.unknown`` holidays are local too.  The
-    stream is re-iterable — every ``__iter__`` rebuilds blocks from the
-    schedule — and only one block is ever resident, so memory is
-    ``O(n × chunk)`` regardless of horizon.
+    column ``j`` covers *global* holiday ``start + j``; its unknown pairs
+    carry local holidays too.  The stream is re-iterable — every pass
+    rebuilds blocks from the schedule — and only one block is ever
+    resident, so memory is ``O(n × chunk)`` regardless of horizon.
 
     Fast paths, chosen once at construction:
 
@@ -588,8 +804,8 @@ class TraceStream:
     * cyclic :class:`~repro.core.schedule.ExplicitSchedule` — one cycle is
       materialised once, then every chunk is a rotated tiling of it.
     * everything else — one chunk of happy sets is materialised at a time
-      (for :class:`~repro.core.schedule.GeneratorSchedule` the schedule's
-      own memoisation still grows with the horizon; see the module notes).
+      (a :class:`~repro.core.schedule.GeneratorSchedule` memoises what it
+      generated unless it was built with a ``window=``).
     """
 
     def __init__(
@@ -608,9 +824,9 @@ class TraceStream:
         self.schedule = schedule
         self.graph = graph
         self.horizon = horizon
-        self.backend = resolve_backend(backend)
+        resolve_backend(backend)
         self._cycle: Optional[TraceMatrix] = None
-        if isinstance(schedule, PeriodicSchedule) and set(schedule.assignments) == set(graph.nodes()):
+        if _periodic_fast_path(schedule, graph):
             self._kind = "periodic"
         elif isinstance(schedule, ExplicitSchedule) and schedule.is_periodic() and len(schedule) > 0:
             self._kind = "cyclic"
@@ -627,7 +843,11 @@ class TraceStream:
         return -(-self.horizon // self.chunk)
 
     def __iter__(self) -> Iterator[Tuple[int, TraceMatrix]]:
-        start = 1
+        return self.blocks()
+
+    def blocks(self, first: int = 1) -> Iterator[Tuple[int, TraceMatrix]]:
+        """The blocks from the one containing holiday ``first`` to the end."""
+        start = first - (first - 1) % self.chunk
         while start <= self.horizon:
             width = min(self.chunk, self.horizon - start + 1)
             yield start, self.block(start, width)
@@ -636,14 +856,10 @@ class TraceStream:
     def block(self, start: int, width: int) -> TraceMatrix:
         """Build the single block covering holidays ``start..start+width-1``."""
         if self._kind == "periodic":
-            return TraceMatrix._from_periodic(
-                self.schedule, self.graph, width, self.backend, start=start
-            )
+            return TraceMatrix._from_periodic(self.schedule, self.graph, width, start=start)
         if self._kind == "cyclic":
             return self._cyclic_block(start, width)
-        return TraceMatrix._from_sets(
-            self._window_sets(start, width), self.graph, width, self.backend
-        )
+        return TraceMatrix._from_sets(self._window_sets(start, width), self.graph, width)
 
     def _window_sets(self, start: int, width: int) -> Sequence[FrozenSet[Node]]:
         if isinstance(self.schedule, Schedule):
@@ -655,7 +871,7 @@ class TraceStream:
         if self._cycle is None:
             length = len(self.schedule)
             cycle = [self.schedule.happy_set(t) for t in range(1, length + 1)]
-            self._cycle = TraceMatrix._from_sets(cycle, self.graph, length, self.backend)
+            self._cycle = TraceMatrix._from_sets(cycle, self.graph, length)
         return self._cycle
 
     def _cyclic_block(self, start: int, width: int) -> TraceMatrix:
@@ -663,167 +879,16 @@ class TraceStream:
         length = base.horizon
         offset = (start - 1) % length
         unknown: List[Tuple[int, Node]] = []
-        for t0, p in base.unknown:
+        for t0, p in base._unknown:
             # occurrences of cycle holiday t0 within [start, start + width - 1]
             t = t0 + max(0, -(-(start - t0) // length)) * length
             while t <= start + width - 1:
                 unknown.append((t - start + 1, p))
                 t += length
         unknown.sort(key=lambda pair: pair[0])
-        if self.backend == "numpy":
-            cols = (offset + _np.arange(width, dtype=_np.intp)) % length
-            block = _np.ascontiguousarray(base._matrix[:, cols])
-            return TraceMatrix(self.graph, width, self.backend, rows_numpy=block, unknown=unknown)
-        reps = -(-(offset + width) // length)
-        mask = (1 << width) - 1
-        bits = [(_repeat_bitmask(row, length, reps) >> offset) & mask for row in base._bits]
-        return TraceMatrix(self.graph, width, self.backend, rows_bitmask=bits, unknown=unknown)
-
-
-class _NodeStreamStats:
-    """Per-node run-length state carried across chunk boundaries.
-
-    The state is an *associative* summary of an ascending appearance
-    sequence: :meth:`absorb` folds one chunk's positions in at the right
-    edge, and :meth:`merge` combines two summaries of adjacent holiday
-    ranges — which is what lets a parallel scan evaluate contiguous blocks
-    of chunks in worker processes and combine the partial summaries in spec
-    order, yielding exactly the state a serial left-to-right pass builds.
-    Instances are plain ``__slots__`` objects and pickle across process
-    boundaries as-is.
-    """
-
-    __slots__ = ("count", "first", "last", "max_diff", "diffs")
-
-    def __init__(self) -> None:
-        self.count = 0        # appearances seen so far
-        self.first = 0        # global holiday of the first appearance
-        self.last = 0         # global holiday of the latest appearance
-        self.max_diff = 0     # largest inter-appearance difference
-        self.diffs: set = set()  # distinct inter-appearance differences
-
-    def absorb(self, positions: Sequence[int]) -> None:
-        """Fold a chunk's (ascending, global) appearance holidays in."""
-        if not positions:
-            return
-        if self.count:
-            boundary = positions[0] - self.last
-            self.diffs.add(boundary)
-            if boundary > self.max_diff:
-                self.max_diff = boundary
-        else:
-            self.first = positions[0]
-        for a, b in zip(positions, positions[1:]):
-            d = b - a
-            self.diffs.add(d)
-            if d > self.max_diff:
-                self.max_diff = d
-        self.count += len(positions)
-        self.last = positions[-1]
-
-    def merge(self, later: "_NodeStreamStats") -> None:
-        """Fold in the summary of the holiday range immediately after ours.
-
-        Equivalent to having absorbed ``later``'s positions directly: the
-        only information spanning the boundary is the gap between our last
-        appearance and ``later``'s first, which becomes one more observed
-        inter-appearance difference.
-        """
-        if later.count == 0:
-            return
-        if self.count:
-            boundary = later.first - self.last
-            self.diffs.add(boundary)
-            if boundary > self.max_diff:
-                self.max_diff = boundary
-        else:
-            self.first = later.first
-        self.diffs.update(later.diffs)
-        if later.max_diff > self.max_diff:
-            self.max_diff = later.max_diff
-        self.count += later.count
-        self.last = later.last
-
-
-def _fold_summary_block(
-    start: int,
-    block: TraceMatrix,
-    backend: str,
-    stats: List[_NodeStreamStats],
-    edge_rows: Sequence[Tuple[int, int]],
-    collisions: List[List[int]],
-    unknown: List[Tuple[int, Node]],
-) -> None:
-    """Fold one ``(global start, block)`` pair into summary accumulators.
-
-    This is the per-chunk body shared verbatim by the serial summary pass
-    and the parallel block workers, so both produce identical state by
-    construction.  The numpy arm inlines :meth:`_NodeStreamStats.absorb`
-    over index arrays instead of Python position lists.
-    """
-    for t, p in block.unknown:
-        unknown.append((start + t - 1, p))
-    if backend == "numpy":
-        matrix = block._matrix
-        for i, node_stats in enumerate(stats):
-            idx = _np.flatnonzero(matrix[i])
-            if idx.size == 0:
-                continue
-            first = start + int(idx[0])
-            if node_stats.count:
-                boundary = first - node_stats.last
-                node_stats.diffs.add(boundary)
-                if boundary > node_stats.max_diff:
-                    node_stats.max_diff = boundary
-            else:
-                node_stats.first = first
-            if idx.size > 1:
-                diffs = _np.diff(idx)
-                dmax = int(diffs.max())
-                if dmax > node_stats.max_diff:
-                    node_stats.max_diff = dmax
-                if dmax == int(diffs.min()):  # constant — the common periodic case
-                    node_stats.diffs.add(dmax)
-                else:
-                    node_stats.diffs.update(_np.unique(diffs).tolist())
-            node_stats.count += int(idx.size)
-            node_stats.last = start + int(idx[-1])
-        for k, (i, j) in enumerate(edge_rows):
-            both = matrix[i] & matrix[j]
-            if both.any():
-                collisions[k].extend((start + _np.flatnonzero(both)).tolist())
-    else:
-        for i, node_stats in enumerate(stats):
-            node_stats.absorb(_bit_positions(block._bits[i], offset=start))
-        for k, (i, j) in enumerate(edge_rows):
-            both = block._bits[i] & block._bits[j]
-            if both:
-                collisions[k].extend(_bit_positions(both, offset=start))
-
-
-def _fold_legality_block(
-    start: int,
-    block: TraceMatrix,
-    backend: str,
-    edges: Sequence[Tuple[Node, Node]],
-    edge_rows: Sequence[Tuple[int, int]],
-    unknown_by_holiday: Dict[int, List[Node]],
-    collisions: Dict[int, List[Tuple[Node, Node]]],
-) -> None:
-    """Fold one block's legality evidence (against an arbitrary edge list)
-    into the per-holiday dictionaries — shared by the serial legality scan
-    and the parallel legality block workers."""
-    for t, p in block.unknown:
-        unknown_by_holiday.setdefault(start + t - 1, []).append(p)
-    for (u, v), (i, j) in zip(edges, edge_rows):
-        if backend == "numpy":
-            both = block._matrix[i] & block._matrix[j]
-            hits = (start + _np.flatnonzero(both)).tolist() if both.any() else []
-        else:
-            both = block._bits[i] & block._bits[j]
-            hits = _bit_positions(both, offset=start) if both else []
-        for t in hits:
-            collisions.setdefault(t, []).append((u, v))
+        cols = (offset + np.arange(width, dtype=np.intp)) % length
+        block = np.ascontiguousarray(base._matrix[:, cols])
+        return TraceMatrix(self.graph, width, block, unknown=unknown)
 
 
 def _chunk_blocks(num_chunks: int, parts: int) -> List[Tuple[int, int]]:
@@ -840,188 +905,44 @@ def _chunk_blocks(num_chunks: int, parts: int) -> List[Tuple[int, int]]:
     return blocks
 
 
-class _CheckpointPlan:
-    """Per-chunk resume points of a checkpointable generator schedule.
+def _fold_worker(payload) -> TraceSummary:
+    """Process-pool entry point: fold one contiguous range of chunks.
 
-    The parent-side half of the checkpoint protocol: as the (inherently
-    sequential) generator is run forward, :meth:`ensure` snapshots its
-    state at every chunk boundary into picklable
-    :class:`~repro.core.schedule.GeneratorCheckpoint` handles.  Handle
-    ``k`` resumes generation at holiday ``k·chunk + 1``, so any worker —
-    or any later serial pass — can rebuild chunk ``k`` without replaying
-    the prefix before it.  Capture is incremental: the parallel scans
-    snapshot just far enough to submit each block and keep advancing while
-    workers fold, and the serial scan snapshots as a side effect of its
-    own forward pass, so ``jobs=1`` and ``jobs=N`` traces end up with the
-    same replay capability (part of the determinism contract).
+    ``payload`` is ``(schedule, graph, horizon, chunk, first_chunk,
+    chunk_count, offset, edge_rows, fail_fast)`` where ``schedule`` is
+    either the full schedule (periodic/cyclic — the offset-aware fast paths
+    rebuild any chunk from it directly) or, for raw happy-set sequences,
+    just the slice covering this range with ``offset`` holding the global
+    holiday shift.  Returns the range's partial summary.
     """
-
-    def __init__(self, schedule: GeneratorSchedule, chunk: int, num_chunks: int) -> None:
-        self.schedule = schedule
-        self.chunk = chunk
-        self.num_chunks = num_chunks
-        self.handles: List[GeneratorCheckpoint] = []
-
-    @property
-    def complete(self) -> bool:
-        """True once every chunk has a resume handle."""
-        return len(self.handles) == self.num_chunks
-
-    def ensure(self, chunk_index: int) -> None:
-        """Capture handles for chunks ``0..chunk_index``, advancing the
-        generator to each boundary (its frontier must not be past the next
-        uncaptured boundary — true for any in-order pass)."""
-        while len(self.handles) <= chunk_index:
-            boundary = len(self.handles) * self.chunk
-            if self.schedule.frontier() < boundary:
-                self.schedule.happy_set(boundary)  # generate up to the boundary
-            self.handles.append(self.schedule.checkpoint_handle(boundary))
-
-    def ensure_all(self) -> None:
-        """Capture the remaining handles (one full parent forward pass)."""
-        self.ensure(self.num_chunks - 1)
+    schedule, graph, horizon, chunk, first_chunk, chunk_count, offset, edge_rows, fail_fast = payload
+    stream = TraceStream(schedule, graph, horizon, chunk=chunk)
+    blocks = islice(stream.blocks(first_chunk * chunk + 1), chunk_count)
+    return _fold_blocks(blocks, edge_rows, fail_fast, offset)
 
 
-def _resume_payload_schedule(schedule) -> ScheduleOrSets:
-    """Worker-side half of the checkpoint protocol: payloads may carry a
-    :class:`~repro.core.schedule.GeneratorCheckpoint` instead of a schedule."""
-    if isinstance(schedule, GeneratorCheckpoint):
-        return schedule.resume()
-    return schedule
-
-
-def _summary_block_worker(payload) -> Tuple[List[_NodeStreamStats], List[List[int]], List[Tuple[int, Node]]]:
-    """Process-pool entry point: build and scan one contiguous chunk block.
-
-    ``payload`` is ``(schedule, graph, horizon, chunk, backend, first_chunk,
-    chunk_count, offset)`` where ``schedule`` is either the full schedule
-    (periodic/cyclic/explicit — the offset-aware fast paths rebuild any
-    chunk from it directly), a :class:`~repro.core.schedule.GeneratorCheckpoint`
-    resuming a generator at the block's first boundary, or, for raw
-    happy-set sequences, just the slice covering this block with ``offset``
-    holding the global holiday shift.
-    Returns the block's partial summary: per-node stats, per-edge collision
-    holidays (edge order = ``graph.edges()``), and global unknown pairs.
-    """
-    schedule, graph, horizon, chunk, backend, first_chunk, chunk_count, offset = payload
-    schedule = _resume_payload_schedule(schedule)
-    stream = TraceStream(schedule, graph, horizon, chunk=chunk, backend=backend)
-    order = graph.nodes()
-    index = {p: i for i, p in enumerate(order)}
-    edges = graph.edges()
-    edge_rows = [(index[u], index[v]) for u, v in edges]
-    stats = [_NodeStreamStats() for _ in order]
-    collisions: List[List[int]] = [[] for _ in edges]
-    unknown: List[Tuple[int, Node]] = []
-    for k in range(first_chunk, first_chunk + chunk_count):
-        start = k * chunk + 1
-        width = min(chunk, horizon - start + 1)
-        block = stream.block(start, width)
-        _fold_summary_block(offset + start, block, backend, stats, edge_rows, collisions, unknown)
-    return stats, collisions, unknown
-
-
-def _legality_block_worker(payload) -> Tuple[Dict[int, List[Node]], Dict[int, List[Tuple[Node, Node]]]]:
-    """Process-pool entry point: legality-scan one contiguous chunk block.
-
-    Same payload convention as :func:`_summary_block_worker` plus the edge
-    list to test (which may differ from the trace graph's own edges), its
-    precomputed row pairs, and the ``fail_fast`` flag.  With ``fail_fast``
-    the worker stops after the first chunk *in its block* containing any
-    violation, so the returned dictionaries hold exactly that chunk's
-    evidence — the same truncation a serial scan applies.
-    """
-    (schedule, graph, horizon, chunk, backend, first_chunk, chunk_count, offset,
-     edges, edge_rows, fail_fast) = payload
-    schedule = _resume_payload_schedule(schedule)
-    stream = TraceStream(schedule, graph, horizon, chunk=chunk, backend=backend)
-    unknown_by_holiday: Dict[int, List[Node]] = {}
-    collisions: Dict[int, List[Tuple[Node, Node]]] = {}
-    for k in range(first_chunk, first_chunk + chunk_count):
-        start = k * chunk + 1
-        width = min(chunk, horizon - start + 1)
-        block = stream.block(start, width)
-        _fold_legality_block(
-            offset + start, block, backend, edges, edge_rows, unknown_by_holiday, collisions
-        )
-        if fail_fast and (unknown_by_holiday or collisions):
-            break
-    return unknown_by_holiday, collisions
-
-
-def _appearance_block_worker(payload) -> List[List[int]]:
-    """Process-pool entry point: collect per-row appearance holidays of one
-    contiguous chunk block.
-
-    Same payload convention as :func:`_summary_block_worker` plus the list
-    of row indices to collect.  Returns, for each requested row in order,
-    the ascending *global* appearance holidays within the block — the
-    per-appearance analogue of the partial summaries: appending block
-    results in block order reproduces exactly the serial pass's lists
-    (concatenation of ascending runs over adjacent holiday ranges is the
-    associative merge here).
-    """
-    (schedule, graph, horizon, chunk, backend, first_chunk, chunk_count, offset, rows) = payload
-    schedule = _resume_payload_schedule(schedule)
-    stream = TraceStream(schedule, graph, horizon, chunk=chunk, backend=backend)
-    out: List[List[int]] = [[] for _ in rows]
-    for k in range(first_chunk, first_chunk + chunk_count):
-        start = k * chunk + 1
-        width = min(chunk, horizon - start + 1)
-        block = stream.block(start, width)
-        for slot, row in enumerate(rows):
-            if backend == "numpy":
-                out[slot].extend((offset + start + _np.flatnonzero(block._matrix[row])).tolist())
-            else:
-                out[slot].extend(_bit_positions(block._bits[row], offset=offset + start))
-    return out
-
-
-class StreamedTrace:
+class StreamedTrace(TraceView):
     """Streaming counterpart of :class:`TraceMatrix`: same query API, chunked
     evaluation, ``O(n × chunk)`` resident memory.
 
     The first summary query triggers **one pass** over a
-    :class:`TraceStream`, accumulating per-node gap/run-length state
-    (:class:`_NodeStreamStats`) and per-edge collision holidays across chunk
-    boundaries; every summary query — ``muls``/``observed_periods``/
-    ``happiness_rates``/``edge_collisions``/``unknown`` — is then answered
-    from that cached state, so the metric suite and the validator share a
-    single pass exactly the way they share one dense matrix.
+    :class:`TraceStream`, folding chunk by chunk into a :class:`TraceSummary`
+    that then answers every summary query, so the metric suite and the
+    validator share a single pass exactly the way they share one dense
+    matrix.  Queries that *return* per-appearance data (``appearances``,
+    ``gaps``, ``all_gaps``) stream a dedicated pass and are O(appearances)
+    in their output — inherent to the question, not to the engine.
 
-    Queries that *return* per-appearance data (``appearances``, ``gaps``,
-    ``all_gaps``) stream a dedicated pass and are O(appearances) in their
-    output — inherent to the question, not to the engine.  Differential
-    tests (``tests/core/test_stream.py``) assert exact agreement with the
-    dense engine on every query, backend and chunk width.
-
-    Parallelism: with ``jobs > 1`` the summary pass, the legality scan
-    *and* the dedicated per-appearance passes split the chunk sequence
-    into contiguous blocks evaluated on worker processes and merged in
-    order — possible because every accumulator involved is associative and
-    the periodic/cyclic fast paths can build any chunk from ``(schedule,
-    chunk range)`` alone.  Raw happy-set sequences ship each worker only
-    its block's slice.  Generator-backed schedules — whose future depends
-    on their past — parallelise when they implement the **checkpoint
-    protocol** (:class:`~repro.core.schedule.GeneratorSchedule` built with
-    ``checkpoint=``/``restore=``): the parent runs the generator forward,
-    snapshotting its state at every chunk boundary into a
-    :class:`_CheckpointPlan`, and each worker resumes a picklable
-    :class:`~repro.core.schedule.GeneratorCheckpoint` to regenerate its
-    own block while the parent keeps generating ahead of the pool.  The
-    cached per-chunk handles double as replay points, so second passes
-    (``appearances``/``all_gaps``/``happy_set``) work even on windowed
-    generators whose history was evicted.  A generator schedule *without*
-    the protocol (or with ``checkpoint=False`` on the trace) still runs
-    the serial scan — with one logged warning naming the schedule and the
-    reason when ``jobs > 1`` silently degrades.  Determinism contract:
-    ``jobs`` never changes any result — ``jobs=1`` and ``jobs=N`` produce
-    identical summaries, reports and violation lists, so ``jobs`` is purely
-    a wall-clock knob (asserted by ``tests/core/test_stream_parallel.py``
-    and ``tests/core/test_checkpoint.py``).
+    Parallelism: with ``jobs > 1`` the fold splits the chunk sequence into
+    contiguous ranges evaluated on worker processes and merged in order —
+    possible because :meth:`TraceSummary.merge` is associative and the
+    periodic/cyclic fast paths can build any chunk from ``(schedule, chunk
+    range)`` alone.  Raw happy-set sequences ship each worker only its
+    range's slice.  Generator-backed schedules — whose future depends on
+    their past — run the serial scan, with one logged warning.  ``jobs``
+    never changes any result (``tests/core/test_stream_parallel.py``).
     """
 
-    #: representation tag, mirroring :attr:`TraceMatrix.mode`.
     mode = "stream"
 
     def __init__(
@@ -1032,55 +953,32 @@ class StreamedTrace:
         backend: str = "auto",
         chunk: Optional[int] = None,
         jobs: int = 1,
-        checkpoint: bool = True,
     ) -> None:
-        self.graph = graph
-        self.horizon = horizon
-        self.backend = resolve_backend(backend)
+        super().__init__(graph, horizon)
+        resolve_backend(backend)
         self.chunk = DEFAULT_CHUNK if chunk is None else int(chunk)
         self.jobs = int(jobs)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs!r}")
         self.schedule = schedule
-        self.checkpoint = bool(checkpoint)
-        self._order: List[Node] = graph.nodes()
-        self._index: Dict[Node, int] = {p: i for i, p in enumerate(self._order)}
         # one re-iterable stream shared by every pass, so the cyclic fast
         # path materialises its cycle once, not once per query; also
         # validates horizon/chunk eagerly
-        self._source = TraceStream(
-            schedule, graph, horizon, chunk=self.chunk, backend=self.backend
-        )
-        self._stats: Optional[List[_NodeStreamStats]] = None
-        self._collisions: Optional[Dict[Tuple[Node, Node], List[int]]] = None
-        self._unknown: Optional[List[Tuple[int, Node]]] = None
-        self._plan: Optional[_CheckpointPlan] = None
+        self._source = TraceStream(schedule, graph, horizon, chunk=self.chunk)
         self._warned_serial = False
 
-    def _stream(self) -> TraceStream:
-        return self._source
-
-    # -- the shared summary pass ---------------------------------------------------
-    def _block_positions(self, start: int, block: TraceMatrix, row: int) -> List[int]:
-        """Ascending *global* appearance holidays of one row within a block."""
-        if self.backend == "numpy":
-            return (start + _np.flatnonzero(block._matrix[row])).tolist()
-        return _bit_positions(block._bits[row], offset=start)
+    def _blocks(self, first: int = 1) -> Iterator[Tuple[int, TraceMatrix]]:
+        return self._source.blocks(first)
 
     def _parallel_source(self) -> Optional[ScheduleOrSets]:
-        """What a worker process can rebuild blocks from, or None when the
+        """What a worker process can rebuild chunks from, or None when the
         scan cannot be split.
 
         Periodic and cyclic schedules are picklable and random-access, so
-        workers receive the schedule itself and rebuild any chunk through
-        the offset-aware fast paths; raw happy-set sequences — and
-        non-cyclic explicit prefixes, which are just a validated list —
-        are sliceable, so each worker receives only its block's slice
-        instead of ``O(blocks)`` copies of the whole prefix.  Everything
-        else — notably :class:`~repro.core.schedule.GeneratorSchedule`,
-        whose future depends on its past — must be run forward in one
-        process; *checkpointable* generators still parallelise, through
-        :meth:`_checkpoint_plan` rather than this method.
+        workers receive the schedule itself; raw happy-set sequences — and
+        non-cyclic explicit prefixes, which are just a validated list — are
+        sliceable, so each worker receives only its range's slice.
+        Generator schedules must be run forward in one process.
         """
         if isinstance(self.schedule, ExplicitSchedule):
             if self.schedule.is_periodic():
@@ -1094,490 +992,99 @@ class StreamedTrace:
             return self.schedule  # raw sequence: workers get their slice
         return None
 
-    def _checkpoint_plan(self) -> Optional[_CheckpointPlan]:
-        """The per-chunk checkpoint plan for a checkpointable generator
-        schedule, or None when the schedule has no checkpoint support, the
-        trace was built with ``checkpoint=False``, or the generator was
-        already advanced before this trace could snapshot holiday 0
-        (generator state cannot be rewound)."""
-        if self._plan is not None:
-            return self._plan
-        if not self.checkpoint:
-            return None
-        schedule = self.schedule
-        if not (isinstance(schedule, GeneratorSchedule) and schedule.checkpointable):
-            return None
-        if schedule.frontier() != 0:
-            return None
-        self._plan = _CheckpointPlan(schedule, self.chunk, self._source.num_chunks())
-        return self._plan
-
-    def _parallel_plan(self) -> Optional[Union[ScheduleOrSets, _CheckpointPlan]]:
-        """What a parallel pass can fan blocks out from — a direct source
-        (:meth:`_parallel_source`), a checkpoint plan, or None when the pass
-        must stay serial.  Warns once per trace when ``jobs > 1`` silently
-        degrades to a serial scan for lack of checkpoint support."""
-        if self.jobs <= 1 or self._source.num_chunks() <= 1:
-            return None
-        source = self._parallel_source()
-        if source is not None:
-            return source
-        plan = self._checkpoint_plan()
-        if plan is not None:
-            return plan
-        if not self._warned_serial and self.checkpoint:
-            self._warned_serial = True
-            _LOG.warning(
-                "jobs=%d has no effect for %s: the schedule must be generated "
-                "forward and does not implement the checkpoint/restore protocol "
-                "(GeneratorSchedule checkpoint=/restore=); running the serial "
-                "chunk scan instead",
-                self.jobs,
-                self.schedule.describe() if isinstance(self.schedule, Schedule)
-                else type(self.schedule).__name__,
-            )
-        return None
-
     def _block_payload(self, source, first_chunk: int, chunk_count: int) -> Tuple:
-        """The ``(schedule, graph, horizon, chunk, backend, first, count,
-        offset)`` tuple one worker needs to rebuild and scan its block.
-
-        For a :class:`_CheckpointPlan` this advances the parent's generator
-        to the block's first boundary and ships the resume handle — called
-        in block order from the submission loops, the parent snapshots just
-        enough to keep submitting while earlier workers already fold.
-        """
-        if isinstance(source, _CheckpointPlan):
-            source.ensure(first_chunk)
-            return (source.handles[first_chunk], self.graph, self.horizon, self.chunk,
-                    self.backend, first_chunk, chunk_count, 0)
+        """The ``(schedule, graph, horizon, chunk, first, count, offset)``
+        tuple one worker needs to rebuild its chunk range."""
         if isinstance(source, Schedule):
-            return (source, self.graph, self.horizon, self.chunk, self.backend,
-                    first_chunk, chunk_count, 0)
+            return (source, self.graph, self.horizon, self.chunk, first_chunk, chunk_count, 0)
         lo = first_chunk * self.chunk
         hi = min(self.horizon, (first_chunk + chunk_count) * self.chunk)
-        return (list(source[lo:hi]), self.graph, hi - lo, self.chunk, self.backend,
-                0, chunk_count, lo)
+        return (list(source[lo:hi]), self.graph, hi - lo, self.chunk, 0, chunk_count, lo)
 
-    def _serial_blocks(self) -> Iterator[Tuple[int, TraceMatrix]]:
-        """One in-order ``(start, block)`` pass over the stream, snapshotting
-        per-chunk checkpoints as a side effect when the schedule supports
-        them — so a serial first pass leaves the same replay handles behind
-        as a parallel one."""
-        plan = self._checkpoint_plan()
-        stream = self._stream()
-        for k in range(self._source.num_chunks()):
-            start = k * self.chunk + 1
-            width = min(self.chunk, self.horizon - start + 1)
-            if (plan is not None and len(plan.handles) == k
-                    and plan.schedule.frontier() == k * self.chunk):
-                plan.ensure(k)  # frontier sits exactly at the boundary
-            yield start, stream.block(start, width)
+    def _fold_pass(self, edge_rows: Sequence[Tuple[int, int]], fail_fast: bool = False) -> TraceSummary:
+        """Fold every chunk — on ``jobs`` workers when the schedule allows.
 
-    def _replay_handles(self) -> Optional[List[GeneratorCheckpoint]]:
-        """Complete per-chunk resume handles, or None when unavailable."""
-        if self._plan is not None and self._plan.complete:
-            return self._plan.handles
-        return None
-
-    def _single_block(self, start: int, width: int) -> TraceMatrix:
-        """Build the one block covering ``start..start+width-1``, resuming a
-        checkpoint when the generator's own history was already evicted."""
-        schedule = self.schedule
-        if isinstance(schedule, GeneratorSchedule) and schedule.evicted_below >= start:
-            handles = self._replay_handles()
-            if handles is not None:
-                resumed = handles[(start - 1) // self.chunk].resume()
-                return TraceMatrix._from_sets(
-                    resumed.prefix(width, start=start), self.graph, width, self.backend
-                )
-        return self._stream().block(start, width)
-
-    def _pass_blocks(self) -> Iterator[Tuple[int, TraceMatrix]]:
-        """``(start, block)`` pairs for a dedicated (possibly repeated)
-        serial pass: windowed generators whose history was evicted replay
-        chunk-by-chunk from the cached checkpoints; everything else
-        re-streams directly."""
-        schedule = self.schedule
-        if isinstance(schedule, GeneratorSchedule) and schedule.evicted_below > 0:
-            handles = self._replay_handles()
-            if handles is not None:
-                for k in range(self._source.num_chunks()):
-                    start = k * self.chunk + 1
-                    width = min(self.chunk, self.horizon - start + 1)
-                    resumed = handles[k].resume()
-                    yield start, TraceMatrix._from_sets(
-                        resumed.prefix(width, start=start), self.graph, width, self.backend
-                    )
-                return
-        yield from self._serial_blocks()
-
-    def _scan(self) -> None:
-        if self._stats is not None:
-            return
-        source = self._parallel_plan()
-        if source is not None:
-            self._scan_parallel(source)
-            return
-        stats = [_NodeStreamStats() for _ in self._order]
-        edges = self.graph.edges()
-        edge_rows = [(self._index[u], self._index[v]) for u, v in edges]
-        collisions: List[List[int]] = [[] for _ in edges]
-        unknown: List[Tuple[int, Node]] = []
-        for start, block in self._pass_blocks():
-            _fold_summary_block(start, block, self.backend, stats, edge_rows, collisions, unknown)
-        self._stats = stats
-        self._collisions = {edge: collisions[k] for k, edge in enumerate(edges)}
-        self._unknown = unknown
-
-    def _scan_parallel(self, source) -> None:
-        """The summary pass, fanned out over contiguous blocks of chunks.
-
-        Each worker returns its block's partial per-node stats, per-edge
-        collision fragments and unknown pairs; the parent folds them back
-        together **in block order** via the associative
-        :meth:`_NodeStreamStats.merge`, which reproduces the serial
-        left-to-right state exactly.  For a checkpoint plan the submission
-        loop itself runs the generator forward (payload building snapshots
-        each block's boundary), pipelining the sequential generation with
-        the workers' folds; the remaining per-chunk replay handles are
-        captured while the pool drains.
+        Worker summaries merge **in range order**, reproducing the serial
+        left-to-right fold exactly.  Under ``fail_fast`` each worker stops
+        at its first violating chunk, and the parent stops merging (and
+        cancels all outstanding ranges) at the first range reporting one —
+        exactly the first violating chunk overall.
         """
-        blocks = _chunk_blocks(self._source.num_chunks(), self.jobs * BLOCKS_PER_JOB)
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(blocks))) as pool:
-            futures = [
-                pool.submit(_summary_block_worker, self._block_payload(source, first, count))
-                for first, count in blocks
-            ]
-            if isinstance(source, _CheckpointPlan):
-                source.ensure_all()
-            partials = [future.result() for future in futures]
-        stats = [_NodeStreamStats() for _ in self._order]
-        edges = self.graph.edges()
-        collisions: List[List[int]] = [[] for _ in edges]
-        unknown: List[Tuple[int, Node]] = []
-        for part_stats, part_collisions, part_unknown in partials:
-            for acc, part in zip(stats, part_stats):
-                acc.merge(part)
-            for acc_list, part_list in zip(collisions, part_collisions):
-                acc_list.extend(part_list)
-            unknown.extend(part_unknown)
-        self._stats = stats
-        self._collisions = {edge: collisions[k] for k, edge in enumerate(edges)}
-        self._unknown = unknown
-
-    @property
-    def unknown(self) -> List[Tuple[int, Node]]:
-        """Global ``(holiday, node)`` pairs absent from the graph."""
-        self._scan()
-        return self._unknown
-
-    def _node_stats(self, node: Node) -> _NodeStreamStats:
-        self._scan()
-        return self._stats[self._index[node]]
-
-    # -- per-node queries (TraceMatrix-compatible) ---------------------------------
-    def row_index(self, node: Node) -> int:
-        """Row of ``node`` in the chunk matrices (KeyError for unknown nodes)."""
-        return self._index[node]
-
-    def count(self, node: Node) -> int:
-        """Number of holidays within the horizon at which ``node`` is happy."""
-        return self._node_stats(node).count
-
-    def mul(self, node: Node) -> int:
-        """Maximum unhappiness length of ``node`` within the horizon."""
-        stats = self._node_stats(node)
-        if stats.count == 0:
-            return self.horizon
-        internal = stats.max_diff - 1 if stats.max_diff else 0
-        return max(stats.first - 1, self.horizon - stats.last, internal)
-
-    def observed_period(self, node: Node) -> Optional[int]:
-        """The constant inter-appearance difference, or None."""
-        stats = self._node_stats(node)
-        if stats.count < 2 or len(stats.diffs) != 1:
-            return None
-        return next(iter(stats.diffs))
-
-    def happiness_rate(self, node: Node) -> float:
-        """Fraction of observed holidays at which ``node`` was happy."""
-        return self._node_stats(node).count / self.horizon
-
-    def distinct_appearance_diffs(self, node: Node) -> List[int]:
-        """Sorted distinct inter-appearance differences of ``node``."""
-        return sorted(self._node_stats(node).diffs)
-
-    def _row_positions_parallel(self, rows: Sequence[int]) -> Optional[List[List[int]]]:
-        """Per-row ascending global appearance holidays via a fanned-out
-        block pass, or None when the pass must stay serial.  Block results
-        concatenate in block order, so the lists are identical to a serial
-        pass's (the per-appearance determinism contract)."""
-        source = self._parallel_plan()
+        source = None
+        if self.jobs > 1 and self._source.num_chunks() > 1:
+            source = self._parallel_source()
+            if source is None and not self._warned_serial:
+                self._warned_serial = True
+                _LOG.warning(
+                    "jobs=%d has no effect for %s: only periodic, cyclic and "
+                    "explicit-sequence schedules split across worker processes "
+                    "(generator schedules run forward in one process); running "
+                    "the serial chunk scan instead",
+                    self.jobs,
+                    self.schedule.describe() if isinstance(self.schedule, Schedule)
+                    else type(self.schedule).__name__,
+                )
         if source is None:
-            return None
+            return super()._fold_pass(edge_rows, fail_fast)
         blocks = _chunk_blocks(self._source.num_chunks(), self.jobs * BLOCKS_PER_JOB)
         with ProcessPoolExecutor(max_workers=min(self.jobs, len(blocks))) as pool:
             futures = [
                 pool.submit(
-                    _appearance_block_worker,
-                    self._block_payload(source, first, count) + (list(rows),),
+                    _fold_worker,
+                    self._block_payload(source, first, count) + (list(edge_rows), fail_fast),
                 )
                 for first, count in blocks
             ]
-            if isinstance(source, _CheckpointPlan):
-                source.ensure_all()
-            partials = [future.result() for future in futures]
-        out: List[List[int]] = [[] for _ in rows]
-        for part in partials:
-            for slot, positions in enumerate(part):
-                out[slot].extend(positions)
-        return out
-
-    def appearances(self, node: Node) -> List[int]:
-        """Sorted 1-indexed holidays at which ``node`` is happy (dedicated
-        streaming pass, fanned out over chunk blocks when ``jobs > 1``; the
-        result itself is O(appearances))."""
-        row = self._index[node]
-        parallel = self._row_positions_parallel([row])
-        if parallel is not None:
-            return parallel[0]
-        out: List[int] = []
-        for start, block in self._pass_blocks():
-            out.extend(self._block_positions(start, block, row))
-        return out
-
-    def appearance_diffs(self, node: Node) -> List[int]:
-        """Differences between consecutive appearances (empty if < 2)."""
-        times = self.appearances(node)
-        return [b - a for a, b in zip(times, times[1:])]
-
-    def gaps(self, node: Node) -> List[int]:
-        """Unhappiness interval lengths, same semantics as
-        :meth:`TraceMatrix.gaps`."""
-        times = self.appearances(node)
-        if not times:
-            return [self.horizon]
-        gaps = [times[0] - 1]
-        gaps.extend(b - a - 1 for a, b in zip(times, times[1:]))
-        gaps.append(self.horizon - times[-1])
-        return gaps
-
-    # -- bulk queries --------------------------------------------------------------
-    def muls(self) -> Dict[Node, int]:
-        """``{node: mul(node)}`` for every node, in graph order."""
-        return {p: self.mul(p) for p in self._order}
-
-    def observed_periods(self) -> Dict[Node, Optional[int]]:
-        """``{node: observed period or None}`` for every node."""
-        return {p: self.observed_period(p) for p in self._order}
-
-    def happiness_rates(self) -> Dict[Node, float]:
-        """``{node: happiness rate}`` for every node."""
-        return {p: self.happiness_rate(p) for p in self._order}
-
-    def all_gaps(self) -> Dict[Node, List[int]]:
-        """``{node: gap list}`` for every node, in one streaming pass
-        (fanned out over chunk blocks when ``jobs > 1``)."""
-        rows = list(range(len(self._order)))
-        positions = self._row_positions_parallel(rows)
-        if positions is not None:
-            out: Dict[Node, List[int]] = {}
-            for i, p in enumerate(self._order):
-                times = positions[i]
-                if not times:
-                    out[p] = [self.horizon]
-                    continue
-                node_gaps = [times[0] - 1]
-                node_gaps.extend(b - a - 1 for a, b in zip(times, times[1:]))
-                node_gaps.append(self.horizon - times[-1])
-                out[p] = node_gaps
-            return out
-        gaps: List[List[int]] = [[] for _ in self._order]
-        prev = [0] * len(self._order)
-        for start, block in self._pass_blocks():
-            for i in range(len(self._order)):
-                acc, before = gaps[i], prev[i]
-                for t in self._block_positions(start, block, i):
-                    acc.append(t - before - 1)
-                    before = t
-                prev[i] = before
-        for i in range(len(self._order)):
-            gaps[i].append(self.horizon - prev[i])
-        return {p: gaps[i] for i, p in enumerate(self._order)}
-
-    # -- column / edge queries -----------------------------------------------------
-    def happy_set(self, holiday: int) -> FrozenSet[Node]:
-        """The recorded happy set at ``holiday`` — builds only the one chunk
-        containing it."""
-        if not (1 <= holiday <= self.horizon):
-            raise ValueError(f"holiday {holiday} outside recorded horizon 1..{self.horizon}")
-        start = holiday - (holiday - 1) % self.chunk
-        width = min(self.chunk, self.horizon - start + 1)
-        block = self._single_block(start, width)
-        return block.happy_set(holiday - start + 1)
-
-    def edge_collisions(self, u: Node, v: Node) -> List[int]:
-        """Holidays at which ``u`` and ``v`` are simultaneously happy.
-
-        Pairs that are edges of the trace's own graph come from the cached
-        summary pass; any other pair gets a dedicated per-chunk row-AND scan.
-        """
-        self._scan()
-        for key in ((u, v), (v, u)):
-            if key in self._collisions:
-                return list(self._collisions[key])
-        i, j = self._index[u], self._index[v]
-        out: List[int] = []
-        for start, block in self._pass_blocks():
-            if self.backend == "numpy":
-                both = block._matrix[i] & block._matrix[j]
-                if both.any():
-                    out.extend((start + _np.flatnonzero(both)).tolist())
-            else:
-                both = block._bits[i] & block._bits[j]
-                if both:
-                    out.extend(_bit_positions(both, offset=start))
-        return out
-
-    def conflicting_holidays(self) -> Dict[int, List[Tuple[Node, Node]]]:
-        """``{holiday: [(u, v), ...]}`` over all graph edges with collisions."""
-        out: Dict[int, List[Tuple[Node, Node]]] = {}
-        for u, v in self.graph.edges():
-            for t in self.edge_collisions(u, v):
-                out.setdefault(t, []).append((u, v))
-        return out
-
-    def legality_scan(
-        self, graph: ConflictGraph, fail_fast: bool = False
-    ) -> Tuple[Dict[int, List[Node]], Dict[int, List[Tuple[Node, Node]]]]:
-        """Per-chunk legality evidence against ``graph``'s edges.
-
-        Returns ``(unknown_by_holiday, collisions_by_holiday)`` with global
-        holidays.  With ``fail_fast`` the stream stops after the first chunk
-        containing any violation — later chunks are never built, which is
-        the early-exit the streaming validator advertises.  Without
-        ``fail_fast``, edges matching the trace's own graph reuse the cached
-        summary pass instead of streaming again.  With ``jobs > 1`` the scan
-        fans chunk blocks out to worker processes (checkpointable generator
-        schedules included, via their resume handles); under ``fail_fast``
-        the parent merges block results in order and cancels every
-        outstanding block past the first violating chunk.
-        """
-        edges = graph.edges()
-        if not fail_fast and edges == self.graph.edges():
-            self._scan()
-            unknown_by_holiday: Dict[int, List[Node]] = {}
-            for t, p in self._unknown:
-                unknown_by_holiday.setdefault(t, []).append(p)
-            collisions: Dict[int, List[Tuple[Node, Node]]] = {}
-            for u, v in edges:
-                for t in self._collisions[(u, v)]:
-                    collisions.setdefault(t, []).append((u, v))
-            return unknown_by_holiday, collisions
-        edge_rows = [(self._index[u], self._index[v]) for u, v in edges]
-        source = self._parallel_plan()
-        if source is not None:
-            return self._legality_scan_parallel(source, edges, edge_rows, fail_fast)
-        unknown_by_holiday = {}
-        collisions = {}
-        for start, block in self._pass_blocks():
-            _fold_legality_block(
-                start, block, self.backend, edges, edge_rows, unknown_by_holiday, collisions
-            )
-            if fail_fast and (unknown_by_holiday or collisions):
-                break
-        return unknown_by_holiday, collisions
-
-    def _legality_scan_parallel(
-        self,
-        source,
-        edges: Sequence[Tuple[Node, Node]],
-        edge_rows: Sequence[Tuple[int, int]],
-        fail_fast: bool,
-    ) -> Tuple[Dict[int, List[Node]], Dict[int, List[Tuple[Node, Node]]]]:
-        """Per-chunk legality evidence, fanned out over chunk blocks.
-
-        Block results are merged strictly in block order so the per-holiday
-        dictionaries come out identical to a serial scan.  Under
-        ``fail_fast`` each worker already truncates at its block's first
-        violating chunk, and the parent stops merging (and cancels all
-        outstanding futures) at the first block that reports a violation —
-        exactly the first violating chunk overall, since earlier blocks are
-        merged first and came back clean.
-        """
-        blocks = _chunk_blocks(self._source.num_chunks(), self.jobs * BLOCKS_PER_JOB)
-        unknown_by_holiday: Dict[int, List[Node]] = {}
-        collisions: Dict[int, List[Tuple[Node, Node]]] = {}
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(blocks))) as pool:
-            futures = [
-                pool.submit(
-                    _legality_block_worker,
-                    self._block_payload(source, first, count)
-                    + (list(edges), list(edge_rows), fail_fast),
-                )
-                for first, count in blocks
-            ]
-            if isinstance(source, _CheckpointPlan):
-                source.ensure_all()
             try:
-                for future in futures:
-                    block_unknown, block_collisions = future.result()
-                    for t, nodes in block_unknown.items():
-                        unknown_by_holiday.setdefault(t, []).extend(nodes)
-                    for t, pairs in block_collisions.items():
-                        collisions.setdefault(t, []).extend(pairs)
-                    if fail_fast and (unknown_by_holiday or collisions):
-                        break
+                return _merge_in_order((future.result() for future in futures), fail_fast)
             finally:
                 for future in futures:  # no-op on completed futures
                     future.cancel()
-        return unknown_by_holiday, collisions
 
 
-#: sentinel for "no inter-appearance difference observed" in the batched
-#: min-diff array (rows with < 2 appearances); guarded by count checks, so
-#: it never leaks into a query result.
-_NO_DIFF = 1 << 62
+class _BatchMember(TraceMatrix):
+    """Member ``s`` of a dense :class:`TraceBatch`: a zero-copy row block of
+    the stacked tensor whose summary is its slice of the batch's one fold.
+    (The batch keeps no reference to its members, so dropping the batch
+    frees the tensor without waiting for the cycle collector.)"""
+
+    def __init__(self, batch: "TraceBatch", s: int) -> None:
+        super().__init__(batch.graph, batch.horizon, batch._tensor[s], batch._unknown[s])
+        self._batch = batch
+        self._member = s
+
+    def _scan(self) -> None:
+        if self._summary is None:
+            self._batch.scan()
+            self._summary = self._batch._parts[self._member]
 
 
 class TraceBatch:
     """``S`` schedules over one graph and horizon, evaluated in one pass.
 
     Stacks the occupancy traces of ``S`` *compatible* schedules — same
-    :class:`~repro.core.problem.ConflictGraph`, same horizon, same resolved
-    backend — into a single ``S × n × horizon`` boolean tensor (numpy) or
-    ``S`` lists of bitmask rows (pure Python), and answers every summary
-    query of the :class:`TraceMatrix` API for *all* members from one
-    stacked :meth:`scan`:
-
-    * per-node gap/run-length statistics (``mul``, observed period,
-      distinct diffs, happiness rate) from a single ``nonzero``/``diff``/
-      ``reduceat`` sweep over the flattened ``S·n`` row block (numpy) or
-      one bit walk per row (bitmask);
-    * per-edge legality evidence from one adjacency-masked AND per graph
-      edge covering all members at once.
-
-    Construction broadcasts the existing fast paths across the schedule
-    axis: every periodic row in the whole batch is grouped by its period so
-    each distinct period is expanded once (numpy), and bitmask patterns are
-    cached by ``(period, phase)`` across all members.  Non-periodic members
-    fall back to their ordinary :meth:`TraceMatrix.from_schedule` build.
+    :class:`~repro.core.problem.ConflictGraph`, same horizon — into a single
+    ``S × n × horizon`` boolean tensor and folds its flattened ``S·n`` rows
+    once (:meth:`scan`), with the per-edge collision pass covering every
+    member's edges at once.  Construction broadcasts the periodic fast path
+    across the schedule axis: every periodic row in the whole batch is
+    grouped by its period, so each distinct period is expanded once.
+    Non-periodic members fall back to their ordinary
+    :meth:`TraceMatrix.from_schedule` build.
 
     ``horizon_mode="stream"`` (or ``"auto"`` above
-    :data:`AUTO_STREAM_BYTES`) degrades gracefully: member chunks are
-    folded column-block by column-block through the same associative
-    accumulators as :class:`StreamedTrace`, so resident memory is
-    ``O(S × n × chunk)`` — the batch never materialises ``S`` dense
-    matrices it could not afford per-cell.
+    :data:`AUTO_STREAM_BYTES`) degrades gracefully: each member is a
+    :class:`StreamedTrace` and :meth:`scan` folds them in turn, so resident
+    memory is one chunk — the batch never materialises ``S`` dense matrices
+    it could not afford per-cell.
 
-    :meth:`member` returns a view exposing the :class:`TraceMatrix` query
-    API for one schedule, answered from the shared scan; views satisfy the
+    :meth:`member` returns a trace with the full :class:`TraceView` API
+    whose summary is its slice of the shared scan; members satisfy the
     shared-trace contract of :func:`repro.core.metrics.build_trace`
     (matching graph and horizon), which is how the experiment engine runs
     the unmodified metric suite and validator over each member.
     Differential tests (``tests/core/test_batch.py``) assert every member
-    query equals its per-cell counterpart on both backends.
+    query equals its per-cell counterpart.
     """
 
     def __init__(
@@ -1596,443 +1103,81 @@ class TraceBatch:
             raise ValueError("TraceBatch needs at least one schedule")
         self.graph = graph
         self.horizon = horizon
-        self.backend = resolve_backend(backend)
+        resolve_backend(backend)
         self.chunk = DEFAULT_CHUNK if chunk is None else int(chunk)
         if self.chunk < 1:
             raise ValueError(f"chunk width must be >= 1, got {chunk!r}")
-        #: the representation every member view reports as its ``mode`` —
+        #: the representation every member reports as its ``mode`` —
         #: resolved exactly like a per-cell trace of the same shape, so a
         #: batched record's ``horizon_mode`` stamp matches per-cell runs.
-        self.member_mode = resolve_horizon_mode(
-            horizon_mode, graph.num_nodes(), horizon, self.backend
-        )
-        self._order: List[Node] = graph.nodes()
-        self._index: Dict[Node, int] = {p: i for i, p in enumerate(self._order)}
-        self._unknown: List[List[Tuple[int, Node]]] = [[] for _ in self.schedules]
-        self._tensor = None  # numpy (S, n, horizon) bool tensor (dense numpy)
-        self._bits: Optional[List[List[int]]] = None  # per-member rows (dense bitmask)
-        # per-(member, node) summary state for the bitmask and stream arms
-        self._stats: Optional[List[List[_NodeStreamStats]]] = None
-        # flattened per-row summary arrays for the dense numpy arm
-        self._counts = self._first = self._last = None
-        self._dmax = self._dmin = self._muls = None
-        self._cols = self._seg_start = self._seg_end = None
-        # graph edge -> one collision-holiday list per member
-        self._collisions: Optional[Dict[Tuple[Node, Node], List[List[int]]]] = None
-        self._scanned = False
-        if self.member_mode == "dense":
-            self._build_dense()
+        self.member_mode = resolve_horizon_mode(horizon_mode, graph.num_nodes(), horizon)
+        #: per-member summaries of the dense stacked fold (set by scan)
+        self._parts: List[TraceSummary] = []
+        self._streamed: List[StreamedTrace] = []
+        if self.member_mode == "stream":
+            self._streamed = [
+                StreamedTrace(schedule, graph, horizon, chunk=self.chunk)
+                for schedule in self.schedules
+            ]
+        else:
+            self._tensor, self._unknown = self._build_dense()
 
     def __len__(self) -> int:
         return len(self.schedules)
 
-    def member(self, s: int) -> "_BatchMemberView":
-        """The :class:`TraceMatrix`-compatible view of member ``s``."""
+    def member(self, s: int) -> TraceView:
+        """The trace of member ``s``."""
         if not (0 <= s < len(self.schedules)):
             raise IndexError(f"member {s} outside batch of {len(self.schedules)}")
-        return _BatchMemberView(self, s)
+        if self.member_mode == "stream":
+            return self._streamed[s]
+        return _BatchMember(self, s)
 
-    def members(self) -> List["_BatchMemberView"]:
-        """Views of every member, in schedule order."""
+    def members(self) -> List[TraceView]:
+        """Every member's trace, in schedule order."""
         return [self.member(s) for s in range(len(self.schedules))]
 
-    # -- stacked construction ------------------------------------------------------
-    def _periodic_eligible(self, schedule: ScheduleOrSets) -> bool:
-        # same test as TraceMatrix.from_schedule: the table must cover
-        # exactly the observed nodes for the direct expansion to be valid.
-        return isinstance(schedule, PeriodicSchedule) and set(schedule.assignments) == set(
-            self._order
-        )
-
-    def _build_dense(self) -> None:
-        n, horizon = len(self._order), self.horizon
-        if self.backend == "numpy":
-            tensor = _np.zeros((len(self.schedules), n, horizon), dtype=_np.bool_)
-            # C-contiguous reshape: flat row s·n + i aliases tensor[s, i].
-            flat = tensor.reshape(len(self.schedules) * n, horizon)
-            by_period: Dict[int, Tuple[List[int], List[int]]] = {}
-            for s, schedule in enumerate(self.schedules):
-                if self._periodic_eligible(schedule):
-                    for i, p in enumerate(self._order):
-                        slot = schedule.assignments[p]
-                        rows, phases = by_period.setdefault(slot.period, ([], []))
-                        rows.append(s * n + i)
-                        phases.append(slot.phase)
-                else:
-                    member = TraceMatrix.from_schedule(
-                        schedule, self.graph, horizon, backend="numpy"
-                    )
-                    tensor[s] = member._matrix
-                    self._unknown[s] = member.unknown
-            if by_period:
-                # one arange % τ per distinct period across the WHOLE batch —
-                # the broadcast form of TraceMatrix._from_periodic.
-                holidays = _np.arange(1, horizon + 1, dtype=_np.int64)
-                for period, (rows, phases) in by_period.items():
-                    mod = holidays % period
-                    row_idx = _np.asarray(rows, dtype=_np.intp)
-                    phase_arr = _np.asarray(phases, dtype=_np.int64)
-                    flat[row_idx] = mod[_np.newaxis, :] == phase_arr[:, _np.newaxis]
-            self._tensor = tensor
-            return
-        pattern_cache: Dict[Tuple[int, int], int] = {}
-        bits: List[List[int]] = []
+    def _build_dense(self) -> Tuple[np.ndarray, List[List[Tuple[int, Node]]]]:
+        order = self.graph.nodes()
+        n, horizon = len(order), self.horizon
+        tensor = np.zeros((len(self.schedules), n, horizon), dtype=np.bool_)
+        unknown: List[List[Tuple[int, Node]]] = [[] for _ in self.schedules]
+        by_period: Dict[int, Tuple[List[int], List[int]]] = {}
         for s, schedule in enumerate(self.schedules):
-            if self._periodic_eligible(schedule):
-                row_bits: List[int] = []
-                for p in self._order:
+            if _periodic_fast_path(schedule, self.graph):
+                for i, p in enumerate(order):
                     slot = schedule.assignments[p]
-                    key = (slot.period, slot.phase)
-                    if key not in pattern_cache:
-                        pattern_cache[key] = _periodic_bitmask_window(
-                            slot.period, slot.phase, 1, horizon
-                        )
-                    row_bits.append(pattern_cache[key])
-                bits.append(row_bits)
+                    rows, phases = by_period.setdefault(slot.period, ([], []))
+                    rows.append(s * n + i)  # flat row s·n + i aliases tensor[s, i]
+                    phases.append(slot.phase)
             else:
-                member = TraceMatrix.from_schedule(
-                    schedule, self.graph, horizon, backend="bitmask"
-                )
-                bits.append(member._bits)
-                self._unknown[s] = member.unknown
-        self._bits = bits
+                member = TraceMatrix.from_schedule(schedule, self.graph, horizon)
+                tensor[s] = member._matrix
+                unknown[s] = member._unknown
+        _fill_periodic(tensor.reshape(len(self.schedules) * n, horizon), by_period, 1)
+        return tensor, unknown
 
-    # -- the one stacked scan ------------------------------------------------------
     def scan(self) -> None:
-        """Run the stacked summary pass once (idempotent).
+        """Run the summary pass once (idempotent).
 
-        Triggered lazily by the first query; callers that want the shared
-        cost timed separately (the experiment engine) invoke it eagerly.
+        Triggered lazily by the first member query; callers that want the
+        shared cost timed separately (the experiment engine) invoke it
+        eagerly.
         """
-        if self._scanned:
-            return
         if self.member_mode == "stream":
-            self._scan_stream()
-        elif self.backend == "numpy":
-            self._scan_dense_numpy()
-        else:
-            self._scan_dense_bitmask()
-        self._scanned = True
-
-    def _scan_dense_numpy(self) -> None:
-        """One vectorized sweep over the flattened ``S·n`` row block.
-
-        ``nonzero`` on the flat matrix yields every appearance of every
-        member grouped by row in ascending column order; per-row first/last
-        come from segment boundaries and the max/min inter-appearance
-        differences from ``diff`` + ``maximum/minimum.reduceat`` with
-        cross-row positions neutralised — the batched equivalent of one
-        ``flatnonzero``/``diff`` pass per row.
-        """
-        total = len(self.schedules) * len(self._order)
-        flat = self._tensor.reshape(total, self.horizon)
-        # one flat nonzero pass instead of 2-D ``nonzero`` — the row index
-        # array it would compute is recoverable from one divmod, and the
-        # per-row counts fall out of a bincount over it.
-        pos = _np.flatnonzero(flat.ravel())
-        rows_idx, cols = _np.divmod(pos, self.horizon)
-        counts = _np.bincount(rows_idx, minlength=total).astype(_np.int64, copy=False)
-        cols = cols.astype(_np.int64, copy=False)
-        first = _np.zeros(total, dtype=_np.int64)
-        last = _np.zeros(total, dtype=_np.int64)
-        dmax = _np.zeros(total, dtype=_np.int64)
-        dmin = _np.full(total, _NO_DIFF, dtype=_np.int64)
-        seg_start = _np.zeros(total, dtype=_np.int64)
-        seg_end = _np.zeros(total, dtype=_np.int64)
-        nonempty = _np.flatnonzero(counts)
-        if nonempty.size:
-            seg_ends = _np.cumsum(counts[nonempty])
-            seg_starts = _np.concatenate(([0], seg_ends[:-1]))
-            first[nonempty] = cols[seg_starts]
-            last[nonempty] = cols[seg_ends - 1]
-            seg_start[nonempty] = seg_starts
-            seg_end[nonempty] = seg_ends
-            if cols.size > 1:
-                diffs = _np.diff(cols)
-                pad_max = _np.concatenate((diffs, [0]))
-                pad_min = _np.concatenate((diffs, [_NO_DIFF]))
-                # positions crossing from one row's segment into the next
-                # carry meaningless diffs — neutralise them for both folds.
-                boundary = seg_ends[:-1] - 1
-                pad_max[boundary] = 0
-                pad_min[boundary] = _NO_DIFF
-                dmax[nonempty] = _np.maximum.reduceat(pad_max, seg_starts)
-                dmin[nonempty] = _np.minimum.reduceat(pad_min, seg_starts)
-        self._counts, self._first, self._last = counts, first, last
-        self._dmax, self._dmin = dmax, dmin
-        self._cols, self._seg_start, self._seg_end = cols, seg_start, seg_end
-        # mul for every flat row in one vectorized formula: the per-query
-        # hot path (metrics + bound certification call it per node per
-        # member) collapses to an array lookup.
-        muls = _np.maximum(first, self.horizon - 1 - last)
-        muls = _np.maximum(muls, _np.where(counts > 1, dmax - 1, 0))
-        muls[counts == 0] = self.horizon
-        self._muls = muls
-        collisions: Dict[Tuple[Node, Node], List[List[int]]] = {}
-        for u, v in self.graph.edges():
-            i, j = self._index[u], self._index[v]
-            # one AND over the (S, horizon) slice pair covers every member.
-            both = self._tensor[:, i, :] & self._tensor[:, j, :]
-            per_member: List[List[int]] = [[] for _ in self.schedules]
-            if both.any():
-                hit_members, hit_cols = _np.nonzero(both)
-                for s, t in zip(hit_members.tolist(), hit_cols.tolist()):
-                    per_member[s].append(t + 1)
-            collisions[(u, v)] = per_member
-        self._collisions = collisions
-
-    def _scan_dense_bitmask(self) -> None:
-        stats: List[List[_NodeStreamStats]] = []
-        for member_bits in self._bits:
-            member_stats = []
-            for row in member_bits:
-                node_stats = _NodeStreamStats()
-                node_stats.absorb(_bit_positions(row, offset=1))
-                member_stats.append(node_stats)
-            stats.append(member_stats)
-        self._stats = stats
-        collisions: Dict[Tuple[Node, Node], List[List[int]]] = {}
-        for u, v in self.graph.edges():
-            i, j = self._index[u], self._index[v]
-            per_member = []
-            for member_bits in self._bits:
-                both = member_bits[i] & member_bits[j]
-                per_member.append(_bit_positions(both, offset=1) if both else [])
-            collisions[(u, v)] = per_member
-        self._collisions = collisions
-
-    def _scan_stream(self) -> None:
-        """Chunk-major stacked scan: every member's block for one column
-        window is built and folded before moving to the next window, so at
-        most ``S`` blocks of ``n × chunk`` are live at once."""
-        streams = [
-            TraceStream(schedule, self.graph, self.horizon, chunk=self.chunk, backend=self.backend)
-            for schedule in self.schedules
-        ]
-        edges = self.graph.edges()
-        edge_rows = [(self._index[u], self._index[v]) for u, v in edges]
-        stats = [[_NodeStreamStats() for _ in self._order] for _ in self.schedules]
-        collision_lists: List[List[List[int]]] = [
-            [[] for _ in edges] for _ in self.schedules
-        ]
-        start = 1
-        while start <= self.horizon:
-            width = min(self.chunk, self.horizon - start + 1)
-            for s, stream in enumerate(streams):
-                block = stream.block(start, width)
-                _fold_summary_block(
-                    start, block, self.backend, stats[s], edge_rows,
-                    collision_lists[s], self._unknown[s],
-                )
-            start += width
-        self._stats = stats
-        self._collisions = {
-            edge: [collision_lists[s][k] for s in range(len(self.schedules))]
-            for k, edge in enumerate(edges)
-        }
-
-
-class _BatchMemberView:
-    """One member's :class:`TraceMatrix`-compatible window into a
-    :class:`TraceBatch`.
-
-    Summary queries are answered from the batch's shared scan; the rare
-    per-appearance queries (``appearances``, ``gaps``, ``happy_set``) fall
-    through to a lazily materialised ordinary trace for this member — a
-    zero-copy row-block view of the stacked tensor in dense mode, a fresh
-    :class:`StreamedTrace` in stream mode.  ``mode`` mirrors what a
-    per-cell trace of the same shape would report.
-    """
-
-    def __init__(self, batch: TraceBatch, member: int) -> None:
-        self._batch = batch
-        self._member = member
-        self.graph = batch.graph
-        self.horizon = batch.horizon
-        self.backend = batch.backend
-        self.mode = batch.member_mode
-        self._order = batch._order
-        self._index = batch._index
-        self._trace = None  # lazily materialised per-member trace
-
-    @property
-    def unknown(self) -> List[Tuple[int, Node]]:
-        """Global ``(holiday, node)`` pairs absent from the graph."""
-        if self._batch.member_mode == "stream":
-            self._batch.scan()  # stream mode discovers unknowns during the fold
-        return self._batch._unknown[self._member]
-
-    def row_index(self, node: Node) -> int:
-        """Row of ``node`` in the member's matrix (KeyError if unknown)."""
-        return self._index[node]
-
-    # -- shared-scan summary queries -----------------------------------------------
-    def _flat_row(self, node: Node) -> int:
-        return self._member * len(self._order) + self._index[node]
-
-    def _vector_scan(self) -> bool:
-        """True when the dense-numpy flattened arrays answer this member."""
-        batch = self._batch
-        return batch.member_mode == "dense" and batch.backend == "numpy"
-
-    def _stats(self, node: Node) -> _NodeStreamStats:
-        batch = self._batch
-        batch.scan()
-        return batch._stats[self._member][self._index[node]]
-
-    def count(self, node: Node) -> int:
-        """Number of holidays within the horizon at which ``node`` is happy."""
-        if self._vector_scan():
-            self._batch.scan()
-            return int(self._batch._counts[self._flat_row(node)])
-        return self._stats(node).count
-
-    def mul(self, node: Node) -> int:
-        """Maximum unhappiness length of ``node`` within the horizon."""
-        batch = self._batch
-        if self._vector_scan():
-            batch.scan()
-            return int(batch._muls[self._flat_row(node)])
-        stats = self._stats(node)
-        if stats.count == 0:
-            return self.horizon
-        internal = stats.max_diff - 1 if stats.max_diff else 0
-        return max(stats.first - 1, self.horizon - stats.last, internal)
-
-    def observed_period(self, node: Node) -> Optional[int]:
-        """The constant inter-appearance difference, or None."""
-        batch = self._batch
-        if self._vector_scan():
-            batch.scan()
-            row = self._flat_row(node)
-            if int(batch._counts[row]) < 2:
-                return None
-            dmax = int(batch._dmax[row])
-            return dmax if dmax == int(batch._dmin[row]) else None
-        stats = self._stats(node)
-        if stats.count < 2 or len(stats.diffs) != 1:
-            return None
-        return next(iter(stats.diffs))
-
-    def distinct_appearance_diffs(self, node: Node) -> List[int]:
-        """Sorted distinct inter-appearance differences of ``node``."""
-        batch = self._batch
-        if self._vector_scan():
-            batch.scan()
-            row = self._flat_row(node)
-            if int(batch._counts[row]) < 2:
-                return []
-            dmax = int(batch._dmax[row])
-            if dmax == int(batch._dmin[row]):  # constant — the periodic case
-                return [dmax]
-            segment = batch._cols[batch._seg_start[row]:batch._seg_end[row]]
-            return _np.unique(_np.diff(segment)).tolist()
-        return sorted(self._stats(node).diffs)
-
-    def happiness_rate(self, node: Node) -> float:
-        """Fraction of observed holidays at which ``node`` was happy."""
-        return self.count(node) / self.horizon
-
-    def _member_slice(self, array):
-        """This member's contiguous block of a flat per-row summary array."""
-        lo = self._member * len(self._order)
-        return array[lo:lo + len(self._order)]
-
-    # -- bulk queries --------------------------------------------------------------
-    def muls(self) -> Dict[Node, int]:
-        """``{node: mul(node)}`` for every node, in graph order."""
-        if self._vector_scan():
-            self._batch.scan()
-            return dict(zip(self._order, self._member_slice(self._batch._muls).tolist()))
-        return {p: self.mul(p) for p in self._order}
-
-    def observed_periods(self) -> Dict[Node, Optional[int]]:
-        """``{node: observed period or None}`` for every node."""
-        if self._vector_scan():
-            batch = self._batch
-            batch.scan()
-            counts = self._member_slice(batch._counts)
-            dmax = self._member_slice(batch._dmax)
-            periodic = (counts >= 2) & (dmax == self._member_slice(batch._dmin))
-            return {
-                p: int(dmax[i]) if periodic[i] else None
-                for i, p in enumerate(self._order)
-            }
-        return {p: self.observed_period(p) for p in self._order}
-
-    def happiness_rates(self) -> Dict[Node, float]:
-        """``{node: happiness rate}`` for every node."""
-        if self._vector_scan():
-            self._batch.scan()
-            counts = self._member_slice(self._batch._counts).tolist()
-            return {p: c / self.horizon for p, c in zip(self._order, counts)}
-        return {p: self.happiness_rate(p) for p in self._order}
-
-    def appearance_diffs(self, node: Node) -> List[int]:
-        """Differences between consecutive appearances (empty if < 2)."""
-        times = self.appearances(node)
-        return [b - a for a, b in zip(times, times[1:])]
-
-    # -- column / edge queries -----------------------------------------------------
-    def edge_collisions(self, u: Node, v: Node) -> List[int]:
-        """Holidays at which ``u`` and ``v`` are simultaneously happy.
-
-        Graph edges come from the batch's shared legality pass; any other
-        pair falls through to the materialised member trace.
-        """
-        batch = self._batch
-        batch.scan()
-        for key in ((u, v), (v, u)):
-            per_member = batch._collisions.get(key)
-            if per_member is not None:
-                return list(per_member[self._member])
-        return self._materialized().edge_collisions(u, v)
-
-    def conflicting_holidays(self) -> Dict[int, List[Tuple[Node, Node]]]:
-        """``{holiday: [(u, v), ...]}`` over all graph edges with collisions."""
-        out: Dict[int, List[Tuple[Node, Node]]] = {}
-        for u, v in self.graph.edges():
-            for t in self.edge_collisions(u, v):
-                out.setdefault(t, []).append((u, v))
-        return out
-
-    # -- per-appearance queries (delegated) ----------------------------------------
-    def _materialized(self):
-        """This member as an ordinary trace (zero-copy in dense mode)."""
-        if self._trace is None:
-            batch, s = self._batch, self._member
-            if batch.member_mode == "stream":
-                self._trace = StreamedTrace(
-                    batch.schedules[s], batch.graph, batch.horizon,
-                    backend=batch.backend, chunk=batch.chunk,
-                )
-            elif batch.backend == "numpy":
-                self._trace = TraceMatrix(
-                    batch.graph, batch.horizon, "numpy",
-                    rows_numpy=batch._tensor[s], unknown=list(batch._unknown[s]),
-                )
-            else:
-                self._trace = TraceMatrix(
-                    batch.graph, batch.horizon, "bitmask",
-                    rows_bitmask=batch._bits[s], unknown=list(batch._unknown[s]),
-                )
-        return self._trace
-
-    def appearances(self, node: Node) -> List[int]:
-        """Sorted 1-indexed holidays at which ``node`` is happy."""
-        return self._materialized().appearances(node)
-
-    def gaps(self, node: Node) -> List[int]:
-        """Unhappiness interval lengths (see :meth:`TraceMatrix.gaps`)."""
-        return self._materialized().gaps(node)
-
-    def all_gaps(self) -> Dict[Node, List[int]]:
-        """``{node: gap list}`` for every node."""
-        return self._materialized().all_gaps()
-
-    def happy_set(self, holiday: int) -> FrozenSet[Node]:
-        """The recorded happy set at ``holiday`` (known nodes only)."""
-        return self._materialized().happy_set(holiday)
+            for trace in self._streamed:
+                trace._scan()
+            return
+        if self._parts:
+            return
+        members, n = len(self.schedules), self.graph.num_nodes()
+        index = {p: i for i, p in enumerate(self.graph.nodes())}
+        pairs = [(index[u], index[v]) for u, v in self.graph.edges()]
+        stacked = [(s * n + i, s * n + j) for s in range(members) for i, j in pairs]
+        flat = self._tensor.reshape(members * n, self.horizon)
+        self._parts = fold(flat, 1, stacked).split(members, len(pairs))
+        for part, unknown in zip(self._parts, self._unknown):
+            part.unknown = list(unknown)
 
 
 def _scatter_columns(matrix, columns, index, on_unknown) -> None:
@@ -2061,61 +1206,4 @@ def _scatter_columns(matrix, columns, index, on_unknown) -> None:
                     rows.append(i)
         cols.extend(repeat(key, len(rows) - mark))
     if rows:
-        matrix[_np.asarray(rows, dtype=_np.intp), _np.asarray(cols, dtype=_np.intp)] = True
-
-
-# -- bit-twiddling helpers (pure-Python backend) ------------------------------------
-
-try:
-    _popcount = int.bit_count  # Python 3.10+
-except AttributeError:  # pragma: no cover - 3.9 fallback
-    def _popcount(x: int) -> int:
-        return bin(x).count("1")
-
-
-def _bit_positions(mask: int, offset: int = 0) -> List[int]:
-    """Positions of set bits in ascending order, each shifted by ``offset``.
-
-    Scans byte by byte over a single ``to_bytes`` export: peeling bits off
-    the big int directly (``mask &= mask - 1``) re-touches every word of the
-    integer per bit, which is quadratic in the horizon and visibly hangs at
-    horizons ≥ 10⁵.
-    """
-    if mask == 0:
-        return []
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    out: List[int] = []
-    for byte_index, byte in enumerate(data):
-        base = byte_index * 8 + offset
-        while byte:
-            low = byte & -byte
-            out.append(base + low.bit_length() - 1)
-            byte ^= low
-    return out
-
-
-def _periodic_bitmask_window(period: int, phase: int, start: int, width: int) -> int:
-    """Bitmask with bit ``t - start`` set for every holiday ``start <= t <
-    start + width`` with ``t % period == phase`` — built by doubling so the
-    cost is ``O(log(width/period))`` big-int operations, not one per
-    appearance.  ``start=1`` is the dense full-horizon case; other starts are
-    the streaming chunks."""
-    first = start + ((phase - start) % period)
-    last = start + width - 1
-    if first > last:
-        return 0
-    reps = (last - first) // period + 1
-    return _repeat_bitmask(1, period, reps) << (first - start)
-
-
-def _repeat_bitmask(pattern: int, width: int, reps: int) -> int:
-    """Concatenate ``reps`` copies of a ``width``-bit pattern (doubling fill)."""
-    if reps <= 0 or pattern == 0:
-        return 0
-    mask = pattern
-    have = 1
-    while have < reps:
-        take = min(have, reps - have)
-        mask |= mask << (take * width)
-        have += take
-    return mask
+        matrix[np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)] = True

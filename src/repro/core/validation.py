@@ -13,11 +13,11 @@ Three levels of checking are provided:
    periodic indeed shows a constant inter-appearance gap equal to the
    advertised period for every node (:func:`certify_periodicity`).
 
-Like the metric suite, every check runs on either engine: the bit-parallel
-:class:`~repro.core.trace.TraceMatrix` (default), where legality becomes one
-adjacency-masked column test per edge (an elementwise AND of two rows) and
-bound/periodicity certification reuses the matrix's run-length queries, or
-the ``backend="sets"`` frozenset reference that walks every holiday.  A
+Like the metric suite, every check runs on either engine: the numpy trace
+engine (default), where legality reads the per-edge collision holidays of
+the trace's summary (one adjacency-masked AND of two rows per edge) and
+bound/periodicity certification reads its per-node statistics, or the
+``backend="sets"`` frozenset reference that walks every holiday.  A
 pre-built ``trace=`` can be shared across checks and with the metric suite.
 
 Execution knobs travel on one :class:`~repro.core.config.EngineConfig`
@@ -30,23 +30,22 @@ the legality test becomes per-chunk edge row-ANDs with boundary state, and
 ``fail_fast=True`` stops the stream at the first chunk containing a
 violation — later chunks are never materialised.
 
-The ``trace=`` parameter also accepts a
-:class:`~repro.core.trace.TraceBatch` member view: the view answers the
-same queries from the batch's one stacked scan (its per-edge legality pass
-already covered every member), so a batched experiment run validates each
-cell through this module unchanged and produces identical violation lists.
+The ``trace=`` parameter also accepts a :class:`~repro.core.trace.TraceBatch`
+member: it answers the same queries from the batch's one stacked scan (its
+per-edge legality pass already covered every member), so a batched
+experiment run validates each cell through this module unchanged and
+produces identical violation lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import EngineConfig, coerce_config
 from repro.core.metrics import HappinessTrace, ScheduleLike, TraceLike, build_trace, materialize
 from repro.core.problem import ConflictGraph, Node
 from repro.core.schedule import Schedule
-from repro.core.trace import StreamedTrace, TraceMatrix
 
 __all__ = [
     "Violation",
@@ -175,16 +174,7 @@ def _check_independent_sets_trace(
     report = ValidationReport(checked_holidays=horizon)
     # Collisions are computed against the *passed* graph's edge set — a
     # shared trace only guarantees node agreement, not edge agreement.
-    if isinstance(matrix, StreamedTrace):
-        unknown_by_holiday, collisions = matrix.legality_scan(graph, fail_fast=fail_fast)
-    else:
-        unknown_by_holiday = {}
-        for t, p in matrix.unknown:
-            unknown_by_holiday.setdefault(t, []).append(p)
-        collisions: Dict[int, List[Tuple[Node, Node]]] = {}
-        for u, v in graph.edges():
-            for t in matrix.edge_collisions(u, v):
-                collisions.setdefault(t, []).append((u, v))
+    unknown_by_holiday, collisions = matrix.legality_scan(graph, fail_fast=fail_fast)
     for t in sorted(set(unknown_by_holiday) | set(collisions)):
         for p in unknown_by_holiday.get(t, ()):
             report.violations.append(
@@ -280,8 +270,8 @@ def certify_periodicity(
     the schedule advertises :meth:`~repro.core.schedule.Schedule.node_period`,
     the observed period must also equal the advertised one.
 
-    On the trace engines only the *distinct* inter-appearance differences
-    are consulted (:meth:`~repro.core.trace.TraceMatrix.distinct_appearance_diffs`),
+    On the trace engine only the *distinct* inter-appearance differences
+    are consulted (:meth:`~repro.core.trace.TraceView.distinct_appearance_diffs`),
     which is what lets the streaming engine certify a 10⁸-holiday horizon
     without ever holding the full diff list.
     """

@@ -1,13 +1,12 @@
 """REP107 — frozen dataclasses mutate only inside ``__post_init__``.
 
 The repo's frozen dataclasses (``EngineConfig``, ``ExperimentSpec``/
-``ExperimentCell``, ``PeriodicSchedule``, checkpoint handles) are frozen
-*because* other contracts depend on their immutability: configs are
-hashable dict keys and picklable worker payloads, specs hash into
-content-addressed ``cell_id``s, checkpoint handles must replay
-byte-identically.  ``object.__setattr__`` is the one sanctioned escape
-hatch — and only during construction, inside ``__post_init__``, where the
-object is not yet shared (normalising a field, absorbing an init shim).
+``ExperimentCell``, ``SlotAssignment``) are frozen *because* other
+contracts depend on their immutability: configs are hashable dict keys and
+picklable worker payloads, specs hash into content-addressed ``cell_id``s.
+``object.__setattr__`` is the one sanctioned escape hatch — and only during
+construction, inside ``__post_init__``, where the object is not yet shared
+(normalising a field, absorbing an init shim).
 The same call anywhere else silently mutates an object whose hash/identity
 other code may already have recorded.
 """

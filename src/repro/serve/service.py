@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.algorithms.registry import available_schedulers, get_scheduler
 from repro.analysis.engine import ExperimentCell, HorizonPolicy, execute_cell
 from repro.api import Session
-from repro.core.config import DEFAULT_CONFIG, EngineConfig
+from repro.core.config import DEFAULT_CONFIG, EngineConfig, config_with
 from repro.core.metrics import ScheduleReport
 from repro.core.problem import ConflictGraph
 from repro.core.schedule import PeriodicSchedule, Schedule
@@ -106,7 +106,7 @@ def schedule_key_for(algorithm: str, seed: int) -> str:
     return f"{algorithm}:{seed}"
 
 
-def _trace_nbytes(trace: object, num_nodes: int, horizon: int, backend: str) -> int:
+def _trace_nbytes(trace: object, num_nodes: int, horizon: int) -> int:
     """Budget estimate for one cached trace.
 
     Dense traces are the matrix itself (`dense_trace_bytes`); a streamed
@@ -115,7 +115,7 @@ def _trace_nbytes(trace: object, num_nodes: int, horizon: int, backend: str) -> 
     """
     if isinstance(trace, StreamedTrace):
         return 256 * max(1, num_nodes)
-    return dense_trace_bytes(num_nodes, horizon, backend)
+    return dense_trace_bytes(num_nodes, horizon)
 
 
 class _BoundTraceCache:
@@ -145,7 +145,7 @@ class _BoundTraceCache:
         return self._cache.get_or_build(
             self._key,
             build,
-            lambda trace: _trace_nbytes(trace, graph.num_nodes(), horizon, engine.backend),
+            lambda trace: _trace_nbytes(trace, graph.num_nodes(), horizon),
         )
 
     def clear(self) -> None:  # pragma: no cover - sessions here never clear
@@ -253,14 +253,9 @@ class SchedulingService:
         if not isinstance(overrides, Mapping):
             raise ServiceError(400, "bad_request", "'config' must be an object")
         try:
-            merged = dict(self.config.to_dict())
-            unknown = set(overrides) - set(merged)
-            if unknown:
-                raise ValueError(f"unknown EngineConfig fields: {sorted(unknown)}")
-            merged.update(overrides)
-            config = EngineConfig.from_dict(merged)
+            config = config_with(self.config, **overrides)
             config.resolve()
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ServiceError(400, "bad_request", f"invalid config: {exc}")
         return config
 

@@ -7,94 +7,16 @@ runs and independent across nodes.  :class:`RngStream` wraps
 :class:`numpy.random.Generator` and provides deterministic child-stream
 derivation keyed by arbitrary hashable labels, so node ``17`` of run
 ``seed=3`` always sees the same random bits regardless of scheduling order.
-
-numpy is an optional extra of this package (``pip install .[fast]``): when
-it is missing, streams fall back to a :class:`random.Random`-backed
-generator with the same method surface.  Runs are deterministic within
-either environment, but the two environments draw *different* bit streams —
-seeds only reproduce numbers across machines with the same backend.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math as _math
-import pickle
-import random as _stdlib_random
 from typing import Hashable, Iterable, List
 
-try:  # optional accelerator; see the fallback generator below
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    np = None
+import numpy as np
 
 __all__ = ["RngStream", "derive_seed", "spawn_streams"]
-
-
-class _PurePythonGenerator:
-    """Minimal :class:`numpy.random.Generator` stand-in over :mod:`random`.
-
-    Implements exactly the method surface :class:`RngStream` passes through.
-    ``size=None`` returns scalars; an integer ``size`` returns a list where
-    numpy would return an array.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self._rng = _stdlib_random.Random(seed)
-
-    def _many(self, draw, size):
-        if size is None:
-            return draw()
-        return [draw() for _ in range(int(size))]
-
-    def integers(self, low, high=None, size=None):
-        if high is None:
-            low, high = 0, low
-        return self._many(lambda: self._rng.randrange(low, high), size)
-
-    def random(self, size=None):
-        return self._many(self._rng.random, size)
-
-    def choice(self, seq, size=None, replace=True):
-        seq = list(seq)
-        if size is None:
-            return self._rng.choice(seq)
-        if replace:
-            return [self._rng.choice(seq) for _ in range(int(size))]
-        return self._rng.sample(seq, int(size))
-
-    def shuffle(self, values) -> None:
-        self._rng.shuffle(values)
-
-    def permutation(self, n: int):
-        values = list(range(int(n)))
-        self._rng.shuffle(values)
-        return values
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._many(lambda: self._rng.uniform(low, high), size)
-
-    def exponential(self, scale=1.0, size=None):
-        return self._many(lambda: self._rng.expovariate(1.0 / scale), size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._many(lambda: self._rng.gauss(loc, scale), size)
-
-    def poisson(self, lam=1.0, size=None):
-        return self._many(lambda: self._poisson_draw(lam), size)
-
-    def _poisson_draw(self, lam: float) -> int:
-        # Knuth's product-of-uniforms sampler; lam in this package is the
-        # mean number of children per family, i.e. small.
-        if lam <= 0.0:
-            return 0
-        limit = _math.exp(-lam)
-        count = 0
-        product = self._rng.random()
-        while product > limit:
-            count += 1
-            product *= self._rng.random()
-        return count
 
 _MASK64 = (1 << 64) - 1
 
@@ -124,10 +46,7 @@ class RngStream:
     def __init__(self, seed: int, label: Hashable = "root") -> None:
         self.seed = int(seed) & _MASK64
         self._label = label
-        if np is not None:
-            self.generator = np.random.default_rng(self.seed)
-        else:
-            self.generator = _PurePythonGenerator(self.seed)
+        self.generator = np.random.default_rng(self.seed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(seed={self.seed}, label={self._label!r})"
@@ -154,7 +73,7 @@ class RngStream:
         self.generator.shuffle(values)
 
     def permutation(self, n: int):
-        """Random permutation of ``range(n)`` (array under numpy, list otherwise)."""
+        """Random permutation of ``range(n)`` (a numpy array)."""
         return self.generator.permutation(n)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
@@ -164,42 +83,6 @@ class RngStream:
     def exponential(self, scale: float = 1.0, size=None):
         """Exponentially distributed floats."""
         return self.generator.exponential(scale, size=size)
-
-    # -- state serialization (the generator checkpoint protocol) -------------------
-    def getstate(self) -> bytes:
-        """Serialize the stream's exact position as bytes.
-
-        Feeding the bytes to :meth:`setstate` — in any process with the
-        *same* rng backend (numpy vs the pure-Python fallback; the two draw
-        different bit streams by design) — resumes the stream so that every
-        subsequent draw is identical.  This is what makes rng-driven
-        schedulers (first-come-first-grab) checkpointable: their whole
-        state is the stream position.
-        """
-        if isinstance(self.generator, _PurePythonGenerator):
-            return pickle.dumps(("stdlib", self.generator._rng.getstate()))
-        return pickle.dumps(("numpy", self.generator.bit_generator.state))
-
-    def setstate(self, state: bytes) -> None:
-        """Restore a position captured by :meth:`getstate`."""
-        kind, payload = pickle.loads(state)
-        if kind == "stdlib":
-            if not isinstance(self.generator, _PurePythonGenerator):
-                raise ValueError(
-                    "rng state was captured on the pure-Python backend but this "
-                    "stream runs on numpy; backends must match to resume"
-                )
-            self.generator._rng.setstate(payload)
-            return
-        if kind == "numpy":
-            if isinstance(self.generator, _PurePythonGenerator):
-                raise ValueError(
-                    "rng state was captured on the numpy backend but numpy is "
-                    "not available here; backends must match to resume"
-                )
-            self.generator.bit_generator.state = payload
-            return
-        raise ValueError(f"unrecognized rng state kind {kind!r}")
 
 
 def spawn_streams(root_seed: int, labels: Iterable[Hashable]) -> List[RngStream]:

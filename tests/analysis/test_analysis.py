@@ -201,7 +201,7 @@ class TestSweeps:
             seen.append(config)
             return [record(workload=f"n{n}", size=float(n))]
 
-        shared = EngineConfig(backend="bitmask")
+        shared = EngineConfig(backend="numpy")
         results = sweep({"n": [2, 4]}, runner, config=shared)
         assert len(results) == 2 and seen == [shared, shared]
 
@@ -212,6 +212,6 @@ class TestSweeps:
 
         results = sweep(
             {"n": [2, 4, 8]}, _config_sweep_runner, jobs=2,
-            config=EngineConfig(backend="bitmask"),
+            config=EngineConfig(backend="numpy"),
         )
-        assert results.workloads() == ["n2-bitmask", "n4-bitmask", "n8-bitmask"]
+        assert results.workloads() == ["n2-numpy", "n4-numpy", "n8-numpy"]

@@ -123,7 +123,7 @@ class TestSpec:
             grid={"scale": [1, 2]},
             seeds=(3, 4),
             policy=HorizonPolicy(multiplier=5),
-            config=EngineConfig(backend="bitmask"),
+            config=EngineConfig(backend="numpy"),
             workload_params={"seed": 99},
         )
         path = tmp_path / "spec.json"
@@ -144,7 +144,7 @@ class TestCells:
         base = tiny_spec().cells()[0]
         for changed in (
             tiny_spec(horizon=64).cells()[0],
-            tiny_spec(config=EngineConfig(backend="bitmask")).cells()[0],
+            tiny_spec(config=EngineConfig(backend="numpy")).cells()[0],
             tiny_spec(certify_bound=False).cells()[0],
             tiny_spec(policy=HorizonPolicy(multiplier=9)).cells()[0],
         ):

@@ -155,11 +155,11 @@ class TestReportAndRun:
         assert len(build_counter) == 1
 
     def test_run_delegates_to_run_scheduler_with_session_config(self, graph):
-        config = EngineConfig(backend="bitmask")
+        config = EngineConfig(backend="numpy")
         session = Session(graph, config=config)
         outcome = session.run(get_scheduler("degree-periodic"), seed=1, horizon=48)
         assert outcome.config == config
-        assert outcome.backend == "bitmask"
+        assert outcome.backend == "numpy"
         assert outcome.horizon == 48 and outcome.validation.ok
 
     def test_run_uses_session_policy_for_default_horizon(self, graph):

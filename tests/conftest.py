@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import trace as trace_module
 from repro.core.problem import ConflictGraph
 from repro.graphs.families import clique, complete_bipartite, cycle, path, star
 from repro.graphs.random_graphs import erdos_renyi
@@ -58,3 +59,29 @@ def graph_zoo(square_with_diagonal, small_star, small_clique, small_bipartite, m
 def small_society():
     """A reproducible random society with ~20 families."""
     return random_society(num_families=20, mean_children=2.5, marriage_fraction=0.8, seed=3)
+
+
+#: The two arms of :func:`repro.core.trace.fold`, as ``(FLAT_FOLD_WIDTH,
+#: EDGE_GROUP_CELLS)``.  The kernel picks its arm from the block width, so
+#: the small blocks of the differential suites would only ever reach the
+#: flat scan; moving the threshold sends every block down the named arm.
+#: The flat arm also shrinks the collision groups, so the edge-group
+#: boundaries are crossed on every block.
+FOLD_ARMS = {
+    "flat": (1 << 62, 64),
+    "per-row": (0, trace_module.EDGE_GROUP_CELLS),
+}
+
+
+@pytest.fixture(params=sorted(FOLD_ARMS))
+def fold_arm(request, monkeypatch):
+    """Run the test with every trace fold on one arm of the kernel.
+
+    Process-pool workers inherit the patch where they fork from the parent
+    (Linux before Python 3.14); elsewhere they fold on the default arm,
+    which must give the same summary anyway.
+    """
+    width, group = FOLD_ARMS[request.param]
+    monkeypatch.setattr(trace_module, "FLAT_FOLD_WIDTH", width)
+    monkeypatch.setattr(trace_module, "EDGE_GROUP_CELLS", group)
+    return request.param

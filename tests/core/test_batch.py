@@ -3,8 +3,8 @@
 The contract of :class:`repro.core.trace.TraceBatch` is *exact* agreement
 between a member view of the stacked kernel and an ordinary per-cell trace
 of the same schedule — on every query, for every registered scheduler, on
-both matrix backends, for every way of splitting the schedule set into
-batches (size 1, 2, a size that does not divide the set, and the whole
+both arms of the fold kernel, for every way of splitting the schedule set
+into batches (size 1, 2, a size that does not divide the set, and the whole
 set), and in streamed mode for several chunk widths.  The views also plug
 into ``evaluate_schedule``/``validate_schedule`` via ``trace=`` and must
 reproduce per-cell reports verbatim.
@@ -18,16 +18,11 @@ from repro.algorithms.registry import available_schedulers, get_scheduler
 from repro.core.config import EngineConfig
 from repro.core.metrics import evaluate_schedule
 from repro.core.schedule import PeriodicSchedule, SlotAssignment
-from repro.core.trace import (
-    StreamedTrace,
-    TraceBatch,
-    TraceMatrix,
-    numpy_available,
-)
+from repro.core.trace import StreamedTrace, TraceBatch, TraceMatrix
 from repro.core.validation import validate_schedule
 from repro.graphs.random_graphs import erdos_renyi
 
-BACKENDS = (["numpy"] if numpy_available() else []) + ["bitmask"]
+BACKENDS = ["numpy"]
 
 HORIZON = 64
 #: streamed-batch chunk widths: degenerate, non-dividing, == horizon, > horizon.
@@ -73,6 +68,7 @@ def assert_member_matches(view, reference, graph):
     assert view.conflicting_holidays() == reference.conflicting_holidays()
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_dense_batch_matches_per_cell_for_every_split(graph, schedules, backend):
     built = [schedule for _, schedule in schedules]
@@ -86,6 +82,7 @@ def test_dense_batch_matches_per_cell_for_every_split(graph, schedules, backend)
                 assert_member_matches(batch.member(s), reference, graph)
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_streamed_batch_matches_per_cell(graph, schedules, backend, chunk):
@@ -103,6 +100,7 @@ def test_streamed_batch_matches_per_cell(graph, schedules, backend, chunk):
         assert view.unknown == streamed.unknown
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_member_views_drive_metrics_and_validation(graph, schedules, backend):
     """evaluate/validate over a member view ≡ per-cell, scheduler by scheduler."""
@@ -137,6 +135,7 @@ def test_member_views_drive_metrics_and_validation(graph, schedules, backend):
         assert batched_validation.ok == percell_validation.ok
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_raw_sequences_and_unknown_nodes(graph, backend):
     """Non-schedule members (raw happy-set sequences, possibly mentioning
@@ -151,6 +150,7 @@ def test_raw_sequences_and_unknown_nodes(graph, backend):
     assert batch.member(1).unknown  # the ghost node was recorded
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_mixed_periods_share_one_expansion(graph, backend):
     """Periodic members with overlapping (period, phase) tables stack via

@@ -1,7 +1,7 @@
 """Tests for :class:`repro.core.config.EngineConfig` and the legacy shim.
 
-Covers the issue's acceptance gates: JSON round-trip, ``resolve()`` with and
-without numpy, the consolidated sets/stream error, the deprecation shim
+Covers the config's contracts: JSON round-trip, ``resolve()``, the
+consolidated sets/stream error, removed values failing loudly, the deprecation shim
 (exactly one warning per call, identical results), and cell-id stability —
 default-config ids must be byte-identical to golden ids captured from the
 PR 4 codebase, so every results sink recorded before the consolidation
@@ -16,7 +16,6 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-import repro.core.trace as trace_mod
 from repro.algorithms.registry import get_scheduler
 from repro.analysis.engine import ExperimentCell, ExperimentSpec
 from repro.analysis.runner import run_scheduler
@@ -28,7 +27,6 @@ from repro.core.config import (
 )
 from repro.core.metrics import build_trace, evaluate_schedule
 from repro.core.problem import ConflictGraph
-from repro.core.trace import StreamedTrace, TraceMatrix, numpy_available
 from repro.core.validation import validate_schedule
 
 #: Golden ids captured from the PR 4 codebase (before EngineConfig existed)
@@ -41,8 +39,10 @@ GOLDEN_SPEC_CELL_IDS = [
     "094eba57b28432f8",
 ]
 GOLDEN_CELL_SEED = 5418252142010239343
-#: same capture for a spec whose backend (hashed since PR 1) is non-default.
-GOLDEN_BITMASK_CELL_ID = "54f7ef816f6185a2"
+#: id of a spec whose backend (always hashed) is non-default, captured
+#: before the bitmask backend was removed; hashing did not change, so the
+#: id must not move.
+GOLDEN_NUMPY_CELL_ID = "2f12660dd8de0441"
 
 
 def golden_spec(**overrides):
@@ -84,8 +84,30 @@ class TestEngineConfig:
             EngineConfig(window=0)
         with pytest.raises(ValueError, match="batch"):
             EngineConfig(batch=0)
-        with pytest.raises(ValueError, match="checkpoint"):
-            EngineConfig(checkpoint="yes")
+
+    def test_removed_values_fail_loudly(self):
+        """The bitmask backend and the checkpoint field are gone: naming
+        either raises one error that says so and lists the valid choices."""
+        with pytest.raises(ValueError) as backend:
+            EngineConfig(backend="bitmask")
+        assert str(backend.value) == (
+            "removed trace backend 'bitmask'; expected one of ('auto', 'numpy', 'sets')"
+        )
+        with pytest.raises(ValueError) as field:
+            EngineConfig.from_dict({"backend": "auto", "checkpoint": False})
+        assert str(field.value) == (
+            "removed EngineConfig field 'checkpoint'; expected one of ('backend', "
+            "'horizon_mode', 'chunk', 'stream_jobs', 'window', 'batch')"
+        )
+        with pytest.raises(ValueError, match="removed EngineConfig field 'checkpoint'"):
+            config_with(None, checkpoint=True)
+        with pytest.raises(ValueError, match="removed EngineConfig field 'checkpoint'"):
+            ExperimentSpec.from_dict({
+                "name": "old", "workloads": ["small/path"], "algorithms": ["sequential"],
+                "config": {"backend": "auto", "checkpoint": True},
+            })
+        with pytest.raises(TypeError):
+            EngineConfig(checkpoint=False)  # no longer a field at all
 
     def test_sets_stream_rejected_with_one_message(self):
         """The historical asymmetry: backend='sets' + streaming used to raise
@@ -110,21 +132,21 @@ class TestEngineConfig:
         assert str(with_trace.value) == str(without_trace.value) == str(construct.value)
 
     def test_non_default_lists_only_overrides(self):
-        config = EngineConfig(backend="bitmask", chunk=64)
-        assert config.non_default() == {"backend": "bitmask", "chunk": 64}
+        config = EngineConfig(backend="numpy", chunk=64)
+        assert config.non_default() == {"backend": "numpy", "chunk": 64}
         assert "chunk=64" in config.describe()
 
     def test_config_with_layers_overrides(self):
         base = EngineConfig(horizon_mode="stream", chunk=32)
-        layered = config_with(base, backend="bitmask")
-        assert layered == EngineConfig(backend="bitmask", horizon_mode="stream", chunk=32)
+        layered = config_with(base, backend="numpy")
+        assert layered == EngineConfig(backend="numpy", horizon_mode="stream", chunk=32)
         assert config_with(None) == DEFAULT_CONFIG
 
 
 class TestJsonRoundTrip:
     def test_round_trip(self):
         config = EngineConfig(
-            backend="bitmask", horizon_mode="stream", chunk=1 << 12, stream_jobs=3, window=500
+            backend="numpy", horizon_mode="stream", chunk=1 << 12, stream_jobs=3, window=500
         )
         assert EngineConfig.from_json(config.to_json()) == config
         assert EngineConfig.from_dict(config.to_dict()) == config
@@ -138,7 +160,6 @@ class TestJsonRoundTrip:
             "stream_jobs": 1,
             "window": None,
             "batch": None,
-            "checkpoint": True,
         }
 
     def test_unknown_fields_rejected(self):
@@ -147,24 +168,15 @@ class TestJsonRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# resolve() with and without numpy
+# resolve()
 # ---------------------------------------------------------------------------
 
 class TestResolve:
-    def test_auto_resolves_to_available_backend(self):
+    def test_auto_resolves_to_numpy(self):
         engine = EngineConfig().resolve()
-        assert engine.backend == ("numpy" if numpy_available() else "bitmask")
+        assert engine.backend == "numpy"
         assert engine.mode == "auto"  # no sizes given: representation open
         assert engine.uses_matrix
-
-    def test_auto_without_numpy_resolves_to_bitmask(self, monkeypatch):
-        monkeypatch.setattr(trace_mod, "_np", None)
-        assert EngineConfig().resolve().backend == "bitmask"
-
-    def test_numpy_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(trace_mod, "_np", None)
-        with pytest.raises(RuntimeError, match="numpy"):
-            EngineConfig(backend="numpy").resolve()
 
     def test_sets_resolves_to_sets_mode(self):
         engine = EngineConfig(backend="sets").resolve(10, 1000)
@@ -172,7 +184,7 @@ class TestResolve:
         assert not engine.uses_matrix
 
     def test_auto_mode_resolves_by_size(self):
-        config = EngineConfig(backend="bitmask")
+        config = EngineConfig(backend="numpy")
         assert config.resolve(60, 10_000).mode == "dense"
         assert config.resolve(60, 10**9).mode == "stream"
 
@@ -182,11 +194,9 @@ class TestResolve:
 
     def test_resolved_carries_all_knobs(self):
         engine = EngineConfig(
-            backend="bitmask", horizon_mode="stream", chunk=7, stream_jobs=2, window=99
+            backend="numpy", horizon_mode="stream", chunk=7, stream_jobs=2, window=99
         ).resolve(4, 100)
         assert (engine.chunk, engine.stream_jobs, engine.window) == (7, 2, 99)
-        assert engine.checkpoint is True
-        assert EngineConfig(checkpoint=False).resolve(4, 100).checkpoint is False
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +215,7 @@ class TestLegacyShim:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             legacy = evaluate_schedule(
-                schedule, graph, 64, backend="bitmask", mode="stream", chunk=8, jobs=2
+                schedule, graph, 64, backend="numpy", mode="stream", chunk=8, jobs=2
             )
         deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
         assert len(deprecations) == 1
@@ -214,7 +224,7 @@ class TestLegacyShim:
 
         modern = evaluate_schedule(
             schedule, graph, 64,
-            config=EngineConfig(backend="bitmask", horizon_mode="stream", chunk=8, stream_jobs=2),
+            config=EngineConfig(backend="numpy", horizon_mode="stream", chunk=8, stream_jobs=2),
         )
         assert legacy.muls == modern.muls
         assert legacy.periods == modern.periods
@@ -223,24 +233,24 @@ class TestLegacyShim:
     def test_validate_and_run_scheduler_shims(self, run_inputs):
         graph, schedule = run_inputs
         with pytest.warns(DeprecationWarning, match="validate_schedule"):
-            legacy = validate_schedule(schedule, graph, 64, backend="bitmask")
+            legacy = validate_schedule(schedule, graph, 64, backend="numpy")
         modern = validate_schedule(
-            schedule, graph, 64, config=EngineConfig(backend="bitmask")
+            schedule, graph, 64, config=EngineConfig(backend="numpy")
         )
         assert legacy.ok == modern.ok
 
         with pytest.warns(DeprecationWarning, match="run_scheduler"):
             outcome = run_scheduler(
-                get_scheduler("degree-periodic"), graph, horizon=64, backend="bitmask"
+                get_scheduler("degree-periodic"), graph, horizon=64, backend="numpy"
             )
-        assert outcome.backend == "bitmask"
-        assert outcome.config == EngineConfig(backend="bitmask")
+        assert outcome.backend == "numpy"
+        assert outcome.config == EngineConfig(backend="numpy")
 
     def test_spec_shim_warns_and_matches_config_spec(self):
         with pytest.warns(DeprecationWarning, match="ExperimentSpec"):
-            legacy = golden_spec(backend="bitmask", horizon_mode="stream", chunk=16)
+            legacy = golden_spec(backend="numpy", horizon_mode="stream", chunk=16)
         modern = golden_spec(
-            config=EngineConfig(backend="bitmask", horizon_mode="stream", chunk=16)
+            config=EngineConfig(backend="numpy", horizon_mode="stream", chunk=16)
         )
         assert legacy == modern
         assert legacy.config.stream_jobs == 1
@@ -249,17 +259,17 @@ class TestLegacyShim:
         graph, schedule = run_inputs
         with pytest.raises(TypeError, match="both config="):
             evaluate_schedule(
-                schedule, graph, 16, backend="bitmask", config=EngineConfig()
+                schedule, graph, 16, backend="numpy", config=EngineConfig()
             )
         with pytest.raises(TypeError, match="both config="):
-            golden_spec(backend="bitmask", config=EngineConfig(chunk=4))
+            golden_spec(backend="numpy", config=EngineConfig(chunk=4))
 
     def test_no_warning_on_config_path(self, run_inputs):
         graph, schedule = run_inputs
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            evaluate_schedule(schedule, graph, 32, config=EngineConfig(backend="bitmask"))
-            validate_schedule(schedule, graph, 32, config=EngineConfig(backend="bitmask"))
+            evaluate_schedule(schedule, graph, 32, config=EngineConfig(backend="numpy"))
+            validate_schedule(schedule, graph, 32, config=EngineConfig(backend="numpy"))
             run_scheduler(get_scheduler("degree-periodic"), graph, horizon=32)
         assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
@@ -285,9 +295,9 @@ class TestCellIdStability:
             workloads=("small/star",),
             algorithms=("phased-greedy",),
             seeds=(7,),
-            config=EngineConfig(backend="bitmask"),
+            config=EngineConfig(backend="numpy"),
         )
-        assert spec.cells()[0].cell_id() == GOLDEN_BITMASK_CELL_ID
+        assert spec.cells()[0].cell_id() == GOLDEN_NUMPY_CELL_ID
 
     def test_legacy_kwargs_and_config_hash_identically(self):
         with pytest.warns(DeprecationWarning):
@@ -309,8 +319,8 @@ class TestCellIdStability:
             experiment="t", workload="w", algorithm="sequential", params={}, seed=0
         )
         with pytest.warns(DeprecationWarning, match="ExperimentCell"):
-            legacy = ExperimentCell(**base, backend="bitmask")
-        assert legacy == ExperimentCell(**base, config=EngineConfig(backend="bitmask"))
+            legacy = ExperimentCell(**base, backend="numpy")
+        assert legacy == ExperimentCell(**base, config=EngineConfig(backend="numpy"))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +330,7 @@ class TestCellIdStability:
 class TestSpecSerialization:
     def test_spec_round_trips_config(self, tmp_path):
         spec = golden_spec(
-            config=EngineConfig(backend="bitmask", horizon_mode="stream", chunk=128, window=64)
+            config=EngineConfig(backend="numpy", horizon_mode="stream", chunk=128, window=64)
         )
         path = spec.to_json(tmp_path / "spec.json")
         assert ExperimentSpec.from_json(path) == spec
@@ -338,7 +348,7 @@ class TestSpecSerialization:
             "seeds": [0],
             "horizon": 48,
             "policy": {"multiplier": 4, "minimum": 32, "cap": 20000, "explicit": None},
-            "backend": "bitmask",
+            "backend": "numpy",
             "certify_bound": True,
             "workload_params": {},
             "horizon_mode": "stream",
@@ -350,13 +360,13 @@ class TestSpecSerialization:
             spec = ExperimentSpec.from_dict(payload)
         assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
         assert spec.config == EngineConfig(
-            backend="bitmask", horizon_mode="stream", chunk=32, stream_jobs=2
+            backend="numpy", horizon_mode="stream", chunk=32, stream_jobs=2
         )
 
     def test_mixed_config_and_legacy_payload_rejected(self):
         payload = {
             "name": "old", "workloads": ["small/path"], "algorithms": ["sequential"],
-            "backend": "bitmask", "config": {"backend": "numpy"},
+            "backend": "numpy", "config": {"backend": "numpy"},
         }
         with pytest.raises(ValueError, match="mixes"):
             ExperimentSpec.from_dict(payload)

@@ -19,7 +19,7 @@ from repro.core.config import EngineConfig
 from repro.core.metrics import HappinessTrace, evaluate_schedule
 from repro.core.problem import ConflictGraph, orientation_towards
 from repro.core.schedule import ExplicitSchedule, PeriodicSchedule, SlotAssignment
-from repro.core.trace import TraceBatch, numpy_available
+from repro.core.trace import TraceBatch
 from repro.core.validation import validate_schedule
 from repro.graphs.random_graphs import erdos_renyi
 
@@ -123,8 +123,8 @@ def test_gap_decomposition_consistency(n, horizon, seed):
 # family, horizon, chunk geometry — so a red run reproduces from the seed
 # in its parametrized test id alone.  For each drawn instance, every
 # evaluation engine must produce the *same* metric report and the *same*
-# validation report: the frozenset reference, both dense matrix backends,
-# the chunked stream (serial and jobs=2), and a batch member view.
+# validation report: the frozenset reference, the dense matrix, the chunked
+# stream (serial and jobs=2), and a batch member view.
 
 FUZZ_SEEDS = range(15)
 
@@ -162,16 +162,11 @@ def _fuzz_instance(seed):
 
 def _fuzz_engines(chunk, horizon):
     """(name, EngineConfig) pairs for every evaluation engine under test."""
-    engines = [
-        ("bitmask-dense", EngineConfig(backend="bitmask", horizon_mode="dense")),
-        ("bitmask-stream", EngineConfig(backend="bitmask", horizon_mode="stream", chunk=chunk)),
+    return [
+        ("numpy-dense", EngineConfig(backend="numpy", horizon_mode="dense")),
         ("stream-jobs2", EngineConfig(horizon_mode="stream", chunk=chunk, stream_jobs=2)),
+        ("numpy-stream", EngineConfig(backend="numpy", horizon_mode="stream", chunk=chunk)),
     ]
-    if numpy_available():
-        engines.insert(0, ("numpy-dense", EngineConfig(backend="numpy", horizon_mode="dense")))
-        engines.append(
-            ("numpy-stream", EngineConfig(backend="numpy", horizon_mode="stream", chunk=chunk)))
-    return engines
 
 
 def _report_state(report):

@@ -3,9 +3,10 @@
 The contract of :class:`repro.core.trace.StreamedTrace` is *exact* agreement
 with the dense :class:`~repro.core.trace.TraceMatrix` engine (and therefore,
 transitively, with the frozenset reference) on every metric, every validation
-report and every registered scheduler — for every chunk width, including the
-degenerate ones: chunk 1, chunks that do not divide the horizon, chunk equal
-to the horizon, and chunk larger than the horizon.
+report and every registered scheduler — on both arms of the fold kernel
+(the ``fold_arm`` fixture), for every chunk width, including the degenerate
+ones: chunk 1, chunks that do not divide the horizon, chunk equal to the
+horizon, and chunk larger than the horizon.
 """
 
 from __future__ import annotations
@@ -36,13 +37,12 @@ from repro.core.trace import (
     TraceMatrix,
     TraceStream,
     dense_trace_bytes,
-    numpy_available,
     resolve_horizon_mode,
 )
 from repro.core.validation import check_independent_sets, validate_schedule
 from repro.graphs.random_graphs import erdos_renyi
 
-BACKENDS = (["numpy"] if numpy_available() else []) + ["bitmask"]
+BACKENDS = ["numpy"]
 
 
 def cfg(backend=None, mode=None, chunk=None, jobs=None):
@@ -66,24 +66,22 @@ def report_tuples(report):
 
 class TestHorizonModeResolution:
     def test_auto_is_dense_below_threshold_and_stream_above(self):
-        assert resolve_horizon_mode("auto", 60, 10_000, "numpy") == "dense"
-        assert resolve_horizon_mode("auto", 60, 10**8, "numpy") == "stream"
-        # the bitmask representation is 8x smaller, so it flips later
-        flip = AUTO_STREAM_BYTES // 60 + 1
-        assert resolve_horizon_mode("auto", 60, flip, "numpy") == "stream"
-        assert resolve_horizon_mode("auto", 60, flip, "bitmask") == "dense"
+        assert resolve_horizon_mode("auto", 60, 10_000) == "dense"
+        assert resolve_horizon_mode("auto", 60, 10**8) == "stream"
+        flip = AUTO_STREAM_BYTES // 60
+        assert resolve_horizon_mode("auto", 60, flip) == "dense"
+        assert resolve_horizon_mode("auto", 60, flip + 1) == "stream"
 
     def test_explicit_modes_pass_through(self):
-        assert resolve_horizon_mode("dense", 60, 10**9, "numpy") == "dense"
-        assert resolve_horizon_mode("stream", 1, 1, "bitmask") == "stream"
+        assert resolve_horizon_mode("dense", 60, 10**9) == "dense"
+        assert resolve_horizon_mode("stream", 1, 1) == "stream"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="horizon mode"):
-            resolve_horizon_mode("chunked", 1, 1, "numpy")
+            resolve_horizon_mode("chunked", 1, 1)
 
     def test_dense_trace_bytes(self):
-        assert dense_trace_bytes(60, 10**6, "numpy") == 60 * 10**6
-        assert dense_trace_bytes(60, 10**6, "bitmask") == 60 * 10**6 // 8
+        assert dense_trace_bytes(60, 10**6) == 60 * 10**6
 
     def test_build_trace_mode_selects_engine(self):
         graph = ConflictGraph.from_edges([(0, 1)], name="p2")
@@ -110,6 +108,7 @@ class TestHorizonModeResolution:
 # TraceStream blocks tile exactly onto the dense matrix
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestTraceStreamBlocks:
     def assert_blocks_match_dense(self, schedule, graph, horizon, chunk, backend):
@@ -165,6 +164,7 @@ class TestTraceStreamBlocks:
 # the differential sweep: all schedulers × backends × chunk widths
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_all_schedulers_reports_match_dense(backend, chunk):
@@ -191,6 +191,7 @@ def test_all_schedulers_reports_match_dense(backend, chunk):
             assert report_tuples(stream_val) == report_tuples(dense_val), (name, chunk)
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_metric_helpers_match_dense(backend):
     graph = erdos_renyi(14, 0.3, seed=5, name="gnp-14")
@@ -211,6 +212,7 @@ def test_metric_helpers_match_dense(backend):
 # StreamedTrace query parity beyond the metric suite
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_streamed_trace_query_parity(backend):
     graph = erdos_renyi(10, 0.35, seed=7, name="gnp-10")
@@ -234,6 +236,7 @@ def test_streamed_trace_query_parity(backend):
     assert stream.conflicting_holidays() == dense.conflicting_holidays()
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_streamed_edge_collisions_for_non_edges(backend):
     """Pairs that are not edges of the trace's graph go through the
@@ -245,6 +248,7 @@ def test_streamed_edge_collisions_for_non_edges(backend):
     assert stream.edge_collisions(0, 1) == dense.edge_collisions(0, 1) == [2, 5]
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_streamed_unknown_nodes_and_mismatched_graphs(backend):
     graph = ConflictGraph.from_edges([(0, 1)], name="p2")
@@ -271,6 +275,7 @@ def test_streamed_unknown_nodes_and_mismatched_graphs(backend):
 # legality: illegal traces, fail-fast parity and chunk-level early exit
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("chunk", (1, 2, 3, 10))
 def test_illegal_sequence_flagged_identically(backend, chunk):
@@ -284,6 +289,7 @@ def test_illegal_sequence_flagged_identically(backend, chunk):
         [(v.kind, v.holiday) for v in reference.violations]
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fail_fast_truncates_identically_on_every_engine(backend):
     graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
@@ -298,6 +304,7 @@ def test_fail_fast_truncates_identically_on_every_engine(backend):
         [(v.kind, v.holiday) for v in reference.violations] == [("unknown-node", 2)]
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fail_fast_stops_building_chunks(backend):
     """With fail_fast, chunks after the first violation are never
@@ -316,6 +323,26 @@ def test_fail_fast_stops_building_chunks(backend):
         schedule, graph, 1000, fail_fast=True, config=cfg(backend=backend, mode="stream", chunk=3))
     assert [(v.kind, v.holiday) for v in report.violations] == [("not-independent", 2)]
     assert max(generated) <= 3  # only the first chunk was built
+
+
+def test_second_pass_over_evicted_window_raises():
+    """A windowed generator supports one forward pass: the summary pass is
+    that pass, and a per-appearance pass over evicted history raises."""
+    from repro.algorithms.phased_greedy import PhasedGreedyScheduler
+
+    graph = erdos_renyi(8, 0.35, seed=3, name="gnp-8")
+    schedule = PhasedGreedyScheduler(initial_coloring="greedy", window=16).build(graph)
+    trace = StreamedTrace(schedule, graph, 400, chunk=8)
+    assert trace.muls() == max_unhappiness_lengths(
+        PhasedGreedyScheduler(initial_coloring="greedy").build(graph), graph, 400)
+    assert schedule.evicted_below > 0
+    for second_pass in (
+        lambda: trace.appearances(graph.nodes()[0]),
+        trace.all_gaps,
+        lambda: trace.happy_set(1),
+    ):
+        with pytest.raises(ValueError, match="single forward pass"):
+            second_pass()
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +367,7 @@ def test_shared_streamed_trace_horizon_mismatch_rejected():
         evaluate_schedule(schedule, graph, 16, trace=streamed)
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_run_scheduler_stream_matches_dense(backend):
     from repro.analysis.runner import run_scheduler
@@ -367,6 +395,6 @@ def test_run_scheduler_sets_backend_reports_sets_mode():
 
 
 def test_default_chunk_is_sane():
-    # the default chunk keeps a 60-node numpy block well under the auto
+    # the default chunk keeps a 60-node block well under the auto
     # threshold — streaming must never page in a dense-sized block
-    assert dense_trace_bytes(60, DEFAULT_CHUNK, "numpy") < AUTO_STREAM_BYTES // 8
+    assert dense_trace_bytes(60, DEFAULT_CHUNK) < AUTO_STREAM_BYTES // 8

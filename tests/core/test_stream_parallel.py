@@ -2,8 +2,8 @@
 
 The contract of :class:`repro.core.trace.StreamedTrace` with ``jobs > 1`` is
 that parallelism is purely a wall-clock knob: for every registered scheduler,
-both matrix backends, chunk widths that do and do not divide the horizon,
-and both fail-fast settings, the streamed metrics and validation reports
+chunk widths that do and do not divide the horizon, both fail-fast settings
+and both arms of the fold kernel, the streamed metrics and validation reports
 must be *identical* to the serial scan (and therefore, transitively, to the
 dense matrix and the frozenset reference).  Schedules that cannot be split
 (generator-backed ones must run forward) fall back to the serial scan, which
@@ -23,17 +23,11 @@ from repro.core.metrics import build_trace, evaluate_schedule
 from repro.core.config import EngineConfig
 from repro.core.problem import ConflictGraph
 from repro.core.schedule import GeneratorSchedule, PeriodicSchedule, SlotAssignment
-from repro.core.trace import (
-    BLOCKS_PER_JOB,
-    StreamedTrace,
-    _chunk_blocks,
-    _NodeStreamStats,
-    numpy_available,
-)
+from repro.core.trace import BLOCKS_PER_JOB, StreamedTrace, _chunk_blocks
 from repro.core.validation import check_independent_sets, validate_schedule
 from repro.graphs.random_graphs import erdos_renyi
 
-BACKENDS = (["numpy"] if numpy_available() else []) + ["bitmask"]
+BACKENDS = ["numpy"]
 
 
 def cfg(backend=None, mode=None, chunk=None, jobs=None):
@@ -52,11 +46,12 @@ def report_tuples(report):
 
 def summary_state(trace: StreamedTrace):
     """Everything the summary pass produces, in comparable form."""
-    trace._scan()
+    s = trace.summary()
     return (
-        [(s.count, s.first, s.last, s.max_diff, sorted(s.diffs)) for s in trace._stats],
-        trace._collisions,
-        trace._unknown,
+        s.count.tolist(), s.first.tolist(), s.last.tolist(), s.dmax.tolist(), s.dmin.tolist(),
+        [s.distinct(row) for row in range(len(s.count))],
+        s.collisions,
+        s.unknown,
     )
 
 
@@ -64,6 +59,7 @@ def summary_state(trace: StreamedTrace):
 # the acceptance gate: all schedulers × backends × chunk widths × fail-fast
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_all_schedulers_parallel_matches_serial(backend, chunk):
@@ -95,6 +91,7 @@ def test_all_schedulers_parallel_matches_serial(backend, chunk):
         assert report_tuples(parallel_val) == report_tuples(serial_val), (name, chunk)
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("fail_fast", (False, True))
 def test_illegal_sequence_parallel_matches_serial(backend, fail_fast):
@@ -118,6 +115,7 @@ def test_illegal_sequence_parallel_matches_serial(backend, fail_fast):
         assert parallel.violations and parallel.violations[0].holiday == 17
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_parallel_legality_scan_against_foreign_graph(backend):
     """Edges that are not the trace graph's own edge set take the dedicated
@@ -151,6 +149,7 @@ def test_chunk_blocks_partition_is_contiguous_and_complete():
             assert expected == num_chunks
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_block_width_one(backend):
     """chunk=1 → every block scans single-holiday chunks."""
@@ -161,6 +160,7 @@ def test_block_width_one(backend):
     assert summary_state(parallel) == summary_state(serial)
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_more_workers_than_chunks(backend):
     """jobs exceeding the chunk count must clamp, not crash or diverge."""
@@ -172,6 +172,7 @@ def test_more_workers_than_chunks(backend):
     assert summary_state(parallel) == summary_state(serial)
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_single_chunk_takes_serial_path(backend):
     """One chunk cannot be split: jobs>1 must quietly run the serial scan."""
@@ -182,6 +183,7 @@ def test_single_chunk_takes_serial_path(backend):
     assert summary_state(parallel) == summary_state(serial)
 
 
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_explicit_prefix_is_sliced_not_shipped_whole(backend):
     """A non-cyclic ExplicitSchedule is just a validated list: workers must
@@ -243,55 +245,6 @@ def test_fail_fast_cancellation_discards_later_blocks():
     holidays = [v.holiday for v in parallel.violations]
     # chunk 5 covers holidays 9-10; everything later was discarded
     assert holidays == [9]
-
-
-# ---------------------------------------------------------------------------
-# the merge operator itself
-# ---------------------------------------------------------------------------
-
-def positions_split_cases():
-    return [
-        ([], []),
-        ([3], []),
-        ([], [7]),
-        ([1, 4, 7], [10, 13]),
-        ([2], [3]),
-        ([5, 6], [50]),
-        ([1, 9, 17], [18, 26, 100]),
-    ]
-
-
-@pytest.mark.parametrize("left,right", positions_split_cases())
-def test_node_stream_stats_merge_equals_sequential_absorb(left, right):
-    sequential = _NodeStreamStats()
-    sequential.absorb(left)
-    sequential.absorb(right)
-
-    a, b = _NodeStreamStats(), _NodeStreamStats()
-    a.absorb(left)
-    b.absorb(right)
-    a.merge(b)
-
-    for attr in ("count", "first", "last", "max_diff", "diffs"):
-        assert getattr(a, attr) == getattr(sequential, attr), attr
-
-
-def test_merge_is_associative_over_three_blocks():
-    chunks = ([1, 5], [6, 12], [20, 21, 30])
-    flat = _NodeStreamStats()
-    for c in chunks:
-        flat.absorb(c)
-
-    left = _NodeStreamStats()
-    left.absorb(chunks[0])
-    mid = _NodeStreamStats()
-    mid.absorb(chunks[1])
-    right = _NodeStreamStats()
-    right.absorb(chunks[2])
-    mid.merge(right)      # (b ⊕ c)
-    left.merge(mid)       # a ⊕ (b ⊕ c)
-    for attr in ("count", "first", "last", "max_diff", "diffs"):
-        assert getattr(left, attr) == getattr(flat, attr), attr
 
 
 # ---------------------------------------------------------------------------

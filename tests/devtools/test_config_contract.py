@@ -18,9 +18,12 @@ from repro.core.config import RESULT_KNOBS, WALL_CLOCK_KNOBS, EngineConfig
 from repro.devtools.driver import lint_paths
 
 REAL_CONFIG = Path(config_module.__file__).resolve()
-#: unique anchor inside EngineConfig (ResolvedEngine shares ``checkpoint``,
-#: so the injection anchors on a field only EngineConfig declares)
+#: unique anchor inside EngineConfig (ResolvedEngine shares most fields, so
+#: the injection anchors on a field only EngineConfig declares)
 ANCHOR = "    batch: Optional[int] = None\n"
+#: the WALL_CLOCK_KNOBS literal the stale-entry test edits
+WALL_CLOCK_LITERAL = 'WALL_CLOCK_KNOBS = frozenset({"stream_jobs", "batch"})'
+
 
 
 def _rep104(paths):
@@ -47,9 +50,11 @@ def test_injected_field_is_flagged(tmp_path):
 
 
 def test_stale_knob_list_entry_is_flagged(tmp_path):
-    source = REAL_CONFIG.read_text().replace(
-        '"stream_jobs", "batch", "checkpoint"',
-        '"stream_jobs", "batch", "checkpoint", "ghost"',
+    source = REAL_CONFIG.read_text()
+    assert source.count(WALL_CLOCK_LITERAL) == 1, "literal drifted; update this test"
+    source = source.replace(
+        WALL_CLOCK_LITERAL,
+        'WALL_CLOCK_KNOBS = frozenset({"stream_jobs", "batch", "ghost"})',
     )
     copy = tmp_path / "config_copy.py"
     copy.write_text(source)
@@ -68,10 +73,10 @@ def test_knob_lists_cover_runtime_fields_exactly():
 
 
 def test_wall_clock_knobs_never_reach_cache_key():
-    cfg = EngineConfig(backend="bitmask", stream_jobs=7, batch=3, checkpoint=False)
+    cfg = EngineConfig(backend="numpy", stream_jobs=7, batch=3)
     key = cfg.cache_key()
-    assert "stream_jobs" not in key and "batch" not in key and "checkpoint" not in key
-    assert cfg.cache_key() == EngineConfig(backend="bitmask").cache_key()
+    assert "stream_jobs" not in key and "batch" not in key
+    assert cfg.cache_key() == EngineConfig(backend="numpy").cache_key()
 
 
 def test_repo_source_is_lint_clean():

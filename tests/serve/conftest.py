@@ -20,6 +20,10 @@ import pytest
 
 from repro.serve import SchedulingService, TraceCache, make_server
 
+#: ``serve_forever`` polls for shutdown this often; the default 0.5 s would
+#: make every server teardown wait out a full poll.
+POLL_INTERVAL = 0.05
+
 
 class ServeClient:
     """HTTP client for one test server: ``get``/``post`` → (status, json)."""
@@ -66,7 +70,9 @@ def serve_stack():
         kwargs.setdefault("cache", TraceCache())
         service = SchedulingService(**kwargs)
         server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, args=(POLL_INTERVAL,), daemon=True
+        )
         thread.start()
         started.append((server, thread))
         return service, server, ServeClient(server.server_address[1])
@@ -90,7 +96,7 @@ def service_client(serve_stack):
 def module_client():
     """One default server shared by a whole module (for big matrices)."""
     server = make_server(SchedulingService(cache=TraceCache()), port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(POLL_INTERVAL,), daemon=True)
     thread.start()
     yield ServeClient(server.server_address[1])
     server.shutdown()

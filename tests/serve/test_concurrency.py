@@ -28,7 +28,7 @@ BODY = {
     "algorithm": "degree-periodic",
     "seed": 1,
     "horizon": 64,
-    "config": {"backend": "bitmask"},
+    "config": {"backend": "numpy"},
 }
 
 
@@ -165,9 +165,9 @@ class TestSingleFlight:
 
 class TestByteBudget:
     def test_concurrent_distinct_requests_respect_the_budget(self, serve_stack):
-        # small/path is 8 nodes; a 64-holiday bitmask trace is 64 bytes —
+        # small/path is 8 nodes; a 64-holiday trace is 512 bytes —
         # budget two entries, then ask for five distinct horizons at once
-        entry = dense_trace_bytes(8, 64, "bitmask")
+        entry = dense_trace_bytes(8, 64)
         cache = TraceCache(max_bytes=2 * entry)
         service, server, _client = serve_stack(cache=cache)
         port = server.server_address[1]

@@ -1,7 +1,7 @@
 """The differential contract: service JSON ≡ library-path answers.
 
-For every registered scheduler × both matrix backends, the JSON a running
-server returns from ``/evaluate``, ``/validate``, ``/report`` and
+For every registered scheduler × both spellings of the trace engine, the
+JSON a running server returns from ``/evaluate``, ``/validate``, ``/report`` and
 ``/synthesize`` must equal the answer computed in-process through
 :class:`repro.api.Session` and rendered by the *same* serializers
 (:func:`repro.serve.report_payload` et al.).  Equality is checked after a
@@ -19,7 +19,6 @@ import pytest
 from repro.algorithms.registry import available_schedulers, get_scheduler
 from repro.api import Session
 from repro.core.config import EngineConfig
-from repro.core.trace import numpy_available
 from repro.graphs.suites import available_workloads, get_workload
 from repro.serve import report_payload, schedule_payload, validation_payload
 
@@ -27,7 +26,10 @@ WORKLOAD = "small/path"
 HORIZON = 48
 SEED = 3
 
-BACKENDS = ["bitmask"] + (["numpy"] if numpy_available() else [])
+#: the two spellings of the trace engine: "auto" is the default config
+#: (no backend in the trace-cache key), "numpy" a non-default one with its
+#: own key
+BACKENDS = ["auto", "numpy"]
 
 
 def roundtrip(payload):
@@ -97,10 +99,10 @@ class TestEverySchedulerEveryBackend:
 @pytest.mark.parametrize("algorithm", available_schedulers())
 def test_synthesize_matches_library(client, algorithm):
     status, body = client.post(
-        "/synthesize", query(algorithm, "bitmask", holidays=8)
+        "/synthesize", query(algorithm, "numpy", holidays=8)
     )
     assert status == 200, body
-    graph, schedule, _ = library_answer(algorithm, "bitmask")
+    graph, schedule, _ = library_answer(algorithm, "numpy")
     assert body["schedule"] == roundtrip(schedule_payload(schedule, 8))
 
 
@@ -146,13 +148,11 @@ class TestSemantics:
         assert scaled["n"] == 120
 
     def test_backends_agree_with_each_other(self, client):
-        """The service-side cross-backend differential: numpy and bitmask
-        answers are identical JSON (they share everything but the cell
-        storage)."""
-        if len(BACKENDS) < 2:
-            pytest.skip("numpy not installed")
+        """The two spellings of the trace engine ("auto" is the default,
+        "numpy" a non-default config with its own trace-cache key) answer
+        identical JSON."""
         answers = []
-        for backend in BACKENDS:
+        for backend in ("auto", "numpy"):
             status, body = client.post("/evaluate", query("degree-periodic", backend))
             assert status == 200
             answers.append(body["report"])

@@ -107,6 +107,22 @@ class TestBadValues:
         status, body = client.post("/evaluate", dict(GOOD, config={"turbo": True}))
         assert_envelope(status, body, 400, "bad_request")
 
+    @pytest.mark.parametrize(
+        "config,removed",
+        [
+            ({"backend": "bitmask"}, "removed trace backend 'bitmask'"),
+            ({"checkpoint": False}, "removed EngineConfig field 'checkpoint'"),
+        ],
+    )
+    def test_removed_config_values(self, service_client, config, removed):
+        """Values earlier releases accepted are a 400 naming the removed
+        value and listing the valid choices."""
+        _service, client = service_client
+        status, body = client.post("/evaluate", dict(GOOD, config=config))
+        assert_envelope(status, body, 400, "bad_request")
+        assert removed in body["error"]["message"]
+        assert "expected one of (" in body["error"]["message"]
+
     def test_non_object_config(self, service_client):
         _service, client = service_client
         status, body = client.post("/evaluate", dict(GOOD, config="fast"))

@@ -116,15 +116,32 @@ class TestSchedule:
 
     def test_schedule_backend_selection_is_observation_equivalent(self, graph_file, capsys):
         outputs = {}
-        for backend in ("auto", "bitmask", "sets"):
+        for backend in ("auto", "numpy", "sets"):
             code = main(["schedule", graph_file, "--backend", backend, "--calendar-years", "4"])
             assert code == 0
             outputs[backend] = capsys.readouterr().out
-        assert outputs["auto"] == outputs["bitmask"] == outputs["sets"]
+        assert outputs["auto"] == outputs["numpy"] == outputs["sets"]
 
     def test_schedule_rejects_unknown_backend(self, graph_file):
         with pytest.raises(SystemExit):
             main(["schedule", graph_file, "--backend", "cuda"])
+
+    def test_removed_engine_values_fail_loudly(self, graph_file, capsys):
+        """--backend bitmask and --no-checkpoint fail at parse time, naming
+        the removed value and listing the valid choices."""
+        with pytest.raises(SystemExit):
+            main(["schedule", graph_file, "--backend", "bitmask"])
+        assert (
+            "argument --backend: removed trace backend 'bitmask'; "
+            "expected one of ('auto', 'numpy', 'sets')"
+        ) in capsys.readouterr().err
+        for command in (["schedule", graph_file], ["compare", graph_file], ["experiment"]):
+            with pytest.raises(SystemExit):
+                main([*command, "--no-checkpoint"])
+            assert (
+                "--no-checkpoint: removed EngineConfig field 'checkpoint'; expected one of "
+                "('backend', 'horizon_mode', 'chunk', 'stream_jobs', 'window', 'batch')"
+            ) in capsys.readouterr().err
 
     def test_schedule_horizon_modes_are_observation_equivalent(self, graph_file, capsys):
         outputs = {}
@@ -399,19 +416,19 @@ class TestExperiment:
             config=EngineConfig(horizon_mode="stream", chunk=16),
         ).to_json(spec_path)
         code = main([
-            "experiment", "--spec", str(spec_path), "--backend", "bitmask",
+            "experiment", "--spec", str(spec_path), "--backend", "numpy",
             "--output", str(out), "--save-spec", str(tmp_path / "resolved.json"),
         ])
         assert code == 0
         resolved = ExperimentSpec.from_json(tmp_path / "resolved.json")
         assert resolved.config == EngineConfig(
-            backend="bitmask", horizon_mode="stream", chunk=16
+            backend="numpy", horizon_mode="stream", chunk=16
         )
         from repro.analysis.records import ResultSet
 
         records = ResultSet.from_jsonl(out)
         assert [r.params["horizon_mode"] for r in records] == ["stream"]
-        assert [r.params["backend"] for r in records] == ["bitmask"]
+        assert [r.params["backend"] for r in records] == ["numpy"]
 
     def test_legacy_spec_json_still_runs(self, tmp_path, capsys):
         """A pre-consolidation spec file (flat backend/horizon_mode keys)
@@ -424,7 +441,7 @@ class TestExperiment:
             "workloads": ["small/path"],
             "algorithms": ["sequential"],
             "horizon": 32,
-            "backend": "bitmask",
+            "backend": "numpy",
             "horizon_mode": "dense",
         }))
         assert main(["experiment", "--spec", str(spec_path)]) == 0
@@ -541,13 +558,13 @@ class TestServe:
             tmp_path,
             "--cache-bytes", "12345",
             "--max-horizon", "777",
-            "--backend", "bitmask",
+            "--backend", "numpy",
             "--store", str(tmp_path / "s.sqlite"),
         )
         try:
             assert service.cache.max_bytes == 12345
             assert service.max_horizon == 777
-            assert service.config.backend == "bitmask"
+            assert service.config.backend == "numpy"
             assert service.store is not None
             assert (tmp_path / "s.sqlite").exists()
         finally:
@@ -569,7 +586,8 @@ class TestServe:
         import urllib.request
 
         service, server = self._build(tmp_path)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # a short shutdown poll keeps teardown from waiting out the 0.5 s default
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
         thread.start()
         try:
             port = server.server_address[1]

@@ -1,13 +1,6 @@
-"""Tests for reproducible RNG streams.
+"""Tests for reproducible RNG streams (backed by numpy generators)."""
 
-The stream API is backed by numpy when installed and by
-:class:`repro.utils.rng._PurePythonGenerator` otherwise; the RngStream tests
-here are written backend-agnostically so they exercise whichever backend the
-environment provides, and the fallback generator is additionally tested
-directly so it has coverage even on numpy installs.
-"""
-
-from repro.utils.rng import _PurePythonGenerator, RngStream, derive_seed, spawn_streams
+from repro.utils.rng import RngStream, derive_seed, spawn_streams
 
 
 class TestDeriveSeed:
@@ -59,50 +52,6 @@ class TestRngStream:
         stream = RngStream(1)
         perm = stream.permutation(15)
         assert sorted(list(perm)) == list(range(15))
-
-
-class TestPurePythonFallback:
-    """Direct coverage of the numpy-free generator, on every install."""
-
-    def test_deterministic(self):
-        a = _PurePythonGenerator(11)
-        b = _PurePythonGenerator(11)
-        assert a.random(20) == b.random(20)
-        assert a.integers(0, 100, size=20) == b.integers(0, 100, size=20)
-        assert a.poisson(2.5, size=20) == b.poisson(2.5, size=20)
-        assert a.normal(1.0, 2.0, size=5) == b.normal(1.0, 2.0, size=5)
-        assert a.exponential(3.0, size=5) == b.exponential(3.0, size=5)
-
-    def test_scalar_vs_sized_draws(self):
-        gen = _PurePythonGenerator(1)
-        assert isinstance(gen.random(), float)
-        assert isinstance(gen.random(3), list) and len(gen.random(3)) == 3
-        assert isinstance(gen.integers(5), int) and 0 <= gen.integers(5) < 5
-
-    def test_choice_without_replacement_is_unique(self):
-        gen = _PurePythonGenerator(2)
-        picked = gen.choice(range(10), size=10, replace=False)
-        assert sorted(picked) == list(range(10))
-
-    def test_choice_with_replacement_stays_in_population(self):
-        gen = _PurePythonGenerator(2)
-        assert set(gen.choice([1, 2, 3], size=50)) <= {1, 2, 3}
-
-    def test_permutation(self):
-        gen = _PurePythonGenerator(3)
-        assert sorted(gen.permutation(12)) == list(range(12))
-
-    def test_poisson_properties(self):
-        gen = _PurePythonGenerator(4)
-        draws = gen.poisson(1.5, size=4000)
-        assert all(isinstance(d, int) and d >= 0 for d in draws)
-        mean = sum(draws) / len(draws)
-        assert 1.2 < mean < 1.8  # sanity band around lam
-        assert gen.poisson(0.0) == 0
-
-    def test_exponential_positive(self):
-        gen = _PurePythonGenerator(5)
-        assert all(x > 0 for x in gen.exponential(2.0, size=100))
 
 
 class TestSpawnStreams:
