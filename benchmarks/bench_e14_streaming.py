@@ -1,13 +1,14 @@
 """E14 — the streaming chunked trace engine: 10⁸-holiday horizons at bounded memory.
 
-PR 1 made evaluation fast by materialising one dense node × holiday matrix;
-its own architecture notes flag the ceiling — a 60-node workload at horizon
+A dense node × holiday matrix has a ceiling: a 60-node workload at horizon
 10⁸ would need ~6 GB.  The streaming mode (``horizon_mode="stream"``)
-removes it: :class:`repro.core.trace.TraceStream` tiles periodic schedules
-straight into fixed-width :class:`~repro.core.trace.TraceMatrix` chunks and
-:class:`~repro.core.trace.StreamedTrace` carries gap/run-length and
-edge-collision state across chunk boundaries, so the full metric suite and
-the validator run in ``O(n × chunk)`` resident memory regardless of horizon.
+removes it: :class:`~repro.core.trace.StreamedTrace` summarises a periodic
+schedule in closed form from its ``(period, phase)`` table
+(:func:`repro.core.trace.periodic_summary`, no chunk at all), and folds any
+other schedule's fixed-width :class:`~repro.core.trace.TraceStream` chunks
+with gap and edge-collision state carried across chunk boundaries, so the
+full metric suite and the validator run in ``O(n × chunk)`` resident memory
+regardless of horizon.
 
 This benchmark demonstrates exactly that claim and turns it into assertions:
 
@@ -17,12 +18,15 @@ This benchmark demonstrates exactly that claim and turns it into assertions:
    60-node society workload at horizon 10⁸ (``--quick``: 2·10⁶) under
    ``tracemalloc``, asserting the peak traced allocation stays within a
    small multiple of one chunk — versus the ~6 GB a dense matrix would need.
-3. **Parallel streaming** — the same run with ``jobs`` worker processes
-   (``StreamedTrace`` block fan-out) must produce an *identical* report —
-   that is the ``jobs=1 ≡ jobs=N`` determinism contract — and its wall time
-   is recorded next to the serial stage so the speedup trajectory is
-   tracked across PRs.  (On a single-core container expect ≈0.9×: pool
-   overhead with no parallel hardware, same caveat as E5 ``--jobs``.)
+3. **Parallel streaming** — periodic schedules never reach the worker
+   pool, so this stage runs the schedule's *cyclic twin* (one global period
+   as a cyclic :class:`~repro.core.schedule.ExplicitSchedule`, whose chunks
+   are tiled and folded): serially (``cyclic_stream_stage``) and with
+   ``jobs`` worker processes (``parallel_stream_stage``).  Both reports
+   must be *identical* to the closed-form one — the ``jobs=1 ≡ jobs=N``
+   determinism contract, and the closed form checked against the chunk
+   fold at the full horizon — and the parallel wall time is recorded next
+   to its serial twin so the speedup trajectory is tracked across PRs.
 4. **Windowed generator** — an *aperiodic*, generator-backed scheduler
    (Phased Greedy with a sliding-window memo cache) streams a horizon far
    beyond its window under ``tracemalloc``, asserting the peak is bounded
@@ -41,9 +45,9 @@ Run as a script::
 
 Notes: the default scheduler is perfectly periodic (``degree-periodic``), so
 no schedule prefix is ever materialised — that is the fast path the 10⁸
-claim rests on.  The generator stage runs Phased Greedy, whose per-holiday
-cost is inherently Python-loop-bound, so its horizon is set in the millions
-rather than 10⁸.
+claim rests on; its cyclic twin materialises one global period.  The
+generator stage runs Phased Greedy, whose per-holiday cost is inherently
+Python-loop-bound, so its horizon is set in the millions rather than 10⁸.
 """
 
 from __future__ import annotations
@@ -54,10 +58,12 @@ import time
 import tracemalloc
 
 from benchmarks.common import BENCH_SEED, bench_record, print_table, write_bench_json
+from repro.algorithms.base import Scheduler
 from repro.algorithms.phased_greedy import PhasedGreedyScheduler
 from repro.algorithms.registry import get_scheduler
 from repro.analysis.runner import run_scheduler
 from repro.core.config import EngineConfig
+from repro.core.schedule import ExplicitSchedule
 from repro.core.trace import DEFAULT_CHUNK, dense_trace_bytes, resolve_backend
 from repro.graphs.suites import get_workload
 
@@ -79,6 +85,24 @@ GENERATOR_WINDOW = 1 << 14
 QUICK_GENERATOR_WINDOW = 1 << 13
 
 MIB = 1 << 20
+
+
+class CyclicTwin:
+    """A periodic scheduler whose schedules are run as their cyclic twins —
+    one global period as a cyclic :class:`ExplicitSchedule`: the same
+    trace, built chunk by chunk and split by the ``stream_jobs`` pool."""
+
+    def __init__(self, inner: Scheduler) -> None:
+        self.inner, self.info, self.name = inner, inner.info, inner.name
+
+    def build(self, graph, seed: int = 0) -> ExplicitSchedule:
+        schedule = self.inner.build(graph, seed=seed)
+        return ExplicitSchedule(
+            graph, schedule.prefix(schedule.global_period()), cyclic=True, validate=False
+        )
+
+    def bound_function(self, graph):
+        return self.inner.bound_function(graph)
 
 
 def society_workload():
@@ -122,20 +146,25 @@ def equivalence_check(graph, algorithm: str, backend: str, chunk: int):
     return horizon
 
 
-def streaming_run(graph, algorithm: str, horizon: int, chunk: int, backend: str, jobs: int = 1):
+def streaming_run(
+    graph, algorithm: str, horizon: int, chunk: int, backend: str, jobs: int = 1,
+    cyclic: bool = False,
+):
     """One streamed run: evaluate + validate at ``horizon`` under tracemalloc.
 
     Returns ``(record, outcome)``.  Raises when the run is not actually
-    streamed, is illegal, misses its bound, or — for the serial stage —
-    exceeds the chunk-derived memory budget.  With ``jobs > 1`` the chunk
-    scan fans out over worker processes (the record metric becomes
-    ``parallel_stream_stage``) and **no memory assertion is made**:
+    streamed, is illegal, misses its bound, or — for the serial stages —
+    exceeds the chunk-derived memory budget.  ``cyclic`` runs the
+    scheduler's cyclic twin (:class:`CyclicTwin`; record metric
+    ``cyclic_stream_stage``), whose chunks ``jobs > 1`` fans out over
+    worker processes (metric ``parallel_stream_stage``); then **no memory
+    assertion is made**:
     ``tracemalloc`` is per-process, so the parent's peak never sees the
     chunks the workers build; the parent-side number is recorded as
     ``parent_peak_traced_bytes`` (it bounds the merge, not the run) and the
     serial stage remains the memory receipt.
     """
-    scheduler = get_scheduler(algorithm)
+    scheduler = CyclicTwin(get_scheduler(algorithm)) if cyclic else get_scheduler(algorithm)
     budget = memory_budget(graph.num_nodes(), chunk)
     dense_bytes = dense_trace_bytes(graph.num_nodes(), horizon)
 
@@ -164,13 +193,18 @@ def streaming_run(graph, algorithm: str, horizon: int, chunk: int, backend: str,
             raise AssertionError(
                 f"streaming saved less than 4x over dense ({peak} vs {dense_bytes} bytes)"
             )
+    if jobs > 1:
+        metric = "parallel_stream_stage"
+    else:
+        metric = "cyclic_stream_stage" if cyclic else "stream_measure_stage"
     record = bench_record(
-        "stream_measure_stage" if jobs == 1 else "parallel_stream_stage",
+        metric,
         horizon,
         seconds,
         backend,
         workload=graph.name,
         scheduler=algorithm,
+        form="cyclic" if cyclic else "periodic",
         horizon_mode="stream",
         chunk=chunk,
         jobs=jobs,
@@ -191,6 +225,17 @@ def streaming_run(graph, algorithm: str, horizon: int, chunk: int, backend: str,
     else:
         record["parent_peak_traced_bytes"] = int(peak)
     return record, outcome
+
+
+def assert_same_report(outcome, reference, label: str, reference_label: str) -> None:
+    """Raise unless two streamed runs produced the same report and verdict."""
+    if outcome.report.summary() != reference.report.summary():
+        raise AssertionError(
+            f"{label} diverges from {reference_label}: "
+            f"{outcome.report.summary()} != {reference.report.summary()}"
+        )
+    assert outcome.report.muls == reference.report.muls
+    assert outcome.validation.ok == reference.validation.ok
 
 
 def generator_memory_budget(window: int, chunk: int, num_nodes: int) -> int:
@@ -290,19 +335,18 @@ def main(argv=None) -> int:
     print(f"dense == stream at horizon {eq_horizon:,}: reports identical")
 
     serial, serial_outcome = streaming_run(graph, args.algorithm, horizon, args.chunk, backend)
-    records = [serial]
+    cyclic, cyclic_outcome = streaming_run(
+        graph, args.algorithm, horizon, args.chunk, backend, cyclic=True
+    )
+    assert_same_report(cyclic_outcome, serial_outcome, "the cyclic twin", "the closed form")
+    records = [serial, cyclic]
+    print("cyclic twin == closed form: reports identical")
     if args.jobs > 1:
         parallel, parallel_outcome = streaming_run(
-            graph, args.algorithm, horizon, args.chunk, backend, jobs=args.jobs
+            graph, args.algorithm, horizon, args.chunk, backend, jobs=args.jobs, cyclic=True
         )
-        if parallel_outcome.report.summary() != serial_outcome.report.summary():
-            raise AssertionError(
-                f"jobs={args.jobs} diverges from the serial stream: "
-                f"{parallel_outcome.report.summary()} != {serial_outcome.report.summary()}"
-            )
-        assert parallel_outcome.report.muls == serial_outcome.report.muls
-        assert parallel_outcome.validation.ok == serial_outcome.validation.ok
-        parallel["parallel_speedup"] = round(serial["seconds"] / parallel["seconds"], 3)
+        assert_same_report(parallel_outcome, cyclic_outcome, f"jobs={args.jobs}", "the serial stream")
+        parallel["parallel_speedup"] = round(cyclic["seconds"] / parallel["seconds"], 3)
         records.append(parallel)
         print(f"jobs={args.jobs} == jobs=1: reports identical "
               f"(speedup {parallel['parallel_speedup']}x)")
@@ -364,11 +408,16 @@ def test_e14_parallel_stream_matches_serial():
     graph = society_workload()
     backend = resolve_backend("auto")
     chunk = 1 << 15
-    serial, serial_outcome = streaming_run(graph, "degree-periodic", 300_000, chunk, backend)
-    parallel, parallel_outcome = streaming_run(
-        graph, "degree-periodic", 300_000, chunk, backend, jobs=2
+    _, closed_form = streaming_run(graph, "degree-periodic", 300_000, chunk, backend)
+    serial, serial_outcome = streaming_run(
+        graph, "degree-periodic", 300_000, chunk, backend, cyclic=True
     )
-    assert parallel_outcome.report.summary() == serial_outcome.report.summary()
+    parallel, parallel_outcome = streaming_run(
+        graph, "degree-periodic", 300_000, chunk, backend, jobs=2, cyclic=True
+    )
+    assert_same_report(serial_outcome, closed_form, "the cyclic twin", "the closed form")
+    assert_same_report(parallel_outcome, serial_outcome, "jobs=2", "the serial stream")
+    assert serial["metric"] == "cyclic_stream_stage" and serial["form"] == "cyclic"
     assert parallel["metric"] == "parallel_stream_stage" and parallel["jobs"] == 2
 
 

@@ -29,7 +29,9 @@ three trace kinds feed the same fold:
     The fixed-width chunks of a :class:`TraceStream`, folded one at a time
     at ``O(n × chunk)`` resident bytes whatever the horizon — serially, or
     with ``jobs > 1`` over contiguous chunk ranges on worker processes whose
-    partial summaries merge in order.
+    partial summaries merge in order.  A periodic schedule's summary needs
+    no chunk at all: :func:`periodic_summary` writes down the fold in
+    closed form.
 :class:`TraceBatch`
     ``S`` schedules over one graph and horizon stacked into ``S·n`` rows and
     folded at once; each member view reads its slice of the one summary.
@@ -61,29 +63,42 @@ Construction fast paths (see :meth:`TraceMatrix.from_schedule`):
   runs and raw sequences of sets) — columns are filled from the materialised
   prefix in a single batched pass.
 
-The streaming fast paths mirror these: periodic and cyclic schedules tile
-straight into each chunk, while generic schedules materialise one chunk of
-happy sets at a time.  A :class:`~repro.core.schedule.GeneratorSchedule`
+The streaming fast paths go one step further for periodic schedules: every
+summary and legality query of a :class:`StreamedTrace` over a
+:class:`~repro.core.schedule.PeriodicSchedule` (covering exactly the graph's
+nodes) reads :func:`periodic_summary`, which derives each row's count,
+first and last appearance from ``(period, phase, horizon)`` and each
+edge's collisions from one CRT residue class — O(rows + edges) at any
+horizon, no block built.  With ``fail_fast`` it stops where the chunk scan
+would, at the end of the chunk holding the first collision.  The
+per-appearance queries (``appearances``, ``gaps``, ``all_gaps``,
+``happy_set``) still stream periodic blocks tiled from the table; cyclic
+schedules tile one cycle into each chunk, and generic schedules
+materialise one chunk of happy sets at a time.  A
+:class:`~repro.core.schedule.GeneratorSchedule`
 constructed with a ``window=`` evicts holidays far behind its generation
 frontier, so aperiodic generator-backed schedulers also stream at bounded
 memory — at the price of supporting a single forward pass: the summary pass
 is that pass, and a second pass over evicted history (``appearances``,
 ``all_gaps``, ``happy_set``) raises :class:`ValueError`.
 
-Parallel streaming (``jobs=``): periodic and cyclic schedules rebuild any
-chunk from ``(schedule, chunk range)`` alone, and raw happy-set sequences
-ship each worker just its slice, so the fold splits into contiguous chunk
-ranges evaluated on worker processes.  Generator schedules must run forward
-in one process and keep the serial scan (with one logged warning).  Either
-way ``jobs=1`` and ``jobs=N`` produce *identical* summaries, collisions and
-validation reports (``tests/core/test_stream_parallel.py``); with
-``fail_fast`` the legality pass stops at the first violating chunk and the
-parent cancels every outstanding range past it.
+Parallel streaming (``jobs=``): cyclic schedules rebuild any chunk from
+``(schedule, chunk range)`` alone, and raw happy-set sequences ship each
+worker just its slice, so the fold splits into contiguous chunk ranges
+evaluated on worker processes.  Periodic schedules have no chunks to split
+— their closed form starts no pool at any ``jobs`` — and generator
+schedules must run forward in one process and keep the serial scan (with
+one logged warning).  Either way ``jobs=1`` and ``jobs=N`` produce
+*identical* summaries, collisions and validation reports
+(``tests/core/test_stream_parallel.py``); with ``fail_fast`` the legality
+pass stops at the first violating chunk and the parent cancels every
+outstanding range past it.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -104,6 +119,7 @@ __all__ = [
     "StreamedTrace",
     "TraceBatch",
     "fold",
+    "periodic_summary",
     "BACKENDS",
     "HORIZON_MODES",
     "DEFAULT_CHUNK",
@@ -391,6 +407,61 @@ def fold(
     return out
 
 
+def periodic_summary(
+    schedule: PeriodicSchedule,
+    order: Sequence[Node],
+    horizon: int,
+    edge_rows: Sequence[Tuple[int, int]] = (),
+    fail_fast_chunk: Optional[int] = None,
+) -> TraceSummary:
+    """The :func:`fold` of ``schedule``'s trace over holidays ``1..horizon``
+    in closed form: O(rows + edges), no block is built.
+
+    Row ``i`` is node ``order[i]`` (every node must have an assignment),
+    happy exactly at the holidays ``≡ phase (mod period)``: its count, first
+    and last appearance follow from ``(period, phase, horizon)`` and its one
+    inter-appearance difference is the period.  Edge ``k`` collides on one
+    residue class modulo the lcm of its two periods, from the earliest
+    holiday :meth:`PeriodicSchedule._congruence_collision` finds.  With
+    ``fail_fast_chunk`` the summary stops where a fail-fast scan of chunks
+    that wide stops: at the end of the chunk holding the earliest collision.
+    """
+    slots = [schedule.assignments[p] for p in order]
+    period = np.array([slot.period for slot in slots], dtype=np.int64)
+    phase = np.array([slot.phase for slot in slots], dtype=np.int64)
+    starts: Dict[int, int] = {}
+    if len(edge_rows):
+        pairs = np.asarray(edge_rows, dtype=np.intp).reshape(-1, 2)
+        i, j = pairs[:, 0], pairs[:, 1]
+        # the pair's congruences are solvable iff the phases agree modulo
+        # the gcd of the periods; only those edges need the CRT
+        solvable = (phase[i] - phase[j]) % np.gcd(period[i], period[j]) == 0
+        for k in np.flatnonzero(solvable).tolist():
+            a, b = edge_rows[k]
+            t0 = PeriodicSchedule._congruence_collision(slots[a], slots[b])
+            if t0 <= horizon:
+                starts[k] = t0
+    if fail_fast_chunk is not None and starts:
+        earliest = min(starts.values())
+        horizon = min(horizon, -(-earliest // fail_fast_chunk) * fail_fast_chunk)
+    first = (phase - 1) % period + 1
+    count = np.where(first <= horizon, (horizon - first) // period + 1, 0)
+    seen, repeats = count > 0, count > 1
+    out = TraceSummary(
+        count,
+        np.where(seen, first, 0),
+        np.where(seen, first + (count - 1) * period, 0),
+        np.where(repeats, period, 0),
+        np.where(repeats, period, _NO_DIFF),
+        {}, {}, [],
+    )
+    for k, t0 in starts.items():
+        if t0 <= horizon:
+            a, b = edge_rows[k]
+            out.collisions[k] = list(range(t0, horizon + 1, math.lcm(slots[a].period, slots[b].period)))
+    return out
+
+
 def _merge_in_order(parts: Iterable[TraceSummary], fail_fast: bool) -> TraceSummary:
     """Merge the summaries of consecutive holiday ranges; with ``fail_fast``,
     stop after the first range with a collision or an unknown node (``parts``
@@ -579,9 +650,9 @@ class TraceView:
         for t, p in summary.unknown:
             unknown_by_holiday.setdefault(t, []).append(p)
         collisions: Dict[int, List[Tuple[Node, Node]]] = {}
-        for k, edge in enumerate(edges):
-            for t in summary.collisions.get(k, ()):
-                collisions.setdefault(t, []).append(edge)
+        for k in sorted(summary.collisions):
+            for t in summary.collisions[k]:
+                collisions.setdefault(t, []).append(edges[k])
         return unknown_by_holiday, collisions
 
     # -- per-appearance queries: one positions pass ----------------------------------
@@ -800,7 +871,8 @@ class TraceStream:
     * :class:`~repro.core.schedule.PeriodicSchedule` (covering exactly the
       graph's nodes) — every chunk comes straight from the ``(period,
       phase)`` table shifted to the chunk's window; no prefix exists at any
-      point.
+      point.  (:class:`StreamedTrace` builds these chunks for positions
+      queries only; its summaries come from :func:`periodic_summary`.)
     * cyclic :class:`~repro.core.schedule.ExplicitSchedule` — one cycle is
       materialised once, then every chunk is a rotated tiling of it.
     * everything else — one chunk of happy sets is materialised at a time
@@ -910,8 +982,8 @@ def _fold_worker(payload) -> TraceSummary:
 
     ``payload`` is ``(schedule, graph, horizon, chunk, first_chunk,
     chunk_count, offset, edge_rows, fail_fast)`` where ``schedule`` is
-    either the full schedule (periodic/cyclic — the offset-aware fast paths
-    rebuild any chunk from it directly) or, for raw happy-set sequences,
+    either the full schedule (cyclic — the offset-aware fast path rebuilds
+    any chunk from it directly) or, for raw happy-set sequences,
     just the slice covering this range with ``offset`` holding the global
     holiday shift.  Returns the range's partial summary.
     """
@@ -929,18 +1001,26 @@ class StreamedTrace(TraceView):
     :class:`TraceStream`, folding chunk by chunk into a :class:`TraceSummary`
     that then answers every summary query, so the metric suite and the
     validator share a single pass exactly the way they share one dense
-    matrix.  Queries that *return* per-appearance data (``appearances``,
-    ``gaps``, ``all_gaps``) stream a dedicated pass and are O(appearances)
-    in their output — inherent to the question, not to the engine.
+    matrix.  A :class:`~repro.core.schedule.PeriodicSchedule` covering the
+    graph's nodes skips the pass: :func:`periodic_summary` gives the same
+    summary in closed form, for the graph's own edges and for every other
+    edge set (foreign-graph ``legality_scan``, non-edge
+    ``edge_collisions``), and under ``fail_fast`` cuts its collisions at the
+    end of the chunk holding the first one, as the chunk scan would.
+    Queries that *return* per-appearance data (``appearances``, ``gaps``,
+    ``all_gaps``, ``happy_set``) stream a dedicated pass for every kind of
+    schedule and are O(appearances) in their output — inherent to the
+    question, not to the engine.
 
     Parallelism: with ``jobs > 1`` the fold splits the chunk sequence into
     contiguous ranges evaluated on worker processes and merged in order —
     possible because :meth:`TraceSummary.merge` is associative and the
-    periodic/cyclic fast paths can build any chunk from ``(schedule, chunk
-    range)`` alone.  Raw happy-set sequences ship each worker only its
-    range's slice.  Generator-backed schedules — whose future depends on
-    their past — run the serial scan, with one logged warning.  ``jobs``
-    never changes any result (``tests/core/test_stream_parallel.py``).
+    cyclic fast path can build any chunk from ``(schedule, chunk range)``
+    alone.  Raw happy-set sequences ship each worker only its range's
+    slice.  Periodic schedules are never split (their closed form starts no
+    pool), and generator-backed schedules — whose future depends on their
+    past — run the serial scan, with one logged warning.  ``jobs`` never
+    changes any result (``tests/core/test_stream_parallel.py``).
     """
 
     mode = "stream"
@@ -974,8 +1054,8 @@ class StreamedTrace(TraceView):
         """What a worker process can rebuild chunks from, or None when the
         scan cannot be split.
 
-        Periodic and cyclic schedules are picklable and random-access, so
-        workers receive the schedule itself; raw happy-set sequences — and
+        Cyclic schedules are picklable and random-access, so workers
+        receive the schedule itself; raw happy-set sequences — and
         non-cyclic explicit prefixes, which are just a validated list — are
         sliceable, so each worker receives only its range's slice.
         Generator schedules must be run forward in one process.
@@ -986,8 +1066,6 @@ class StreamedTrace(TraceView):
             if len(self.schedule) >= self.horizon:
                 return self.schedule._sets  # validated frozensets; slice per block
             return None  # too-short prefix: fail serially, as dense would
-        if isinstance(self.schedule, PeriodicSchedule):
-            return self.schedule
         if not isinstance(self.schedule, Schedule):
             return self.schedule  # raw sequence: workers get their slice
         return None
@@ -1004,19 +1082,26 @@ class StreamedTrace(TraceView):
     def _fold_pass(self, edge_rows: Sequence[Tuple[int, int]], fail_fast: bool = False) -> TraceSummary:
         """Fold every chunk — on ``jobs`` workers when the schedule allows.
 
-        Worker summaries merge **in range order**, reproducing the serial
+        A periodic source skips the chunks: :func:`periodic_summary` gives
+        the same summary in closed form, at any ``jobs``.  Otherwise worker
+        summaries merge **in range order**, reproducing the serial
         left-to-right fold exactly.  Under ``fail_fast`` each worker stops
         at its first violating chunk, and the parent stops merging (and
         cancels all outstanding ranges) at the first range reporting one —
         exactly the first violating chunk overall.
         """
+        if self._source._kind == "periodic":
+            return periodic_summary(
+                self.schedule, self._order, self.horizon, edge_rows,
+                self.chunk if fail_fast else None,
+            )
         source = None
         if self.jobs > 1 and self._source.num_chunks() > 1:
             source = self._parallel_source()
             if source is None and not self._warned_serial:
                 self._warned_serial = True
                 _LOG.warning(
-                    "jobs=%d has no effect for %s: only periodic, cyclic and "
+                    "jobs=%d has no effect for %s: only cyclic and "
                     "explicit-sequence schedules split across worker processes "
                     "(generator schedules run forward in one process); running "
                     "the serial chunk scan instead",

@@ -9,9 +9,13 @@ dense matrix and the frozenset reference).  Schedules that cannot be split
 (generator-backed ones must run forward) fall back to the serial scan, which
 is asserted here too — the contract holds for them trivially.
 
-The worker-block machinery has its own boundary conditions covered below:
-block width 1, more workers than chunks, a single chunk (no parallelism
-possible), and fail-fast cancellation mid-block.
+Periodic schedules never reach the workers: :func:`periodic_summary`
+answers their summaries in closed form at any ``jobs`` (asserted below), so
+each periodic input here has a cyclic twin — one global period of the same
+schedule as a cyclic :class:`ExplicitSchedule`, whose chunks the pool does
+split.  The worker-block machinery has its own boundary conditions covered
+below: block width 1, more workers than chunks, a single chunk (no
+parallelism possible), and fail-fast cancellation mid-block.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from repro.algorithms.registry import available_schedulers, get_scheduler
 from repro.core.metrics import build_trace, evaluate_schedule
 from repro.core.config import EngineConfig
 from repro.core.problem import ConflictGraph
-from repro.core.schedule import GeneratorSchedule, PeriodicSchedule, SlotAssignment
+from repro.core.schedule import ExplicitSchedule, GeneratorSchedule, PeriodicSchedule, SlotAssignment
+from repro.core import trace as trace_module
 from repro.core.trace import BLOCKS_PER_JOB, StreamedTrace, _chunk_blocks
 from repro.core.validation import check_independent_sets, validate_schedule
 from repro.graphs.random_graphs import erdos_renyi
@@ -42,6 +47,20 @@ CHUNKS = (13, 16)
 
 def report_tuples(report):
     return [(v.kind, v.node, v.holiday, v.detail) for v in report.violations]
+
+
+def cyclic_twin(schedule: PeriodicSchedule) -> ExplicitSchedule:
+    """One global period of ``schedule`` as a cyclic explicit schedule: the
+    same trace, tiled chunk by chunk (and split by the pool) instead of
+    summarised in closed form."""
+    return ExplicitSchedule(
+        schedule.graph, schedule.prefix(schedule.global_period()), cyclic=True, validate=False
+    )
+
+
+def with_cyclic_twin(schedule: PeriodicSchedule):
+    """``schedule`` and its :func:`cyclic_twin`."""
+    return {"periodic": schedule, "cyclic": cyclic_twin(schedule)}
 
 
 def summary_state(trace: StreamedTrace):
@@ -65,7 +84,8 @@ def summary_state(trace: StreamedTrace):
 def test_all_schedulers_parallel_matches_serial(backend, chunk):
     """jobs=3 must reproduce the serial streamed reports exactly for every
     registered scheduler (generator-backed ones exercise the serial
-    fallback; the rest exercise the worker-block fan-out)."""
+    fallback, periodic ones the closed form, and their cyclic twins the
+    worker-block fan-out)."""
     graph = erdos_renyi(12, 0.3, seed=6, name="gnp-12")
     for name in available_schedulers():
         schedule = get_scheduler(name).build(graph, seed=5)
@@ -89,6 +109,15 @@ def test_all_schedulers_parallel_matches_serial(backend, chunk):
             schedule2, graph, HORIZON, check_periodic=True, trace=trace, config=cfg(backend=backend))
         assert parallel_val.ok == serial_val.ok, (name, backend, chunk)
         assert report_tuples(parallel_val) == report_tuples(serial_val), (name, chunk)
+
+        if isinstance(schedule, PeriodicSchedule):
+            twin = cyclic_twin(schedule)
+            twins = [
+                StreamedTrace(twin, graph, HORIZON, backend=backend, chunk=chunk, jobs=jobs)
+                for jobs in (1, 3)
+            ]
+            assert summary_state(twins[1]) == summary_state(twins[0]) == summary_state(trace), \
+                (name, chunk)
 
 
 @pytest.mark.usefixtures("fold_arm")
@@ -126,11 +155,12 @@ def test_parallel_legality_scan_against_foreign_graph(backend):
         {0: SlotAssignment(2, 1), 1: SlotAssignment(4, 0), 2: SlotAssignment(2, 1)},
     )
     smaller = ConflictGraph.from_edges([(0, 2)], name="p2-cross")
-    serial = StreamedTrace(schedule, base, 64, backend=backend, chunk=7, jobs=1)
-    parallel = StreamedTrace(schedule, base, 64, backend=backend, chunk=7, jobs=3)
-    assert parallel.legality_scan(smaller) == serial.legality_scan(smaller)
-    assert parallel.legality_scan(smaller, fail_fast=True) == \
-        serial.legality_scan(smaller, fail_fast=True)
+    for form, source in with_cyclic_twin(schedule).items():
+        serial = StreamedTrace(source, base, 64, backend=backend, chunk=7, jobs=1)
+        parallel = StreamedTrace(source, base, 64, backend=backend, chunk=7, jobs=3)
+        assert parallel.legality_scan(smaller) == serial.legality_scan(smaller), form
+        assert parallel.legality_scan(smaller, fail_fast=True) == \
+            serial.legality_scan(smaller, fail_fast=True), form
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +185,10 @@ def test_block_width_one(backend):
     """chunk=1 → every block scans single-holiday chunks."""
     graph = erdos_renyi(8, 0.35, seed=3, name="gnp-8")
     schedule = get_scheduler("degree-periodic").build(graph, seed=0)
-    serial = StreamedTrace(schedule, graph, 17, backend=backend, chunk=1, jobs=1)
-    parallel = StreamedTrace(schedule, graph, 17, backend=backend, chunk=1, jobs=3)
-    assert summary_state(parallel) == summary_state(serial)
+    for form, source in with_cyclic_twin(schedule).items():
+        serial = StreamedTrace(source, graph, 17, backend=backend, chunk=1, jobs=1)
+        parallel = StreamedTrace(source, graph, 17, backend=backend, chunk=1, jobs=3)
+        assert summary_state(parallel) == summary_state(serial), form
 
 
 @pytest.mark.usefixtures("fold_arm")
@@ -166,10 +197,11 @@ def test_more_workers_than_chunks(backend):
     """jobs exceeding the chunk count must clamp, not crash or diverge."""
     graph = erdos_renyi(8, 0.35, seed=3, name="gnp-8")
     schedule = get_scheduler("round-robin-color").build(graph, seed=0)
-    serial = StreamedTrace(schedule, graph, 60, backend=backend, chunk=50, jobs=1)
-    parallel = StreamedTrace(schedule, graph, 60, backend=backend, chunk=50, jobs=5)
-    assert parallel._source.num_chunks() == 2  # far fewer chunks than workers
-    assert summary_state(parallel) == summary_state(serial)
+    for form, source in with_cyclic_twin(schedule).items():
+        serial = StreamedTrace(source, graph, 60, backend=backend, chunk=50, jobs=1)
+        parallel = StreamedTrace(source, graph, 60, backend=backend, chunk=50, jobs=5)
+        assert parallel._source.num_chunks() == 2  # far fewer chunks than workers
+        assert summary_state(parallel) == summary_state(serial), form
 
 
 @pytest.mark.usefixtures("fold_arm")
@@ -178,9 +210,10 @@ def test_single_chunk_takes_serial_path(backend):
     """One chunk cannot be split: jobs>1 must quietly run the serial scan."""
     graph = erdos_renyi(8, 0.35, seed=3, name="gnp-8")
     schedule = get_scheduler("degree-periodic").build(graph, seed=0)
-    serial = StreamedTrace(schedule, graph, 40, backend=backend, chunk=200, jobs=1)
-    parallel = StreamedTrace(schedule, graph, 40, backend=backend, chunk=200, jobs=4)
-    assert summary_state(parallel) == summary_state(serial)
+    for form, source in with_cyclic_twin(schedule).items():
+        serial = StreamedTrace(source, graph, 40, backend=backend, chunk=200, jobs=1)
+        parallel = StreamedTrace(source, graph, 40, backend=backend, chunk=200, jobs=4)
+        assert summary_state(parallel) == summary_state(serial), form
 
 
 @pytest.mark.usefixtures("fold_arm")
@@ -258,16 +291,52 @@ def test_invalid_jobs_rejected():
         StreamedTrace(schedule, graph, 32, jobs=0)
 
 
+class CyclicTwinScheduler:
+    """A periodic scheduler whose schedules come out as their cyclic twins."""
+
+    def __init__(self, inner):
+        self.inner, self.info, self.name = inner, inner.info, inner.name
+
+    def build(self, graph, seed=0):
+        return cyclic_twin(self.inner.build(graph, seed=seed))
+
+    def bound_function(self, graph):
+        return self.inner.bound_function(graph)
+
+
 def test_run_scheduler_parallel_stream_matches_serial_and_records_jobs():
     from repro.analysis.runner import run_scheduler
 
     graph = erdos_renyi(10, 0.3, seed=2, name="gnp-10")
-    scheduler = get_scheduler("degree-periodic")
-    serial = run_scheduler(
-        scheduler, graph, horizon=90, seed=1, config=cfg(mode="stream", chunk=8, jobs=1))
-    parallel = run_scheduler(
-        scheduler, graph, horizon=90, seed=1, config=cfg(mode="stream", chunk=8, jobs=2))
-    assert serial.jobs == 1 and parallel.jobs == 2
-    assert parallel.horizon_mode == "stream"
-    assert parallel.report.summary() == serial.report.summary()
-    assert report_tuples(parallel.validation) == report_tuples(serial.validation)
+    periodic = get_scheduler("degree-periodic")
+    for scheduler in (periodic, CyclicTwinScheduler(periodic)):
+        serial = run_scheduler(
+            scheduler, graph, horizon=90, seed=1, config=cfg(mode="stream", chunk=8, jobs=1))
+        parallel = run_scheduler(
+            scheduler, graph, horizon=90, seed=1, config=cfg(mode="stream", chunk=8, jobs=2))
+        assert serial.jobs == 1 and parallel.jobs == 2
+        assert parallel.horizon_mode == "stream"
+        assert parallel.report.summary() == serial.report.summary()
+        assert report_tuples(parallel.validation) == report_tuples(serial.validation)
+    assert type(parallel.schedule).__name__ == "ExplicitSchedule" and parallel.bound_satisfied
+
+
+def test_periodic_schedules_start_no_pool(monkeypatch):
+    """A periodic StreamedTrace answers summary and legality queries in
+    closed form at any ``jobs``: no worker pool is ever started."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a periodic trace started a process pool")
+
+    monkeypatch.setattr(trace_module, "ProcessPoolExecutor", no_pool)
+    graph = erdos_renyi(8, 0.35, seed=3, name="gnp-8")
+    schedule = get_scheduler("degree-periodic").build(graph, seed=0)
+    trace = StreamedTrace(schedule, graph, 200, chunk=8, jobs=4)
+    foreign = ConflictGraph.from_edges([(u, v) for u in graph.nodes() for v in graph.nodes() if u < v])
+    trace.muls()
+    trace.legality_scan(foreign)
+    trace.legality_scan(graph, fail_fast=True)
+    validate_schedule(schedule, graph, 200, check_periodic=True, trace=trace)
+    # the twin does reach the (stubbed) pool
+    with pytest.raises(AssertionError, match="process pool"):
+        StreamedTrace(cyclic_twin(schedule), graph, 200, chunk=8, jobs=4).muls()
