@@ -559,10 +559,11 @@ def service_from_args(args: argparse.Namespace):
     ``(service, server)``; the caller owns both (``server.server_close()``
     and ``service.store.close()`` when done).
     """
-    from repro.serve import SchedulingService, TraceCache, make_server
+    from repro.serve import DEFAULT_CACHE_BYTES, SchedulingService, TraceCache, make_server
 
-    if args.cache_bytes < 0:
-        raise SystemExit(f"error: --cache-bytes must be >= 0, got {args.cache_bytes}")
+    cache_bytes = DEFAULT_CACHE_BYTES if args.cache_bytes is None else args.cache_bytes
+    if cache_bytes < 0:
+        raise SystemExit(f"error: --cache-bytes must be >= 0, got {cache_bytes}")
     if args.max_horizon < 1:
         raise SystemExit(f"error: --max-horizon must be >= 1, got {args.max_horizon}")
     store = None
@@ -574,7 +575,7 @@ def service_from_args(args: argparse.Namespace):
         store = ResultStore(args.store, threadsafe=True)
     service = SchedulingService(
         config=config_from_args(args),
-        cache=TraceCache(args.cache_bytes),
+        cache=TraceCache(cache_bytes),
         store=store,
         max_horizon=args.max_horizon,
     )
@@ -592,7 +593,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service, server = service_from_args(args)
     host, port = server.server_address[:2]
     print(f"repro serve listening on http://{host}:{port}")
-    print(f"  trace cache: {args.cache_bytes} bytes"
+    print(f"  trace cache: {service.cache.max_bytes} bytes"
           + (f", result store: {args.store}" if args.store else ""))
     print("  endpoints: /healthz /metrics /workloads /algorithms "
           "/evaluate /validate /report /synthesize /cell  (Ctrl-C to stop)")
@@ -787,8 +788,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (default: 8080; 0 picks an ephemeral port)",
     )
     srv.add_argument(
-        "--cache-bytes", type=int, default=256 * 1024 * 1024, metavar="N",
-        help="trace-cache byte budget; LRU-evicted above it (default: 256 MiB)",
+        "--cache-bytes", type=int, default=None, metavar="N",
+        help=(
+            "trace-cache byte budget, charged by what each cached trace summary "
+            "really holds; LRU-evicted above it (default: "
+            "repro.serve.cache.DEFAULT_CACHE_BYTES, 2 MiB)"
+        ),
     )
     srv.add_argument(
         "--max-horizon", type=int, default=10_000_000, metavar="H",

@@ -23,6 +23,13 @@ Errors are always the JSON envelope ``{"error": {"code", "message",
 "status"}}`` with the matching HTTP status — a stack trace never crosses
 the wire (unexpected exceptions become a 500 envelope and a server-side
 log line).
+
+Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY`` set.  Every
+request's declared body is read before routing, so a 404 or 405 leaves the
+connection at the next request; a body that cannot be read — a
+non-numeric or negative ``Content-Length`` (400) or one above
+:data:`MAX_BODY_BYTES` (413) — stays unread, and that reply carries
+``Connection: close`` and ends the connection.
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # headers and body go out in two sends; with Nagle's algorithm on, the
+    # body would wait for the client's delayed ACK of the headers (~40 ms)
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> SchedulingService:
@@ -65,14 +75,33 @@ class RequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_body(self) -> bytes:
+        """The declared request body, read whole before routing so that
+        every reply leaves a keep-alive connection at the next request.  A
+        body that cannot be read (a bad or oversized ``Content-Length``)
+        stays unread, so the reply closes the connection."""
+        declared = self.headers.get("Content-Length")
+        if declared is None:
+            return b""
+        declared = declared.strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True
+            raise ServiceError(
+                400, "bad_request", f"Content-Length must be a non-negative integer, got {declared!r}"
+            )
+        length = int(declared)
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise ServiceError(413, "body_too_large", f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length) if length else b""
+        return self.rfile.read(length)
+
+    @staticmethod
+    def _parse_body(raw: bytes) -> Dict[str, object]:
         if not raw:
             return {}
         try:
@@ -89,6 +118,7 @@ class RequestHandler(BaseHTTPRequestHandler):
         endpoint = path
         status = 500
         try:
+            raw = self._read_body()
             route = _ROUTES.get(path)
             if route is None:
                 raise ServiceError(404, "not_found", f"no such endpoint: {path}")
@@ -97,7 +127,7 @@ class RequestHandler(BaseHTTPRequestHandler):
                 raise ServiceError(
                     405, "method_not_allowed", f"{path} only accepts {allowed}"
                 )
-            payload = self._read_body() if needs_body else None
+            payload = self._parse_body(raw) if needs_body else None
             result = handler(self.service, payload)
             status = 200
             self._send_json(200, result)

@@ -10,18 +10,22 @@ Two primitives back :mod:`repro.serve`:
   building the same trace N times, and what keeps two threads racing the
   same uncached experiment cell down to one execution and one store write.
 
-* :class:`TraceCache` — an immutable, content-addressed cache of built
-  occupancy traces with an LRU byte budget.  Keys are
-  :class:`TraceKey` tuples ``(graph_key, schedule_key, horizon,
-  config_key)`` — *content*, not object identity, so the cache outlives any
-  one request, session or client (contrast
+* :class:`TraceCache` — an immutable, content-addressed LRU cache under a
+  byte budget.  Keys are :class:`TraceKey` tuples ``(graph_key,
+  schedule_key, horizon, config_key)`` — *content*, not object identity, so
+  the cache outlives any one request, session or client (contrast
   :class:`repro.api.SessionTraceCache`, the identity-keyed private default).
-  Values are treated as immutable once inserted: a hit returns the very
-  object a previous request built, which is safe because the trace query
-  API is read-only.  Entries enter the cache only after their build
-  completes, so an in-flight build can never be evicted — eviction only
-  ever considers fully materialised entries, and a caller that raced an
-  eviction still gets its value from the single-flight slot.
+  The service stores each built trace's
+  :meth:`~repro.core.trace.TraceView.summary_view` — the scanned summary and
+  mul array, no matrix, stream or schedule — and charges it by its
+  :meth:`~repro.core.trace.TraceView.nbytes`, which tracks what the entry
+  really keeps alive, so the budget bounds resident memory.  Values are
+  treated as immutable once inserted: a hit returns the very object a
+  previous request built, which is safe because the trace query API is
+  read-only.  Entries enter the cache only after their build completes, so
+  an in-flight build can never be evicted — eviction only ever considers
+  fully materialised entries, and a caller that raced an eviction still gets
+  its value from the single-flight slot.
 
 Everything is stdlib ``threading``; the cache is safe to share across the
 worker threads of a :class:`http.server.ThreadingHTTPServer`.
@@ -35,10 +39,13 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 __all__ = ["SingleFlight", "TraceCache", "TraceKey", "DEFAULT_CACHE_BYTES"]
 
-#: default trace-cache budget: the same 256 MiB the dense/stream auto
-#: threshold uses (repro.core.trace.AUTO_STREAM_BYTES) — one budget notion
-#: repo-wide.
-DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
+#: default trace-cache budget.  A summary-view entry of a 60-node graph at
+#: its policy horizon holds ~7 KiB for a periodic schedule and ~21 KiB (up
+#: to 45 KiB) for an aperiodic one, so 2 MiB keeps a few hundred entries:
+#: every hot key of the perfbench ``serve`` mix (trace-cache hit ratio
+#: ~0.87) while its fresh-seed misses are evicted, at a server peak RSS of
+#: ~65 MiB there (2 vCPU).
+DEFAULT_CACHE_BYTES = 2 * 1024 * 1024
 
 
 class TraceKey(NamedTuple):
@@ -111,12 +118,13 @@ class SingleFlight:
 
 
 class TraceCache:
-    """Content-addressed LRU cache of built traces, with a byte budget.
+    """Content-addressed LRU cache of built values, with a byte budget.
 
     Parameters:
-        max_bytes: total budget for cached entries.  An entry larger than
-            the whole budget is never inserted (it is still built and
-            returned — an oversized trace just can't be *kept*).
+        max_bytes: total budget for cached entries, each charged what the
+            caller's ``nbytes`` says it holds.  An entry larger than the
+            whole budget is never inserted (it is still built and returned —
+            an oversized value just can't be *kept*).
 
     Thread safety: one lock guards the entry map; builds happen outside the
     lock, coalesced per key by an internal :class:`SingleFlight` — N

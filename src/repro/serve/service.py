@@ -41,7 +41,7 @@ from repro.core.config import DEFAULT_CONFIG, EngineConfig, config_with
 from repro.core.metrics import ScheduleReport
 from repro.core.problem import ConflictGraph
 from repro.core.schedule import PeriodicSchedule, Schedule
-from repro.core.trace import StreamedTrace, dense_trace_bytes
+from repro.core.trace import TraceView
 from repro.core.validation import ValidationReport
 from repro.graphs.suites import available_workloads, get_workload
 from repro.io.results import record_to_dict
@@ -106,18 +106,6 @@ def schedule_key_for(algorithm: str, seed: int) -> str:
     return f"{algorithm}:{seed}"
 
 
-def _trace_nbytes(trace: object, num_nodes: int, horizon: int) -> int:
-    """Budget estimate for one cached trace.
-
-    Dense traces are the matrix itself (`dense_trace_bytes`); a streamed
-    trace keeps only per-node summary state after its scan — estimated at a
-    few hundred bytes per node rather than n × horizon.
-    """
-    if isinstance(trace, StreamedTrace):
-        return 256 * max(1, num_nodes)
-    return dense_trace_bytes(num_nodes, horizon)
-
-
 class _BoundTraceCache:
     """Adapts the shared content-addressed cache to the Session protocol.
 
@@ -125,6 +113,11 @@ class _BoundTraceCache:
     horizon, config)`` by *identity*; the service already knows the request's
     *content* key, so this one-request adapter ignores identity and delegates
     every lookup to the shared :class:`TraceCache` under that key.
+
+    What the cache keeps is each built trace's
+    :meth:`~repro.core.trace.TraceView.summary_view` — everything the
+    endpoints query, with no matrix, stream or schedule — charged by its
+    :meth:`~repro.core.trace.TraceView.nbytes`.
     """
 
     def __init__(self, cache: TraceCache, key: TraceKey) -> None:
@@ -143,9 +136,7 @@ class _BoundTraceCache:
         if not engine.uses_matrix:
             return build()  # sets reference: there is no trace to share
         return self._cache.get_or_build(
-            self._key,
-            build,
-            lambda trace: _trace_nbytes(trace, graph.num_nodes(), horizon),
+            self._key, lambda: build().summary_view(), TraceView.nbytes
         )
 
     def clear(self) -> None:  # pragma: no cover - sessions here never clear
@@ -214,8 +205,9 @@ class SchedulingService:
     Parameters:
         config: base :class:`EngineConfig` requests inherit; a request's
             ``"config"`` object overrides individual fields.
-        cache: the shared :class:`TraceCache` (defaults to a fresh one with
-            the standard 256 MiB budget).
+        cache: the shared :class:`TraceCache` of trace summary views
+            (defaults to a fresh one with the
+            :data:`~repro.serve.cache.DEFAULT_CACHE_BYTES` budget).
         store: optional :class:`~repro.io.store.ResultStore` enabling the
             ``/cell`` read-through endpoint to replay previously computed
             experiment cells and persist fresh ones.

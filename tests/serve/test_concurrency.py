@@ -19,7 +19,9 @@ import threading
 import time
 import urllib.request
 
-from repro.core.trace import StreamedTrace, TraceMatrix, dense_trace_bytes
+from repro.algorithms.registry import get_scheduler
+from repro.core.trace import StreamedTrace, TraceMatrix
+from repro.graphs.suites import get_workload
 from repro.serve import TraceCache
 
 THREADS = 8
@@ -165,9 +167,11 @@ class TestSingleFlight:
 
 class TestByteBudget:
     def test_concurrent_distinct_requests_respect_the_budget(self, serve_stack):
-        # small/path is 8 nodes; a 64-holiday trace is 512 bytes —
-        # budget two entries, then ask for five distinct horizons at once
-        entry = dense_trace_bytes(8, 64)
+        # size one cached entry (the summary view of a 64-holiday small/path
+        # trace) — budget two entries, then ask for five distinct seeds at once
+        graph = get_workload("small/path")
+        schedule = get_scheduler("degree-periodic").build(graph, seed=0)
+        entry = TraceMatrix.from_schedule(schedule, graph, 64).summary_view().nbytes()
         cache = TraceCache(max_bytes=2 * entry)
         service, server, _client = serve_stack(cache=cache)
         port = server.server_address[1]

@@ -3,14 +3,22 @@
 The contract under test: malformed JSON, unknown names, bad types, bad
 routes and oversized requests each produce ``{"error": {"code", "message",
 "status"}}`` with the matching HTTP status — and **never** a stack trace,
-HTML error page or connection reset.
+HTML error page or connection reset, including for the next request on the
+same keep-alive connection.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
+import socket
+
 import pytest
 
+from repro.serve.app import MAX_BODY_BYTES, RequestHandler
+
 GOOD = {"workload": "small/path", "algorithm": "degree-periodic", "horizon": 32}
+JSON = {"Content-Type": "application/json"}
 
 
 def assert_envelope(status, body, expect_status, expect_code):
@@ -167,3 +175,79 @@ class TestServerStaysUp:
         client.get("/nowhere")
         status, body = client.post("/evaluate", GOOD)
         assert status == 200 and body["report"]["summary"]["max_mul"] >= 1
+
+
+class TestKeepAlive:
+    """Error replies on one HTTP/1.1 connection: the next request still gets
+    the JSON envelope or a 200, never ``http.server``'s HTML 400 or a broken
+    pipe, because every reply leaves the connection at a request boundary —
+    or closes it when the body could not be read."""
+
+    @pytest.fixture
+    def conn(self, serve_stack):
+        _service, server, _client = serve_stack()
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=30)
+        yield conn
+        conn.close()
+
+    @staticmethod
+    def reply(conn):
+        response = conn.getresponse()
+        return response, json.loads(response.read())
+
+    def assert_next_request_is_served(self, conn):
+        conn.request("POST", "/evaluate", body=json.dumps(GOOD), headers=JSON)
+        response, body = self.reply(conn)
+        assert response.status == 200 and body["report"]["summary"]["max_mul"] >= 1
+
+    @pytest.mark.parametrize(
+        "method,path,status,code",
+        [
+            ("POST", "/nope", 404, "not_found"),
+            ("GET", "/evaluate", 405, "method_not_allowed"),
+            ("POST", "/healthz", 405, "method_not_allowed"),
+        ],
+    )
+    def test_unrouted_body_is_consumed_and_the_connection_kept(self, conn, method, path, status, code):
+        conn.request(method, path, body=json.dumps(GOOD), headers=JSON)
+        response, body = self.reply(conn)
+        assert_envelope(response.status, body, status, code)
+        assert response.getheader("Connection") is None
+        sock = conn.sock
+        self.assert_next_request_is_served(conn)
+        assert conn.sock is sock  # the same keep-alive connection
+
+    @pytest.mark.parametrize(
+        "length,status,code",
+        [
+            (str(MAX_BODY_BYTES + 1), 413, "body_too_large"),
+            ("abc", 400, "bad_request"),
+            ("-5", 400, "bad_request"),
+        ],
+    )
+    def test_unread_body_closes_the_connection(self, conn, length, status, code):
+        conn.putrequest("POST", "/evaluate")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        conn.send(b"x" * 4096)  # body bytes the server never reads
+        response, body = self.reply(conn)
+        assert_envelope(response.status, body, status, code)
+        assert response.getheader("Connection") == "close"
+        self.assert_next_request_is_served(conn)  # on a fresh connection
+
+    def test_accepted_sockets_disable_nagle(self, serve_stack, monkeypatch):
+        """Headers and body go out in two sends; ``TCP_NODELAY`` keeps the
+        body from waiting on the client's delayed ACK."""
+        seen = []
+        setup = RequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(RequestHandler, "setup", recording_setup)
+        _service, _server, client = serve_stack()
+        assert client.get("/healthz")[0] == 200
+        assert client.post("/evaluate", GOOD)[0] == 200
+        assert len(seen) == 2 and all(seen)

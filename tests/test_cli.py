@@ -8,6 +8,7 @@ from repro.graphs.society import random_society
 from repro.io.graphs import load_edge_list, save_edge_list, write_graph_json
 from repro.io.schedules import load_periodic_schedule
 from repro.io.societies import save_society
+from repro.serve.cache import DEFAULT_CACHE_BYTES
 
 
 @pytest.fixture
@@ -574,7 +575,7 @@ class TestServe:
     def test_defaults(self, tmp_path):
         service, server = self._build(tmp_path)
         try:
-            assert service.cache.max_bytes == 256 * 1024 * 1024
+            assert service.cache.max_bytes == DEFAULT_CACHE_BYTES
             assert service.max_horizon == 10_000_000
             assert service.store is None
         finally:
