@@ -55,7 +55,7 @@ import itertools
 import json
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import InitVar, asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import (
     Callable,
@@ -70,7 +70,7 @@ from typing import (
 )
 
 from repro.analysis.records import ExperimentRecord, ResultSet
-from repro.core.config import DEFAULT_CONFIG, EngineConfig, coerce_config
+from repro.core.config import EngineConfig
 from repro.core.problem import ConflictGraph
 from repro.core.trace import AUTO_STREAM_BYTES, DEFAULT_CHUNK, TraceBatch, dense_trace_bytes
 from repro.graphs.suites import expand_workload_names, get_workload
@@ -195,35 +195,6 @@ def expand_grid(param_lists: Mapping[str, Sequence[object]]) -> List[Dict[str, o
 # spec and cells
 # ---------------------------------------------------------------------------
 
-def _coerced_init_config(
-    config: object,
-    caller: str,
-    backend: Optional[str],
-    horizon_mode: Optional[str],
-    chunk: Optional[int],
-    stream_jobs: Optional[int],
-) -> EngineConfig:
-    """The effective ``config`` for a spec/cell under construction: a plain
-    mapping is promoted to an EngineConfig, and the deprecated per-knob init
-    keywords fold in through ``coerce_config`` (one DeprecationWarning).
-    Returns the config; the caller's ``__post_init__`` installs it — the one
-    place a frozen instance may mutate."""
-    if not isinstance(config, EngineConfig):
-        config = EngineConfig.from_dict(dict(config))
-    legacy = {
-        "backend": backend,
-        "horizon_mode": horizon_mode,
-        "chunk": chunk,
-        "stream_jobs": stream_jobs,
-    }
-    if any(v is not None for v in legacy.values()):
-        config = coerce_config(
-            None if config == DEFAULT_CONFIG else config,
-            legacy, caller=caller, stacklevel=5,
-        )
-    return config
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A complete experiment as pure data.
@@ -252,23 +223,8 @@ class ExperimentSpec:
     #: hashed into cell ids (except ``batch``, which never changes a record);
     #: defaults leave ids (and therefore resumable sinks) untouched.
     config: EngineConfig = field(default_factory=EngineConfig)
-    #: deprecated init-only shim: the pre-config spellings of the engine
-    #: knobs.  Translated into ``config`` (with one DeprecationWarning);
-    #: read the values back from ``spec.config``.
-    backend: InitVar[Optional[str]] = None
-    horizon_mode: InitVar[Optional[str]] = None
-    chunk: InitVar[Optional[int]] = None
-    stream_jobs: InitVar[Optional[int]] = None
 
-    def __post_init__(
-        self,
-        backend: Optional[str],
-        horizon_mode: Optional[str],
-        chunk: Optional[int],
-        stream_jobs: Optional[int],
-    ) -> None:
-        object.__setattr__(self, "config", _coerced_init_config(
-            self.config, "ExperimentSpec", backend, horizon_mode, chunk, stream_jobs))
+    def __post_init__(self) -> None:
         object.__setattr__(self, "workloads", tuple(self.workloads))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -339,42 +295,24 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "ExperimentSpec":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected.
-
-        Spec files written before the :class:`EngineConfig` consolidation
-        carried flat ``backend``/``horizon_mode``/``chunk``/``stream_jobs``
-        keys; they still load (translated into a config, silently — data
-        migration, not API misuse), so archived ``--spec`` files and resume
-        workflows keep working.
-        """
+        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
         data = dict(payload)
         policy = data.pop("policy", None)
         config = data.pop("config", None)
-        legacy = {
-            key: data.pop(key)
-            for key in ("backend", "horizon_mode", "chunk", "stream_jobs")
-            if data.get(key) is not None
-        }
-        known = {f for f in cls.__dataclass_fields__}
-        data.pop("chunk", None)  # a legacy null chunk is just the default
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown ExperimentSpec fields: {sorted(unknown)}")
+            raise ValueError(
+                f"unknown ExperimentSpec fields: {sorted(unknown)}; engine knobs "
+                "(backend, horizon_mode, chunk, ...) live under 'config'"
+            )
         if policy is not None:
             data["policy"] = (
                 policy if isinstance(policy, HorizonPolicy) else HorizonPolicy.from_dict(policy)
             )
         if config is not None:
-            if legacy:
-                raise ValueError(
-                    "spec payload mixes 'config' with the legacy keys "
-                    f"{sorted(legacy)}; use one or the other"
-                )
             data["config"] = (
                 config if isinstance(config, EngineConfig) else EngineConfig.from_dict(config)
             )
-        elif legacy:
-            data["config"] = EngineConfig(**legacy)
         return cls(**data)
 
     def to_json(self, path: Union[str, Path]) -> Path:
@@ -439,21 +377,6 @@ class ExperimentCell:
     #: content hash of an ad-hoc (non-registry) graph; None for registry
     #: workloads, whose content is already determined by name + params.
     graph_key: Optional[str] = None
-    #: deprecated init-only shim (see ExperimentSpec); read via ``config``.
-    backend: InitVar[Optional[str]] = None
-    horizon_mode: InitVar[Optional[str]] = None
-    chunk: InitVar[Optional[int]] = None
-    stream_jobs: InitVar[Optional[int]] = None
-
-    def __post_init__(
-        self,
-        backend: Optional[str],
-        horizon_mode: Optional[str],
-        chunk: Optional[int],
-        stream_jobs: Optional[int],
-    ) -> None:
-        object.__setattr__(self, "config", _coerced_init_config(
-            self.config, "ExperimentCell", backend, horizon_mode, chunk, stream_jobs))
 
     def param_key(self) -> str:
         """Canonical string form of the grid point (stable across processes

@@ -12,9 +12,7 @@ The runner encapsulates the repetitive part of every experiment:
    trace **once** and shares it between both steps.
 
 Execution knobs (backend, horizon representation, chunk width, streamed-scan
-workers, generator window) arrive on one ``config=``; the historical
-``backend=``/``horizon_mode=``/``chunk=``/``jobs=`` keywords remain as a
-deprecated shim.
+workers, generator window) arrive on one ``config=``.
 
 ``compare_schedulers`` runs a list of registered scheduler names over a
 workload dictionary and returns a :class:`~repro.analysis.records.ResultSet`
@@ -33,7 +31,7 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 from repro.algorithms.base import Scheduler
 from repro.analysis.engine import ExperimentEngine, ExperimentSpec, HorizonPolicy
 from repro.analysis.records import ResultSet
-from repro.core.config import DEFAULT_CONFIG, EngineConfig, coerce_config
+from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.metrics import ScheduleReport
 from repro.core.problem import ConflictGraph
 from repro.core.schedule import Schedule
@@ -103,12 +101,8 @@ def run_scheduler(
     seed: int = 0,
     certify_bound: bool = True,
     skip_isolated: bool = True,
-    backend: Optional[str] = None,
-    policy: Optional[HorizonPolicy] = None,
-    horizon_mode: Optional[str] = None,
-    chunk: Optional[int] = None,
-    jobs: Optional[int] = None,
     *,
+    policy: Optional[HorizonPolicy] = None,
     config: Optional[EngineConfig] = None,
 ) -> RunOutcome:
     """Build, evaluate and validate one scheduler on one graph.
@@ -128,19 +122,14 @@ def run_scheduler(
     suite and the validator.  When ``horizon`` is ``None`` the observation
     window comes from ``policy`` (default
     :class:`~repro.analysis.engine.HorizonPolicy`), extended so any claimed
-    per-node bound can be witnessed.  The ``backend``/``horizon_mode``/
-    ``chunk``/``jobs`` keywords are the deprecated pre-config spelling.
+    per-node bound can be witnessed.
     """
     # Imported here, not at module level: repro.api sits above this module
     # (Session.run delegates back to run_scheduler), so the runner->api edge
     # must stay lazy to keep the import graph acyclic.
     from repro.api import Session
 
-    config = coerce_config(
-        config,
-        {"backend": backend, "horizon_mode": horizon_mode, "chunk": chunk, "jobs": jobs},
-        caller="run_scheduler",
-    )
+    config = config or DEFAULT_CONFIG
     if config.window is not None:
         scheduler = scheduler.with_window(config.window)
 
@@ -192,14 +181,10 @@ def compare_schedulers(
     horizon: Optional[int] = None,
     seed: int = 0,
     certify_bound: bool = True,
-    backend: Optional[str] = None,
-    horizon_mode: Optional[str] = None,
-    chunk: Optional[int] = None,
+    *,
     jobs: int = 1,
-    stream_jobs: Optional[int] = None,
     sink: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    *,
     config: Optional[EngineConfig] = None,
 ) -> ResultSet:
     """Run every named scheduler over every workload and collect the results.
@@ -212,8 +197,7 @@ def compare_schedulers(
     compose, but on a fixed core budget prefer ``jobs`` when there are many
     cells and ``stream_jobs`` when one long-horizon cell dominates).
     ``sink``/``resume`` stream the records to a JSONL file and skip
-    already-completed cells.  The ``backend``/``horizon_mode``/``chunk``/
-    ``stream_jobs`` keywords are the deprecated pre-config spelling.
+    already-completed cells.
 
     Seed semantics: ``seed`` is the *root* seed; each cell's scheduler runs
     with a seed derived from ``(workload, algorithm, params, seed)`` (the
@@ -222,16 +206,6 @@ def compare_schedulers(
     (e.g. ``first-come-first-grab``) draw different streams than the
     pre-engine serial loop, which passed the root seed straight through.
     """
-    config = coerce_config(
-        config,
-        {
-            "backend": backend,
-            "horizon_mode": horizon_mode,
-            "chunk": chunk,
-            "stream_jobs": stream_jobs,
-        },
-        caller="compare_schedulers",
-    )
     spec = ExperimentSpec(
         name=experiment,
         workloads=tuple(workloads),
@@ -239,7 +213,7 @@ def compare_schedulers(
         seeds=(seed,),
         horizon=horizon,
         certify_bound=certify_bound,
-        config=config,
+        config=config or DEFAULT_CONFIG,
     )
     engine = ExperimentEngine(jobs=jobs, sink=sink, resume=resume)
     return engine.run(spec, workloads=workloads)

@@ -119,6 +119,18 @@ def _backend_arg(value: str) -> str:
     return value
 
 
+def _positive_int(value: str) -> int:
+    """Counts and widths (``--horizon``, ``--chunk``, ``--stream-jobs``,
+    ``--batch``), rejected at parse time unless they are >= 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
 class _RemovedFlag(argparse.Action):
     """A flag earlier releases accepted for a config field that is gone:
     hidden from ``--help``, and an error naming the field and the valid
@@ -136,20 +148,15 @@ class _RemovedFlag(argparse.Action):
             parser.error(f"{option_string}: {exc}")
 
 
-def add_engine_args(
-    parser: argparse.ArgumentParser, stream_jobs_aliases: Sequence[str] = ()
-) -> None:
+def add_engine_args(parser: argparse.ArgumentParser) -> None:
     """Register the shared trace-engine flags on a subcommand.
 
-    One registration shared by ``schedule``/``compare``/``experiment`` (it
-    used to be copied per subcommand): ``--backend``, ``--horizon-mode``,
-    ``--chunk``, ``--stream-jobs`` and ``--batch``.
-    ``stream_jobs_aliases`` adds extra
-    spellings for the latter — ``schedule``/``compare`` alias their
-    historical ``--jobs`` to it (on ``experiment``, ``--jobs`` fans out
-    across cells and stays separate).  Every flag defaults to ``None`` =
-    "not given", so :func:`engine_overrides` can layer only the flags the
-    user typed over a spec's config.
+    One registration shared by ``schedule``/``compare``/``experiment``/
+    ``serve`` (it used to be copied per subcommand): ``--backend``,
+    ``--horizon-mode``, ``--chunk``, ``--stream-jobs`` and ``--batch``.
+    Every flag defaults to ``None`` = "not given", so
+    :func:`engine_overrides` can layer only the flags the user typed over a
+    spec's config.
     """
     parser.add_argument(
         "--backend",
@@ -173,16 +180,14 @@ def add_engine_args(
     )
     parser.add_argument(
         "--chunk",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="W",
         help="streaming chunk width in holidays (default: 262144)",
     )
     parser.add_argument(
         "--stream-jobs",
-        *stream_jobs_aliases,
-        dest="stream_jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help=(
@@ -194,7 +199,7 @@ def add_engine_args(
     )
     parser.add_argument(
         "--batch",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="S",
         help=(
@@ -216,18 +221,10 @@ def engine_overrides(args: argparse.Namespace) -> dict:
     if args.horizon_mode is not None:
         overrides["horizon_mode"] = args.horizon_mode
     if args.chunk is not None:
-        if args.chunk < 1:
-            raise SystemExit(f"error: --chunk must be >= 1, got {args.chunk}")
         overrides["chunk"] = args.chunk
     if args.stream_jobs is not None:
-        if args.stream_jobs < 1:
-            raise SystemExit(
-                f"error: --jobs/--stream-jobs must be >= 1, got {args.stream_jobs}"
-            )
         overrides["stream_jobs"] = args.stream_jobs
     if getattr(args, "batch", None) is not None:
-        if args.batch < 1:
-            raise SystemExit(f"error: --batch must be >= 1, got {args.batch}")
         overrides["batch"] = args.batch
     return overrides
 
@@ -681,8 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
     sch = sub.add_parser("schedule", help="schedule holidays for a conflict graph")
     sch.add_argument("graph", help="graph file (.json or edge list)")
     sch.add_argument("--algorithm", default="degree-periodic", choices=available_schedulers())
-    sch.add_argument("--horizon", type=int, default=None, help="evaluation horizon (default: auto)")
-    add_engine_args(sch, stream_jobs_aliases=("--jobs",))
+    sch.add_argument("--horizon", type=_positive_int, default=None, help="evaluation horizon (default: auto)")
+    add_engine_args(sch)
     sch.add_argument("--calendar-years", type=int, default=12, help="years printed to the terminal")
     sch.add_argument("--calendar-csv", help="write the full calendar to this CSV file")
     sch.add_argument("--save-schedule", help="write the periodic schedule JSON to this file")
@@ -692,8 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="compare algorithms on one conflict graph")
     cmp_.add_argument("graph", help="graph file (.json or edge list)")
     cmp_.add_argument("--algorithms", nargs="*", help="algorithm names (default: a representative set)")
-    cmp_.add_argument("--horizon", type=int, default=None)
-    add_engine_args(cmp_, stream_jobs_aliases=("--jobs",))
+    cmp_.add_argument("--horizon", type=_positive_int, default=None)
+    add_engine_args(cmp_)
     cmp_.add_argument("--seed", type=int, default=0)
     cmp_.set_defaults(func=cmd_compare)
 
@@ -703,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sat = sub.add_parser("satisfaction", help="Appendix A satisfaction analysis of a society JSON")
     sat.add_argument("society", help="society JSON file (see 'generate society --society-out')")
-    sat.add_argument("--horizon", type=int, default=10)
+    sat.add_argument("--horizon", type=_positive_int, default=10)
     sat.set_defaults(func=cmd_satisfaction)
 
     exp = sub.add_parser(
@@ -729,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=V1,V2",
         help="parameter grid, e.g. --grid scale=1,2 — forwarded to workload factories",
     )
-    exp.add_argument("--horizon", type=int, default=None, help="fixed evaluation horizon (default: policy)")
+    exp.add_argument("--horizon", type=_positive_int, default=None, help="fixed evaluation horizon (default: policy)")
     add_engine_args(exp)  # flags default to None = "not given", overridable by --spec
     exp.add_argument(
         "--jobs", type=int, default=1,

@@ -42,15 +42,12 @@ Values earlier releases accepted and this one dropped (:data:`REMOVED`: the
 :class:`ValueError` that says so and lists the valid choices.
 
 Every entry point from :func:`repro.core.metrics.build_trace` up to the CLI
-accepts ``config: EngineConfig``; the historical per-call keywords survive
-as a deprecated shim, translated into a config in exactly one place
-(:func:`coerce_config`) with one :class:`DeprecationWarning` per call.
+takes its knobs as ``config: EngineConfig`` and nowhere else.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional
 
@@ -67,7 +64,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "RESULT_KNOBS",
     "WALL_CLOCK_KNOBS",
-    "coerce_config",
     "config_with",
 ]
 
@@ -255,52 +251,6 @@ class EngineConfig:
 
 #: The all-defaults config every entry point falls back to.
 DEFAULT_CONFIG = EngineConfig()
-
-#: deprecated per-call keyword -> EngineConfig field.  ``mode`` is the
-#: metrics-layer spelling and ``horizon_mode`` the runner/spec spelling of
-#: the same knob; likewise ``jobs`` / ``stream_jobs``.
-_LEGACY_FIELDS = {
-    "backend": "backend",
-    "mode": "horizon_mode",
-    "horizon_mode": "horizon_mode",
-    "chunk": "chunk",
-    "jobs": "stream_jobs",
-    "stream_jobs": "stream_jobs",
-    "window": "window",
-}
-
-
-def coerce_config(
-    config: Optional[EngineConfig],
-    legacy: Mapping[str, object],
-    *,
-    caller: str,
-    stacklevel: int = 3,
-) -> EngineConfig:
-    """Translate deprecated per-call knobs into an :class:`EngineConfig`.
-
-    The one place the back-compat shim lives: every entry point passes its
-    historical keyword values (``None`` = not given) through here.  When any
-    are set, one :class:`DeprecationWarning` is emitted for the whole call
-    and the values become a config; combining them with an explicit
-    ``config=`` is a :class:`TypeError` (there would be no way to tell which
-    side wins).  With no legacy values this is a pass-through.
-    """
-    given = {k: v for k, v in legacy.items() if v is not None}
-    if not given:
-        return config if config is not None else DEFAULT_CONFIG
-    if config is not None:
-        raise TypeError(
-            f"{caller}() got both config= and the deprecated keyword(s) "
-            f"{sorted(given)}; put everything on the EngineConfig"
-        )
-    warnings.warn(
-        f"{caller}(): the {', '.join(sorted(given))} keyword(s) are deprecated; "
-        "pass config=EngineConfig(...) instead (repro.core.config)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return EngineConfig(**{_LEGACY_FIELDS[k]: v for k, v in given.items()})
 
 
 def config_with(config: Optional[EngineConfig], **overrides: object) -> EngineConfig:

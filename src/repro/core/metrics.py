@@ -33,10 +33,6 @@ width and streamed-scan worker count — travel together on one
 caller (e.g. :class:`repro.api.Session` or the experiment runner) can share
 a single matrix between metrics and validation.
 
-The historical per-call keywords (``backend=``, ``mode=``, ``chunk=``,
-``jobs=``) survive as a deprecated back-compat shim: passing any of them
-emits one :class:`DeprecationWarning` and translates them into a config via
-:func:`repro.core.config.coerce_config` — results are identical either way.
 Both horizon representations produce exactly equal metrics (asserted by
 ``tests/core/test_stream.py``).
 """
@@ -47,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Union
 
-from repro.core.config import EngineConfig, coerce_config
+from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.problem import ConflictGraph, Node
 from repro.core.schedule import Schedule
 from repro.core.trace import StreamedTrace, TraceMatrix, TraceView, materialize_prefix
@@ -80,11 +76,8 @@ def build_trace(
     schedule: ScheduleLike,
     graph: ConflictGraph,
     horizon: int,
-    backend: Optional[str] = None,
+    _reserved: None = None,
     trace: Optional[TraceLike] = None,
-    mode: Optional[str] = None,
-    chunk: Optional[int] = None,
-    jobs: Optional[int] = None,
     *,
     config: Optional[EngineConfig] = None,
 ) -> Optional[TraceLike]:
@@ -97,14 +90,19 @@ def build_trace(
     ``config`` carries the representation choice (``horizon_mode`` resolved
     by estimated memory when ``"auto"``), the streaming chunk width and the
     streamed-scan worker count — the latter two are ignored when the
-    resolved representation is dense.  The positional ``backend``/``mode``/
-    ``chunk``/``jobs`` keywords are the deprecated pre-config spelling.
+    resolved representation is dense.
+
+    The fourth positional slot takes only ``None``: perfbench's span
+    wrapper forwards ``(schedule, graph, horizon, None, trace)`` by
+    position.  The slot goes once perfbench records spans through an API
+    instead of patching this function (ROADMAP item 3).
     """
-    config = coerce_config(
-        config, {"backend": backend, "mode": mode, "chunk": chunk, "jobs": jobs},
-        caller="build_trace",
-    )
-    engine = config.resolve(graph.num_nodes(), horizon)
+    if _reserved is not None:
+        raise TypeError(
+            f"build_trace() takes no engine knob by position (got {_reserved!r}); "
+            "pass config=EngineConfig(backend=...)"
+        )
+    engine = (config or DEFAULT_CONFIG).resolve(graph.num_nodes(), horizon)
     if trace is not None:
         if not engine.uses_matrix:
             raise ValueError(
@@ -217,19 +215,11 @@ def max_unhappiness_lengths(
     schedule: ScheduleLike,
     graph: ConflictGraph,
     horizon: int,
-    backend: Optional[str] = None,
-    trace: Optional[TraceLike] = None,
-    mode: Optional[str] = None,
-    chunk: Optional[int] = None,
-    jobs: Optional[int] = None,
     *,
+    trace: Optional[TraceLike] = None,
     config: Optional[EngineConfig] = None,
 ) -> Dict[Node, int]:
     """``{node: mul(node)}`` over the first ``horizon`` holidays."""
-    config = coerce_config(
-        config, {"backend": backend, "mode": mode, "chunk": chunk, "jobs": jobs},
-        caller="max_unhappiness_lengths",
-    )
     matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
     if matrix is not None:
         return matrix.muls()
@@ -241,19 +231,11 @@ def unhappiness_gaps(
     schedule: ScheduleLike,
     graph: ConflictGraph,
     horizon: int,
-    backend: Optional[str] = None,
-    trace: Optional[TraceLike] = None,
-    mode: Optional[str] = None,
-    chunk: Optional[int] = None,
-    jobs: Optional[int] = None,
     *,
+    trace: Optional[TraceLike] = None,
     config: Optional[EngineConfig] = None,
 ) -> Dict[Node, List[int]]:
     """``{node: list of unhappiness interval lengths}``."""
-    config = coerce_config(
-        config, {"backend": backend, "mode": mode, "chunk": chunk, "jobs": jobs},
-        caller="unhappiness_gaps",
-    )
     matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
     if matrix is not None:
         return matrix.all_gaps()
@@ -265,19 +247,11 @@ def observed_periods(
     schedule: ScheduleLike,
     graph: ConflictGraph,
     horizon: int,
-    backend: Optional[str] = None,
-    trace: Optional[TraceLike] = None,
-    mode: Optional[str] = None,
-    chunk: Optional[int] = None,
-    jobs: Optional[int] = None,
     *,
+    trace: Optional[TraceLike] = None,
     config: Optional[EngineConfig] = None,
 ) -> Dict[Node, Optional[int]]:
     """``{node: empirically observed period or None}``."""
-    config = coerce_config(
-        config, {"backend": backend, "mode": mode, "chunk": chunk, "jobs": jobs},
-        caller="observed_periods",
-    )
     matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
     if matrix is not None:
         return matrix.observed_periods()
@@ -289,19 +263,11 @@ def happiness_rates(
     schedule: ScheduleLike,
     graph: ConflictGraph,
     horizon: int,
-    backend: Optional[str] = None,
-    trace: Optional[TraceLike] = None,
-    mode: Optional[str] = None,
-    chunk: Optional[int] = None,
-    jobs: Optional[int] = None,
     *,
+    trace: Optional[TraceLike] = None,
     config: Optional[EngineConfig] = None,
 ) -> Dict[Node, float]:
     """``{node: fraction of holidays hosted}``."""
-    config = coerce_config(
-        config, {"backend": backend, "mode": mode, "chunk": chunk, "jobs": jobs},
-        caller="happiness_rates",
-    )
     matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
     if matrix is not None:
         return matrix.happiness_rates()
@@ -418,12 +384,8 @@ def evaluate_schedule(
     graph: ConflictGraph,
     horizon: int,
     name: str = "schedule",
-    backend: Optional[str] = None,
-    trace: Optional[TraceLike] = None,
-    mode: Optional[str] = None,
-    chunk: Optional[int] = None,
-    jobs: Optional[int] = None,
     *,
+    trace: Optional[TraceLike] = None,
     config: Optional[EngineConfig] = None,
 ) -> ScheduleReport:
     """Run the full metric suite over a schedule prefix and return a report.
@@ -433,16 +395,10 @@ def evaluate_schedule(
     frozenset reference) and ``EngineConfig.horizon_mode``
     (``"dense"``/``"stream"``/``"auto"``).  Passing a pre-built ``trace``
     skips trace construction entirely so :class:`repro.api.Session` and the
-    runner can share one engine with the validator.  The ``backend``/
-    ``mode``/``chunk``/``jobs`` keywords are the deprecated pre-config
-    spelling.  All engines produce identical reports — this is enforced by
-    the differential tests in ``tests/core/test_trace.py`` and
-    ``tests/core/test_stream.py``.
+    runner can share one engine with the validator.  All engines produce
+    identical reports — this is enforced by the differential tests in
+    ``tests/core/test_trace.py`` and ``tests/core/test_stream.py``.
     """
-    config = coerce_config(
-        config, {"backend": backend, "mode": mode, "chunk": chunk, "jobs": jobs},
-        caller="evaluate_schedule",
-    )
     matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
     if matrix is not None:
         muls = matrix.muls()

@@ -21,9 +21,7 @@ bound/periodicity certification reads its per-node statistics, or the
 pre-built ``trace=`` can be shared across checks and with the metric suite.
 
 Execution knobs travel on one :class:`~repro.core.config.EngineConfig`
-(``config=``); the historical ``backend=``/``mode=``/``chunk=``/``jobs=``
-keywords remain as a deprecated shim (one :class:`DeprecationWarning` per
-call).  Every check honours the horizon representation
+(``config=``).  Every check honours the horizon representation
 (``horizon_mode="dense"`` / ``"stream"`` / ``"auto"``): on a
 :class:`~repro.core.trace.StreamedTrace`
 the legality test becomes per-chunk edge row-ANDs with boundary state, and
@@ -42,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.config import EngineConfig, coerce_config
+from repro.core.config import EngineConfig
 from repro.core.metrics import HappinessTrace, ScheduleLike, TraceLike, build_trace, materialize
 from repro.core.problem import ConflictGraph, Node
 from repro.core.schedule import Schedule
@@ -109,13 +107,9 @@ def check_independent_sets(
     schedule: ScheduleLike,
     graph: ConflictGraph,
     horizon: int,
-    backend: Optional[str] = None,
-    trace: Optional[TraceLike] = None,
-    mode: Optional[str] = None,
-    chunk: Optional[int] = None,
-    jobs: Optional[int] = None,
-    fail_fast: bool = False,
     *,
+    trace: Optional[TraceLike] = None,
+    fail_fast: bool = False,
     config: Optional[EngineConfig] = None,
 ) -> ValidationReport:
     """Verify that every holiday in the prefix schedules an independent set.
@@ -124,16 +118,12 @@ def check_independent_sets(
     ``row(u) & row(v)`` flags every holiday at which two in-laws host
     simultaneously — instead of a per-holiday membership scan; on the
     streaming engine the row-ANDs run chunk by chunk (fanned out over
-    ``jobs`` worker processes when the schedule kind allows it — the result
-    never depends on ``jobs``).  With ``fail_fast`` the report stops at the
+    ``config.stream_jobs`` worker processes when the schedule kind allows
+    it — the result never depends on ``stream_jobs``).  With ``fail_fast`` the report stops at the
     first offending holiday (identically on every engine), a streaming scan
     stops building chunks there, and a parallel streaming scan cancels
     every outstanding chunk block.
     """
-    config = coerce_config(
-        config, {"backend": backend, "mode": mode, "chunk": chunk, "jobs": jobs},
-        caller="check_independent_sets",
-    )
     matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
     if matrix is not None:
         return _check_independent_sets_trace(matrix, graph, horizon, fail_fast=fail_fast)
@@ -211,12 +201,8 @@ def certify_local_bound(
     bound: Callable[[Node], float] | Mapping[Node, float],
     bound_name: str = "bound",
     skip_isolated: bool = False,
-    backend: Optional[str] = None,
-    trace: Optional[TraceLike] = None,
-    mode: Optional[str] = None,
-    chunk: Optional[int] = None,
-    jobs: Optional[int] = None,
     *,
+    trace: Optional[TraceLike] = None,
     config: Optional[EngineConfig] = None,
 ) -> ValidationReport:
     """Check ``mul(p) <= bound(p)`` for every node over the given horizon.
@@ -227,10 +213,6 @@ def certify_local_bound(
     holiday without coordination; the paper's guarantees are stated for
     nodes that actually have in-laws).
     """
-    config = coerce_config(
-        config, {"backend": backend, "mode": mode, "chunk": chunk, "jobs": jobs},
-        caller="certify_local_bound",
-    )
     matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
     reference = None if matrix is not None else HappinessTrace.from_schedule(schedule, graph, horizon)
     report = ValidationReport(checked_holidays=horizon)
@@ -255,12 +237,8 @@ def certify_periodicity(
     schedule: Schedule,
     horizon: int,
     require_advertised: bool = True,
-    backend: Optional[str] = None,
-    trace: Optional[TraceLike] = None,
-    mode: Optional[str] = None,
-    chunk: Optional[int] = None,
-    jobs: Optional[int] = None,
     *,
+    trace: Optional[TraceLike] = None,
     config: Optional[EngineConfig] = None,
 ) -> ValidationReport:
     """Check that a schedule claiming periodicity really is perfectly periodic.
@@ -275,10 +253,6 @@ def certify_periodicity(
     which is what lets the streaming engine certify a 10⁸-holiday horizon
     without ever holding the full diff list.
     """
-    config = coerce_config(
-        config, {"backend": backend, "mode": mode, "chunk": chunk, "jobs": jobs},
-        caller="certify_periodicity",
-    )
     graph = schedule.graph
     matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
     reference = None if matrix is not None else HappinessTrace.from_schedule(schedule, graph, horizon)
@@ -318,27 +292,19 @@ def validate_schedule(
     bound_name: str = "bound",
     check_periodic: bool = False,
     skip_isolated: bool = False,
-    backend: Optional[str] = None,
-    trace: Optional[TraceLike] = None,
-    mode: Optional[str] = None,
-    chunk: Optional[int] = None,
-    jobs: Optional[int] = None,
-    fail_fast: bool = False,
     *,
+    trace: Optional[TraceLike] = None,
+    fail_fast: bool = False,
     config: Optional[EngineConfig] = None,
 ) -> ValidationReport:
     """Run legality + optional bound + optional periodicity checks in one call.
 
     On a non-``"sets"`` backend the occupancy trace (dense matrix or
-    streaming engine, per ``mode``) is built at most once and shared by all
+    streaming engine, per ``config.horizon_mode``) is built at most once and shared by all
     three checks (or taken from ``trace=`` when the caller already built it
     for the metric suite).  ``fail_fast`` applies to the legality check only
     — bound and periodicity certification always cover every node.
     """
-    config = coerce_config(
-        config, {"backend": backend, "mode": mode, "chunk": chunk, "jobs": jobs},
-        caller="validate_schedule",
-    )
     matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
     report = check_independent_sets(
         schedule, graph, horizon, trace=matrix, fail_fast=fail_fast, config=config

@@ -2,13 +2,12 @@
 
 Nine PRs of engine growth rest on a handful of cross-cutting invariants —
 ``jobs=1 == jobs=N`` determinism, content-addressed ``cell_id`` stability,
-picklable module-level pool workers, the deprecated-kwarg shim, the serve
-layer's lock discipline.  Every one of them is *enforced* dynamically (the
-differential suites, the ``-W error::DeprecationWarning`` CI job), but a
-violation only surfaces after the offending code executes.  This package is
-the static companion: a stdlib-only (:mod:`ast` + :mod:`tokenize`) analysis
-framework plus the project rules (``REP101``–``REP108``) that make each
-contract fail at review time instead of fuzz time.
+picklable module-level pool workers, the serve layer's lock discipline.
+Every one of them is *enforced* dynamically (the differential suites), but
+a violation only surfaces after the offending code executes.  This package
+is the static companion: a stdlib-only (:mod:`ast` + :mod:`tokenize`)
+analysis framework plus the project rules (``REP102``–``REP108``) that make
+each contract fail at review time instead of fuzz time.
 
 The shape mirrors :mod:`repro.algorithms.registry`: rules are classes
 registered under a stable code via :func:`~repro.devtools.registry.register_rule`,

@@ -6,7 +6,7 @@ The JSON schema (documented in ``docs/linting.md``, versioned like the
     {
       "version": 1,
       "tool": "repro-lint",
-      "rules": ["REP101", ...],        # codes that actually ran
+      "rules": ["REP102", ...],        # codes that actually ran
       "files_checked": 57,
       "findings": [
         {"code": "REP103", "rule": "engine-determinism",

@@ -4,8 +4,6 @@ One module per rule family, each grounded in a runtime-enforced invariant
 (the catalogue with the backing test for each lives in ``docs/linting.md``):
 
 ========  ==========================  ==============================================
-REP101    legacy-engine-kwargs        deprecated ``backend=``/``mode=``/``chunk=``/
-                                      ``jobs=`` at entry points (config shim)
 REP102    picklable-pool-workers      ``ProcessPoolExecutor`` callables must be
                                       module-level functions
 REP103    engine-determinism          ``time.time()``, global ``random.*``, unsorted
@@ -20,13 +18,15 @@ REP107    frozen-dataclass-mutation   ``object.__setattr__`` outside ``__post_in
 REP108    serve-error-envelope        broad ``except`` in serve code must re-raise
                                       or answer through the error envelope
 ========  ==========================  ==============================================
+
+REP101 (legacy engine kwargs) is retired with the shim it policed; the code
+is not reused.
 """
 
 from repro.devtools.rules import (  # noqa: F401  (import registers the rules)
     config_contract,
     determinism,
     frozen_mutation,
-    legacy_kwargs,
     lock_discipline,
     no_print,
     pool_pickling,

@@ -6,7 +6,7 @@ contracts depend on their immutability: configs are hashable dict keys and
 picklable worker payloads, specs hash into content-addressed ``cell_id``s.
 ``object.__setattr__`` is the one sanctioned escape hatch — and only during
 construction, inside ``__post_init__``, where the object is not yet shared
-(normalising a field, absorbing an init shim).
+(normalising a field).
 The same call anywhere else silently mutates an object whose hash/identity
 other code may already have recorded.
 """

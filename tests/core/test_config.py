@@ -1,33 +1,39 @@
-"""Tests for :class:`repro.core.config.EngineConfig` and the legacy shim.
+"""Tests for :class:`repro.core.config.EngineConfig`, the one spelling of
+every engine knob.
 
 Covers the config's contracts: JSON round-trip, ``resolve()``, the
-consolidated sets/stream error, removed values failing loudly, the deprecation shim
-(exactly one warning per call, identical results), and cell-id stability —
-default-config ids must be byte-identical to golden ids captured from the
-PR 4 codebase, so every results sink recorded before the consolidation
-still resumes.
+consolidated sets/stream error, removed values and removed spellings
+failing loudly, and cell-id stability — default-config ids must be
+byte-identical to golden ids captured from the PR 4 codebase, so every
+results sink recorded before the consolidation still resumes.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from repro.algorithms.registry import get_scheduler
 from repro.analysis.engine import ExperimentCell, ExperimentSpec
-from repro.analysis.runner import run_scheduler
-from repro.core.config import (
-    DEFAULT_CONFIG,
-    EngineConfig,
-    coerce_config,
-    config_with,
+from repro.analysis.runner import compare_schedulers, run_scheduler
+from repro.core.config import DEFAULT_CONFIG, EngineConfig, config_with
+from repro.core.metrics import (
+    build_trace,
+    evaluate_schedule,
+    happiness_rates,
+    max_unhappiness_lengths,
+    observed_periods,
+    unhappiness_gaps,
 )
-from repro.core.metrics import build_trace, evaluate_schedule
 from repro.core.problem import ConflictGraph
-from repro.core.validation import validate_schedule
+from repro.core.validation import (
+    certify_local_bound,
+    certify_periodicity,
+    check_independent_sets,
+    validate_schedule,
+)
 
 #: Golden ids captured from the PR 4 codebase (before EngineConfig existed)
 #: for the spec below.  If these move, every pre-consolidation resume sink
@@ -112,24 +118,16 @@ class TestEngineConfig:
     def test_sets_stream_rejected_with_one_message(self):
         """The historical asymmetry: backend='sets' + streaming used to raise
         two differently-worded errors depending on whether a prebuilt trace
-        was passed.  Now the combination dies at config construction with a
-        single message, before any call-site branching."""
+        was passed.  Now the combination dies wherever a config is built —
+        constructor, layered flags, spec JSON — with a single message,
+        before any entry point sees it."""
         with pytest.raises(ValueError, match="no streaming mode") as construct:
             EngineConfig(backend="sets", horizon_mode="stream")
-        graph = ConflictGraph.from_edges([(0, 1)], name="p2")
-        schedule = get_scheduler("degree-periodic").build(graph, seed=0)
-        matrix = schedule.trace(8)
-        with pytest.raises(ValueError, match="no streaming mode") as with_trace:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                build_trace(
-                    schedule, graph, 8, backend="sets", mode="stream", trace=matrix
-                )
-        with pytest.raises(ValueError, match="no streaming mode") as without_trace:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                build_trace(schedule, graph, 8, backend="sets", mode="stream")
-        assert str(with_trace.value) == str(without_trace.value) == str(construct.value)
+        with pytest.raises(ValueError) as layered:
+            config_with(EngineConfig(horizon_mode="stream"), backend="sets")
+        with pytest.raises(ValueError) as loaded:
+            EngineConfig.from_dict({"backend": "sets", "horizon_mode": "stream"})
+        assert str(layered.value) == str(loaded.value) == str(construct.value)
 
     def test_non_default_lists_only_overrides(self):
         config = EngineConfig(backend="numpy", chunk=64)
@@ -200,83 +198,110 @@ class TestResolve:
 
 
 # ---------------------------------------------------------------------------
-# the deprecation shim
+# one spelling per knob: every spelling the config replaced fails loudly
 # ---------------------------------------------------------------------------
 
-class TestLegacyShim:
-    @pytest.fixture
-    def run_inputs(self):
-        graph = ConflictGraph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], name="k3+tail")
-        schedule = get_scheduler("degree-periodic").build(graph, seed=1)
-        return graph, schedule
+_METRIC_KNOBS = ("backend", "mode", "chunk", "jobs")
+_RUNNER_KNOBS = ("backend", "horizon_mode", "chunk", "jobs")
+_SPEC_KNOBS = ("backend", "horizon_mode", "chunk", "stream_jobs")
+_KNOB_VALUES = {
+    "backend": "numpy", "mode": "stream", "horizon_mode": "stream",
+    "chunk": 8, "jobs": 2, "stream_jobs": 2,
+}
 
-    def test_exactly_one_warning_and_identical_report(self, run_inputs):
+#: every entry point that took per-call engine keywords before ``config=``:
+#: name -> (call with (graph, schedule, **keywords), the keywords it took).
+#: ``compare_schedulers(jobs=)`` fans out across cells and stays.
+_ENTRY_POINTS = {
+    "build_trace": (lambda g, s, **kw: build_trace(s, g, 16, **kw), _METRIC_KNOBS),
+    "max_unhappiness_lengths": (
+        lambda g, s, **kw: max_unhappiness_lengths(s, g, 16, **kw), _METRIC_KNOBS),
+    "unhappiness_gaps": (lambda g, s, **kw: unhappiness_gaps(s, g, 16, **kw), _METRIC_KNOBS),
+    "observed_periods": (lambda g, s, **kw: observed_periods(s, g, 16, **kw), _METRIC_KNOBS),
+    "happiness_rates": (lambda g, s, **kw: happiness_rates(s, g, 16, **kw), _METRIC_KNOBS),
+    "evaluate_schedule": (lambda g, s, **kw: evaluate_schedule(s, g, 16, **kw), _METRIC_KNOBS),
+    "check_independent_sets": (
+        lambda g, s, **kw: check_independent_sets(s, g, 16, **kw), _METRIC_KNOBS),
+    "certify_local_bound": (
+        lambda g, s, **kw: certify_local_bound(s, g, 16, lambda p: 16, **kw), _METRIC_KNOBS),
+    "certify_periodicity": (lambda g, s, **kw: certify_periodicity(s, 16, **kw), _METRIC_KNOBS),
+    "validate_schedule": (lambda g, s, **kw: validate_schedule(s, g, 16, **kw), _METRIC_KNOBS),
+    "run_scheduler": (
+        lambda g, s, **kw: run_scheduler(get_scheduler("degree-periodic"), g, horizon=16, **kw),
+        _RUNNER_KNOBS,
+    ),
+    "compare_schedulers": (
+        lambda g, s, **kw: compare_schedulers({g.name: g}, ["degree-periodic"], horizon=16, **kw),
+        _SPEC_KNOBS,
+    ),
+    "ExperimentSpec": (
+        lambda g, s, **kw: ExperimentSpec(
+            name="t", workloads=("small/path",), algorithms=("sequential",), **kw),
+        _SPEC_KNOBS,
+    ),
+    "ExperimentCell": (
+        lambda g, s, **kw: ExperimentCell(
+            experiment="t", workload="w", algorithm="sequential", params={}, seed=0, **kw),
+        _SPEC_KNOBS,
+    ),
+}
+
+
+@pytest.fixture
+def run_inputs():
+    graph = ConflictGraph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], name="k3+tail")
+    schedule = get_scheduler("degree-periodic").build(graph, seed=1)
+    return graph, schedule
+
+
+class TestRemovedSpellings:
+    @pytest.mark.parametrize(
+        "entry, keyword",
+        [(entry, kw) for entry, (_, knobs) in _ENTRY_POINTS.items() for kw in knobs],
+    )
+    def test_removed_keyword_is_a_type_error(self, run_inputs, entry, keyword):
+        """The per-call keywords are gone: Python itself rejects each one,
+        and the same call spelled with ``config=`` runs."""
         graph, schedule = run_inputs
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = evaluate_schedule(
-                schedule, graph, 64, backend="numpy", mode="stream", chunk=8, jobs=2
-            )
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert "evaluate_schedule" in message and "EngineConfig" in message
+        call, _ = _ENTRY_POINTS[entry]
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            call(graph, schedule, **{keyword: _KNOB_VALUES[keyword]})
+        call(graph, schedule, config=EngineConfig(backend="numpy"))
 
-        modern = evaluate_schedule(
-            schedule, graph, 64,
-            config=EngineConfig(backend="numpy", horizon_mode="stream", chunk=8, stream_jobs=2),
-        )
-        assert legacy.muls == modern.muls
-        assert legacy.periods == modern.periods
-        assert legacy.summary() == modern.summary()
-
-    def test_validate_and_run_scheduler_shims(self, run_inputs):
+    def test_build_trace_slot_four_takes_only_none(self, run_inputs):
+        """perfbench forwards ``(schedule, graph, horizon, None, trace)`` by
+        position, so slot 4 stays as a placeholder: ``None`` passes, and a
+        backend name there is an error naming the spelling that replaced it."""
         graph, schedule = run_inputs
-        with pytest.warns(DeprecationWarning, match="validate_schedule"):
-            legacy = validate_schedule(schedule, graph, 64, backend="numpy")
-        modern = validate_schedule(
-            schedule, graph, 64, config=EngineConfig(backend="numpy")
-        )
-        assert legacy.ok == modern.ok
+        with pytest.raises(TypeError, match=r"pass config=EngineConfig\(backend=\.\.\.\)"):
+            build_trace(schedule, graph, 16, "numpy")
+        matrix = build_trace(schedule, graph, 16)
+        assert build_trace(schedule, graph, 16, None, matrix) is matrix
 
-        with pytest.warns(DeprecationWarning, match="run_scheduler"):
-            outcome = run_scheduler(
-                get_scheduler("degree-periodic"), graph, horizon=64, backend="numpy"
-            )
-        assert outcome.backend == "numpy"
-        assert outcome.config == EngineConfig(backend="numpy")
-
-    def test_spec_shim_warns_and_matches_config_spec(self):
-        with pytest.warns(DeprecationWarning, match="ExperimentSpec"):
-            legacy = golden_spec(backend="numpy", horizon_mode="stream", chunk=16)
-        modern = golden_spec(
-            config=EngineConfig(backend="numpy", horizon_mode="stream", chunk=16)
-        )
-        assert legacy == modern
-        assert legacy.config.stream_jobs == 1
-
-    def test_config_plus_legacy_kwarg_is_an_error(self, run_inputs):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, s: evaluate_schedule(s, g, 16, "name", "numpy"),
+            lambda g, s: max_unhappiness_lengths(s, g, 16, "numpy"),
+            lambda g, s: check_independent_sets(s, g, 16, "numpy"),
+            lambda g, s: certify_periodicity(s, 16, True, "numpy"),
+            lambda g, s: validate_schedule(s, g, 16, None, "bound", False, False, "numpy"),
+            lambda g, s: run_scheduler(
+                get_scheduler("degree-periodic"), g, 16, 0, True, True, "numpy"),
+            lambda g, s: compare_schedulers(
+                {g.name: g}, ["degree-periodic"], "t", 16, 0, True, "numpy"),
+        ],
+        ids=[
+            "evaluate_schedule", "max_unhappiness_lengths", "check_independent_sets",
+            "certify_periodicity", "validate_schedule", "run_scheduler", "compare_schedulers",
+        ],
+    )
+    def test_parameters_after_the_removed_slot_are_keyword_only(self, run_inputs, call):
+        """A caller passing an engine knob by position gets a TypeError
+        instead of binding it to whatever parameter now sits in that slot."""
         graph, schedule = run_inputs
-        with pytest.raises(TypeError, match="both config="):
-            evaluate_schedule(
-                schedule, graph, 16, backend="numpy", config=EngineConfig()
-            )
-        with pytest.raises(TypeError, match="both config="):
-            golden_spec(backend="numpy", config=EngineConfig(chunk=4))
-
-    def test_no_warning_on_config_path(self, run_inputs):
-        graph, schedule = run_inputs
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            evaluate_schedule(schedule, graph, 32, config=EngineConfig(backend="numpy"))
-            validate_schedule(schedule, graph, 32, config=EngineConfig(backend="numpy"))
-            run_scheduler(get_scheduler("degree-periodic"), graph, horizon=32)
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-    def test_coerce_config_passthrough(self):
-        assert coerce_config(None, {"backend": None}, caller="x") is DEFAULT_CONFIG
-        explicit = EngineConfig(chunk=5)
-        assert coerce_config(explicit, {"backend": None}, caller="x") is explicit
+        with pytest.raises(TypeError, match="positional argument"):
+            call(graph, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -299,32 +324,15 @@ class TestCellIdStability:
         )
         assert spec.cells()[0].cell_id() == GOLDEN_NUMPY_CELL_ID
 
-    def test_legacy_kwargs_and_config_hash_identically(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = golden_spec(horizon_mode="stream", chunk=16, stream_jobs=2)
-        modern = golden_spec(
-            config=EngineConfig(horizon_mode="stream", chunk=16, stream_jobs=2)
-        )
-        assert [c.cell_id() for c in legacy.cells()] == [c.cell_id() for c in modern.cells()]
-        assert [c.cell_id() for c in legacy.cells()] != GOLDEN_SPEC_CELL_IDS
-
     def test_window_marks_cell_id_only_when_set(self):
         base = golden_spec().cells()[0]
         windowed = golden_spec(config=EngineConfig(window=256)).cells()[0]
         assert windowed.cell_id() != base.cell_id()
         assert golden_spec(config=EngineConfig()).cells()[0].cell_id() == base.cell_id()
 
-    def test_cell_shim_matches_config_cell(self):
-        base = dict(
-            experiment="t", workload="w", algorithm="sequential", params={}, seed=0
-        )
-        with pytest.warns(DeprecationWarning, match="ExperimentCell"):
-            legacy = ExperimentCell(**base, backend="numpy")
-        assert legacy == ExperimentCell(**base, config=EngineConfig(backend="numpy"))
-
 
 # ---------------------------------------------------------------------------
-# spec serialization: new format + legacy payload migration
+# spec serialization
 # ---------------------------------------------------------------------------
 
 class TestSpecSerialization:
@@ -336,40 +344,25 @@ class TestSpecSerialization:
         assert ExperimentSpec.from_json(path) == spec
         assert json.loads(path.read_text())["config"]["chunk"] == 128
 
-    def test_legacy_spec_payload_still_loads(self):
-        """Spec JSON written before the consolidation (flat backend /
-        horizon_mode / chunk / stream_jobs keys) must keep loading — and
-        silently, since a data file is not an API misuse."""
-        payload = {
-            "name": "old",
-            "workloads": ["small/path"],
-            "algorithms": ["sequential"],
-            "grid": {},
-            "seeds": [0],
-            "horizon": 48,
-            "policy": {"multiplier": 4, "minimum": 32, "cap": 20000, "explicit": None},
-            "backend": "numpy",
-            "certify_bound": True,
-            "workload_params": {},
-            "horizon_mode": "stream",
-            "chunk": 32,
-            "stream_jobs": 2,
-        }
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            spec = ExperimentSpec.from_dict(payload)
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert spec.config == EngineConfig(
-            backend="numpy", horizon_mode="stream", chunk=32, stream_jobs=2
-        )
-
-    def test_mixed_config_and_legacy_payload_rejected(self):
-        payload = {
-            "name": "old", "workloads": ["small/path"], "algorithms": ["sequential"],
-            "backend": "numpy", "config": {"backend": "numpy"},
-        }
-        with pytest.raises(ValueError, match="mixes"):
+    @pytest.mark.parametrize("with_config", [False, True], ids=["flat", "mixed"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("backend", "numpy"), ("horizon_mode", "stream"), ("chunk", 32), ("stream_jobs", 2)],
+    )
+    def test_flat_engine_keys_rejected(self, key, value, with_config):
+        """Spec JSON spells engine knobs under ``config`` only: a flat
+        pre-config key, alone or beside a ``config``, is an unknown field,
+        and the error says where the knob lives now."""
+        payload = {"name": "old", "workloads": ["small/path"], "algorithms": ["sequential"]}
+        payload[key] = value
+        if with_config:
+            payload["config"] = {"backend": "numpy"}
+        with pytest.raises(ValueError) as err:
             ExperimentSpec.from_dict(payload)
+        assert str(err.value) == (
+            f"unknown ExperimentSpec fields: ['{key}']; engine knobs "
+            "(backend, horizon_mode, chunk, ...) live under 'config'"
+        )
 
 
 # ---------------------------------------------------------------------------

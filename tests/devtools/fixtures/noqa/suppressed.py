@@ -16,4 +16,4 @@ def blanket(report):
 
 
 def mistagged(report):
-    print("ok:", report)  # repro: noqa[REP101]
+    print("ok:", report)  # repro: noqa[REP102]

@@ -22,7 +22,7 @@ from repro.devtools.reporters import REPORT_VERSION, render_json, render_text
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 ALL_CODES = [
-    "REP101", "REP102", "REP103", "REP104",
+    "REP102", "REP103", "REP104",
     "REP105", "REP106", "REP107", "REP108",
 ]
 
@@ -44,7 +44,7 @@ def test_get_rule_unknown_code():
 
 def test_register_rule_rejects_duplicate_and_malformed_codes():
     class Duplicate(Rule):
-        code = "REP101"
+        code = "REP102"
 
     with pytest.raises(ValueError, match="already registered"):
         register_rule(Duplicate)
@@ -75,13 +75,13 @@ def test_select_rules_prefix_matching():
 def test_parse_noqa_codes_and_blanket():
     source = (
         "x = 1  # repro: noqa[REP103]\n"
-        "y = 2  # repro: noqa[REP101, REP106]\n"
+        "y = 2  # repro: noqa[REP102, REP106]\n"
         "z = 3  # repro: noqa\n"
         "s = '# repro: noqa[REP107]'\n"  # string literal, not a comment
     )
     noqa = parse_noqa(source)
     assert noqa[1] == frozenset({"REP103"})
-    assert noqa[2] == frozenset({"REP101", "REP106"})
+    assert noqa[2] == frozenset({"REP102", "REP106"})
     assert 4 not in noqa  # noqa inside a string literal is inert
     assert suppresses(noqa, 1, "REP103")
     assert not suppresses(noqa, 1, "REP104")  # wrong code still fires

@@ -16,10 +16,6 @@ from repro.devtools.driver import lint_paths
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-_REP101 = (
-    "deprecated engine kwarg {kwarg}= passed to {fn}(); "
-    "pass config=EngineConfig(...) instead (repro.core.config)"
-)
 _REP102 = (
     "ProcessPoolExecutor.{method}() given {what}; workers must be "
     "picklable module-level functions (the jobs>1 worker contract)"
@@ -36,13 +32,6 @@ _REP108 = (
 
 #: rule -> golden findings of its bad fixture: (line, column, message)
 GOLDEN = {
-    "rep101": [
-        (9, 68, _REP101.format(kwarg="backend", fn="evaluate_schedule")),
-        (10, 58, _REP101.format(kwarg="mode", fn="build_trace")),
-        (10, 72, _REP101.format(kwarg="chunk", fn="build_trace")),
-        (15, 64, _REP101.format(kwarg="jobs", fn="run_scheduler")),
-        (16, 72, _REP101.format(kwarg="stream_jobs", fn="ExperimentSpec")),
-    ],
     "rep102": [
         (9, 31, _REP102.format(method="submit", what="a lambda")),
         (18, 29, _REP102.format(

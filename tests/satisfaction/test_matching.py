@@ -11,10 +11,14 @@ from repro.utils.rng import RngStream
 
 
 def brute_force_matching_size(adjacency):
-    """Maximum matching by exhaustive search (tiny instances only)."""
+    """Maximum matching by exhaustive search (tiny instances only).
+
+    Still exhaustive, but starts at the largest size any matching can
+    reach: no more edges than there are left or right endpoints."""
     edges = [(u, v) for u, nbrs in adjacency.items() for v in nbrs]
+    largest = min(len(edges), len({u for u, _ in edges}), len({v for _, v in edges}))
     best = 0
-    for r in range(len(edges), 0, -1):
+    for r in range(largest, 0, -1):
         if r <= best:
             break
         for subset in itertools.combinations(edges, r):

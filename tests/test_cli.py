@@ -35,6 +35,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["schedule", graph_file, "--algorithm", "nope"])
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command in ("schedule", "compare", "experiment")
+            for flag in ("--horizon", "--chunk", "--stream-jobs", "--batch")
+        ]
+        + [("satisfaction", "--horizon")],
+    )
+    def test_nonpositive_counts_are_parse_errors(
+        self, graph_file, society_file, capsys, command, flag, value
+    ):
+        """Horizons, chunk widths, worker and batch counts below 1 exit 2
+        with one argparse error line, not a ValueError traceback."""
+        target = {"schedule": [graph_file], "compare": [graph_file],
+                  "satisfaction": [society_file], "experiment": []}[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *target, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"repro-holiday {command}: error: argument {flag}: must be >= 1, got {value}"]
+
 
 class TestGenerate:
     @pytest.mark.parametrize("kind", ["clique", "star", "gnp", "powerlaw"])
@@ -156,39 +181,28 @@ class TestSchedule:
         with pytest.raises(SystemExit, match="no streaming mode"):
             main(["schedule", graph_file, "--backend", "sets", "--horizon-mode", "stream"])
 
-    def test_schedule_rejects_bad_chunk(self, graph_file):
-        with pytest.raises(SystemExit, match="--chunk"):
-            main(["schedule", graph_file, "--horizon-mode", "stream", "--chunk", "0"])
-
     def test_schedule_stream_jobs_are_observation_equivalent(self, graph_file, capsys):
-        """--jobs fans the streamed chunk scan over worker processes without
-        changing a single printed character (the determinism contract)."""
+        """--stream-jobs fans the streamed chunk scan over worker processes
+        without changing a single printed character (the determinism
+        contract)."""
         outputs = {}
         for jobs in ("1", "2"):
             code = main([
                 "schedule", graph_file, "--horizon", "128", "--calendar-years", "4",
-                "--horizon-mode", "stream", "--chunk", "16", "--jobs", jobs,
+                "--horizon-mode", "stream", "--chunk", "16", "--stream-jobs", jobs,
             ])
             assert code == 0
             outputs[jobs] = capsys.readouterr().out
         assert outputs["1"] == outputs["2"]
 
-    def test_schedule_rejects_bad_jobs(self, graph_file):
-        with pytest.raises(SystemExit, match="--jobs"):
-            main(["schedule", graph_file, "--horizon-mode", "stream", "--jobs", "0"])
-
-    def test_stream_jobs_spelling_equals_jobs_alias(self, graph_file, capsys):
-        """--stream-jobs is the canonical spelling everywhere; the historical
-        schedule/compare --jobs stays as an alias for the same knob."""
-        outputs = {}
-        for flag in ("--jobs", "--stream-jobs"):
-            code = main([
-                "schedule", graph_file, "--horizon", "128", "--calendar-years", "4",
-                "--horizon-mode", "stream", "--chunk", "16", flag, "2",
-            ])
-            assert code == 0
-            outputs[flag] = capsys.readouterr().out
-        assert outputs["--jobs"] == outputs["--stream-jobs"]
+    @pytest.mark.parametrize("command", ["schedule", "compare"])
+    def test_jobs_alias_is_gone(self, graph_file, capsys, command):
+        """--stream-jobs is the one spelling of the chunk-scan knob: the old
+        schedule/compare --jobs alias is an argparse error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, graph_file, "--horizon-mode", "stream", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestCompareBoundsSatisfaction:
@@ -431,9 +445,10 @@ class TestExperiment:
         assert [r.params["horizon_mode"] for r in records] == ["stream"]
         assert [r.params["backend"] for r in records] == ["numpy"]
 
-    def test_legacy_spec_json_still_runs(self, tmp_path, capsys):
+    def test_flat_spec_json_is_rejected(self, tmp_path):
         """A pre-consolidation spec file (flat backend/horizon_mode keys)
-        keeps running through the CLI."""
+        fails to load with a clean error saying the knobs live under
+        'config'."""
         import json as json_mod
 
         spec_path = tmp_path / "old-spec.json"
@@ -445,8 +460,11 @@ class TestExperiment:
             "backend": "numpy",
             "horizon_mode": "dense",
         }))
-        assert main(["experiment", "--spec", str(spec_path)]) == 0
-        assert "old-format" in capsys.readouterr().out
+        with pytest.raises(SystemExit, match="cannot load spec") as exit_info:
+            main(["experiment", "--spec", str(spec_path)])
+        message = str(exit_info.value.code)
+        assert "['backend', 'horizon_mode']" in message
+        assert "live under 'config'" in message
 
     def test_spec_override_errors_are_clean(self, tmp_path):
         from repro.analysis.engine import ExperimentSpec
