@@ -96,9 +96,11 @@ class ColorPeriodicScheduler(Scheduler):
         if self.compact_colors:
             coloring = coloring.relabel_compact()
         self.last_coloring = coloring
-        assignments: Dict[Node, SlotAssignment] = {
-            p: slot_for_color(coloring.color_of(p), self.code) for p in graph.nodes()
-        }
+        nodes = graph.nodes()
+        colors = [coloring.color_of(p) for p in nodes]
+        # the slot depends on the color alone: encode each color once
+        slots = {c: slot_for_color(c, self.code) for c in dict.fromkeys(colors)}
+        assignments: Dict[Node, SlotAssignment] = {p: slots[c] for p, c in zip(nodes, colors)}
         return PeriodicSchedule(
             graph,
             assignments,

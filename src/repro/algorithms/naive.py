@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Optional
 
+import numpy as np
+
 from repro.algorithms.base import Scheduler, SchedulerInfo
 from repro.coloring.base import Coloring
 from repro.coloring.greedy import greedy_coloring
@@ -32,7 +34,16 @@ __all__ = [
     "SequentialScheduler",
     "RoundRobinColorScheduler",
     "FirstComeFirstGrabScheduler",
+    "WakeUpBlocks",
+    "BLOCK_ELEMENTS",
+    "BLOCK_HOLIDAYS",
 ]
+
+#: float64 values one first-come-first-grab block may hold: each holiday
+#: takes ``n`` wake-up draws plus the ``2m`` neighbour draws gathered from them
+BLOCK_ELEMENTS = 1 << 15
+#: the most holidays one block covers, however small the graph
+BLOCK_HOLIDAYS = 256
 
 
 class SequentialScheduler(Scheduler):
@@ -100,6 +111,67 @@ class RoundRobinColorScheduler(Scheduler):
         return lambda p: float(num_colors)
 
 
+class WakeUpBlocks:
+    """First-come-first-grab's happy sets, computed a block of holidays at a time.
+
+    Holiday ``t`` uses draws ``(t−1)·n … t·n−1`` of the single stream
+    ``RngStream(seed, ("fcfg", graph.name))``, one per node in graph order,
+    so the wake-up times of holidays ``[s, s+w)`` are one ``random((w, n))``
+    call once the bit generator's ``advance`` has moved the stream to draw
+    ``(s−1)·n``.  A node is happy iff its draw is strictly below the
+    smallest draw among its neighbours (``np.minimum.reduceat`` over a CSR
+    gather of the neighbour columns): degree-0 nodes always are, and a tie
+    leaves both ends unhappy.  :attr:`width` fits a block's draws and gather
+    into :data:`BLOCK_ELEMENTS`, capped at :data:`BLOCK_HOLIDAYS`.
+    """
+
+    def __init__(self, graph: ConflictGraph, seed: int) -> None:
+        self._nodes = graph.nodes()
+        self._n = n = len(self._nodes)
+        index = {p: i for i, p in enumerate(self._nodes)}
+        neighbors = [graph.neighbor_tuple(p) for p in self._nodes]
+        degree = np.fromiter(map(len, neighbors), dtype=np.intp, count=n)
+        self._columns = np.fromiter(
+            (index[q] for row in neighbors for q in row), dtype=np.intp, count=int(degree.sum())
+        )
+        self._linked = np.flatnonzero(degree)  # nodes with a neighbour
+        self._starts = (np.cumsum(degree) - degree)[self._linked]  # their runs in _columns
+        self.width = max(1, min(BLOCK_HOLIDAYS, BLOCK_ELEMENTS // max(n + self._columns.size, 1)))
+        self._rng = RngStream(seed, ("fcfg", graph.name)).generator
+        self._next = 1  # the holiday whose draws the stream yields next
+        # the last block made: its first holiday, its happy node indices
+        # row after row, and where each row starts in them
+        self._block_start = 0
+        self._columns_happy: list = []
+        self._bounds: list = []
+
+    def block(self, start: int, width: int) -> np.ndarray:
+        """The ``(width, n)`` happy matrix of holidays ``[start, start + width)``."""
+        # PCG64 steps an LCG modulo 2¹²⁸, so advancing by the difference
+        # modulo 2¹²⁸ also steps back to a start behind the stream
+        self._rng.bit_generator.advance((start - self._next) * self._n % (1 << 128))
+        draws = self._rng.random((width, self._n))
+        self._next = start + width
+        happy = np.ones(draws.shape, dtype=bool)
+        if self._columns.size:
+            first = np.minimum.reduceat(draws[:, self._columns], self._starts, axis=1)
+            happy[:, self._linked] = draws[:, self._linked] < first
+        return happy
+
+    def happy_set(self, holiday: int) -> FrozenSet[Node]:
+        """Holiday ``holiday``'s happy set, from the block that holds it."""
+        if not 0 <= holiday - self._block_start < len(self._bounds) - 1:
+            self._block_start = holiday - (holiday - 1) % self.width
+            rows, columns = np.nonzero(self.block(self._block_start, self.width))
+            self._columns_happy = columns.tolist()
+            self._bounds = np.searchsorted(rows, np.arange(self.width + 1)).tolist()
+        row = holiday - self._block_start
+        # in graph order: where hashes collide, a frozenset's iteration
+        # order follows the order its members were inserted in
+        happy = self._columns_happy[self._bounds[row]:self._bounds[row + 1]]
+        return frozenset(map(self._nodes.__getitem__, happy))
+
+
 class FirstComeFirstGrabScheduler(Scheduler):
     """The randomized "first come first grab" process.
 
@@ -108,6 +180,7 @@ class FirstComeFirstGrabScheduler(Scheduler):
     grabs every couple it shares before the other side does).  The happy set
     is exactly the set of local minima of the wake-up order, which is always
     an independent set.  Per holiday, ``P(p happy) = 1/(deg(p)+1)``.
+    The draws are made a block of holidays at a time (:class:`WakeUpBlocks`).
     """
 
     info = SchedulerInfo(
@@ -118,19 +191,7 @@ class FirstComeFirstGrabScheduler(Scheduler):
     )
 
     def build(self, graph: ConflictGraph, seed: int = 0) -> Schedule:
-        nodes = graph.nodes()
-        neighbors = {p: graph.neighbors(p) for p in nodes}
-        rng = RngStream(seed, ("fcfg", graph.name))
-
-        def step(holiday: int) -> FrozenSet[Node]:
-            wake = {p: rng.random() for p in nodes}
-            happy = [
-                p
-                for p in nodes
-                if all(wake[p] < wake[q] for q in neighbors[p])
-            ]
-            return frozenset(happy)
-
+        step = WakeUpBlocks(graph, seed).happy_set
         return GeneratorSchedule(graph, step, validate=False, name=self.info.name)
 
     def bound_function(self, graph: ConflictGraph) -> None:

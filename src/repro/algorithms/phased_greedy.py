@@ -20,7 +20,7 @@ by the E1/E6 benchmarks.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.algorithms.base import Scheduler, SchedulerInfo
 from repro.coloring.base import Coloring, greedy_color_for
@@ -47,6 +47,11 @@ class PhasedGreedyState:
         self.colors: Dict[Node, int] = dict(initial.colors)
         self.holiday = 0
         self.recolor_events = 0
+        # colour -> the nodes holding it: holiday i pops bucket i instead
+        # of scanning every node
+        self._buckets: Dict[int, List[Node]] = {}
+        for p in graph.nodes():
+            self._buckets.setdefault(self.colors[p], []).append(p)
 
     def step(self) -> FrozenSet[Node]:
         """Advance one holiday: return the happy set and recolor it.
@@ -54,14 +59,20 @@ class PhasedGreedyState:
         Implements the loop body of the *Phased Greedy Coloring* algorithm:
         at holiday ``i`` the nodes with current color ``i`` are happy, and
         each picks the smallest color ``> i`` unused among its neighbors.
+        The happy nodes form one color class of a legal coloring, so none is
+        another's neighbor and the order they recolor in changes no color.
+        They go in graph order all the same, which fixes the happy
+        frozenset's iteration order.
         """
         self.holiday += 1
         i = self.holiday
-        happy = [p for p in self.graph.nodes() if self.colors[p] == i]
+        happy = self._buckets.pop(i, [])
+        happy.sort(key=self.graph.index_of)
         for p in happy:
             new_color = greedy_color_for(p, self.graph, self.colors, start=i + 1)
             self.colors[p] = new_color
-            self.recolor_events += 1
+            self._buckets.setdefault(new_color, []).append(p)
+        self.recolor_events += len(happy)
         return frozenset(happy)
 
     def color_of(self, node: Node) -> int:

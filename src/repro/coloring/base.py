@@ -89,7 +89,7 @@ def greedy_color_for(
     at holiday ``i``).
     """
     taken: Set[int] = set(forbidden)
-    for q in graph.neighbors(node):
+    for q in graph.neighbor_tuple(node):
         if q in colors:
             taken.add(colors[q])
     candidate = start

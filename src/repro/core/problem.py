@@ -70,10 +70,15 @@ class ConflictGraph:
         # these thousands of times per run
         self._edge_cache: List[Edge] | None = None
         self._degree_cache: Dict[Node, int] | None = None
+        # filled lazily, one finished tuple per node: threads sharing a
+        # graph may race to fill an entry, but every writer stores an equal
+        # tuple and no reader sees a partial one
+        self._neighbor_cache: Dict[Node, Tuple[Node, ...]] = {}
 
     def _invalidate_caches(self) -> None:
         self._edge_cache = None
         self._degree_cache = None
+        self._neighbor_cache = {}
 
     # -- construction --------------------------------------------------------------
     @staticmethod
@@ -174,7 +179,16 @@ class ConflictGraph:
 
     def neighbors(self, node: Node) -> List[Node]:
         """Neighbors (in-law families) of ``node`` in deterministic order."""
-        return self._stable_order(self._graph.neighbors(node))
+        return list(self.neighbor_tuple(node))
+
+    def neighbor_tuple(self, node: Node) -> Tuple[Node, ...]:
+        """:meth:`neighbors` as a cached tuple, for hot loops that only read it."""
+        try:
+            return self._neighbor_cache[node]
+        except KeyError:
+            ordered = tuple(self._stable_order(self._graph.neighbors(node)))
+            self._neighbor_cache[node] = ordered
+            return ordered
 
     def max_degree(self) -> int:
         """The global maximum degree ``Δ`` (0 for an empty or edgeless graph)."""
@@ -192,7 +206,7 @@ class ConflictGraph:
 
     def incident_edges(self, node: Node) -> List[Edge]:
         """``E_p``: the conflict edges touching ``node``."""
-        return [(node, q) for q in self.neighbors(node)]
+        return [(node, q) for q in self.neighbor_tuple(node)]
 
     def is_independent_set(self, nodes: Iterable[Node]) -> bool:
         """True when no two of the given nodes share a conflict edge."""

@@ -28,6 +28,10 @@ from repro.distributed.stats import RoundStats
 __all__ = ["SyncSimulator", "SimulationResult", "SimulationError"]
 
 
+#: stands for "no message seen yet" where any payload, None included, may follow
+_NO_PAYLOAD = object()
+
+
 class SimulationError(RuntimeError):
     """Raised when a run exceeds its round budget without terminating."""
 
@@ -111,10 +115,15 @@ class SyncSimulator:
                 pending[node] = inbox
             for node in order:
                 outbox = self._outboxes[node]
+                payload, bits = _NO_PAYLOAD, 0
                 for message in outbox:
                     pending[message.receiver].append(message)
-                    delivered += 1
-                    delivered_bits += message.size_bits()
+                    # a broadcast queues one payload object many times over:
+                    # size it once per run of them
+                    if message.payload is not payload:
+                        payload, bits = message.payload, message.size_bits()
+                    delivered_bits += bits
+                delivered += len(outbox)
                 outbox.clear()
 
             live = [p for p in order if not self._halted[p]]

@@ -1,9 +1,13 @@
 """Tests for ConflictGraph and Gathering (Definitions 2.1 / A.1)."""
 
+import sys
+import threading
+
 import networkx as nx
 import pytest
 
 from repro.core.problem import ConflictGraph, Gathering, orientation_towards
+from repro.graphs.random_graphs import erdos_renyi
 
 
 class TestConflictGraphConstruction:
@@ -131,6 +135,85 @@ class TestConflictGraphMutation:
         g.add_node(7)
         assert 7 in g
         assert g.degree(7) == 0
+
+    @staticmethod
+    def _warm(g):
+        for p in g.nodes():
+            g.neighbors(p)
+
+    def test_neighbors_see_add_edge_after_warm_cache(self):
+        g = ConflictGraph.from_edges([(0, 1), (1, 2)])
+        self._warm(g)
+        g.add_edge(0, 2)
+        assert g.neighbors(0) == [1, 2]
+        assert g.neighbors(2) == [0, 1]
+        g.add_edge(2, 3)  # a new node too
+        assert g.neighbors(2) == [0, 1, 3]
+        assert g.neighbors(3) == [2]
+
+    def test_neighbors_see_remove_edge_after_warm_cache(self):
+        g = ConflictGraph.from_edges([(0, 1), (1, 2)])
+        self._warm(g)
+        g.remove_edge(0, 1)
+        assert g.neighbors(0) == []
+        assert g.neighbors(1) == [2]
+        assert g.neighbor_tuple(1) == (2,)
+
+    def test_neighbors_see_add_node_after_warm_cache(self):
+        g = ConflictGraph.from_edges([(0, 1)])
+        self._warm(g)
+        with pytest.raises(nx.NetworkXError):
+            g.neighbors(7)  # an unknown node is an error, not a cached entry
+        g.add_node(7)
+        assert g.neighbors(7) == []
+        g.add_edge(7, 0)
+        assert g.neighbors(0) == [1, 7]
+        assert g.neighbors(7) == [0]
+
+    def test_mutating_a_returned_list_leaves_the_cache(self):
+        g = ConflictGraph.from_edges([(0, 1), (0, 2)])
+        first = g.neighbors(0)
+        first.append(99)
+        first.remove(1)
+        assert g.neighbors(0) == [1, 2]
+        assert g.neighbors(0) is not g.neighbors(0)
+        assert g.neighbor_tuple(0) == (1, 2)
+
+
+class TestNeighborCacheThreads:
+    def test_threads_racing_to_fill_a_cold_cache_read_the_same_neighbours(self):
+        # serve's handler threads share graphs: more readers than cores,
+        # switching as often as the interpreter allows, on cold caches
+        source = erdos_renyi(40, 0.2, seed=5)
+        expected = {p: sorted(source.to_networkx().neighbors(p)) for p in source.nodes()}
+        wrong, finished = [], []
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                graph = source.copy()
+                nodes = graph.nodes()
+                barrier = threading.Barrier(8)
+
+                def read(offset):
+                    barrier.wait(timeout=10)
+                    for p in nodes[offset:] + nodes[:offset]:
+                        if graph.neighbors(p) != expected[p]:
+                            wrong.append(p)
+                        if list(graph.neighbor_tuple(p)) != expected[p]:
+                            wrong.append(p)
+                    finished.append(offset)
+
+                threads = [threading.Thread(target=read, args=(5 * k,)) for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not wrong
+        assert len(finished) == 10 * 8
 
 
 class TestGathering:

@@ -33,17 +33,26 @@ out = {}
 for mode, config in (("dense", EngineConfig()), ("stream", EngineConfig(horizon_mode="stream"))):
     first_span = len(recorder.spans)
     built_bytes = recorder.counters["trace.computed_bytes"]
-    for algorithm in ("degree-periodic", "phased-greedy"):
+    before = recorder.summary()
+    for algorithm in ("degree-periodic", "phased-greedy", "first-come-first-grab"):
         schedule = get_scheduler(algorithm).build(graph, seed=1)
         session = Session(graph, config)
         session.evaluate(schedule, 64)
         assert session.validate(schedule, 64).ok
+    after = recorder.summary()
     out[mode] = {
         "layers": [span[0] for span in recorder.spans[first_span:]],
         "built_bytes": recorder.counters["trace.computed_bytes"] - built_bytes,
+        "steps": after["steps"] - before["steps"],
+        "generate_s": after["self.core.schedule"] - before["self.core.schedule"],
     }
 print(json.dumps(out))
 """
+
+#: schedules in each mode's loop that a generator step makes, one holiday
+#: per step: phased greedy and first-come-first-grab
+APERIODIC_PER_MODE = 2
+HORIZON = 64
 
 
 def test_span_wrapper_times_session_queries_dense_and_streamed():
@@ -60,3 +69,7 @@ def test_span_wrapper_times_session_queries_dense_and_streamed():
         assert {"core.metrics", "core.validation", "api"} <= set(layers), (mode, layers)
         # counted by the build_trace wrapper itself, once per trace it built
         assert recorded[mode]["built_bytes"] > 0, mode
+        # generation stays inside the wrapped step: one tallied step per
+        # holiday of each aperiodic schedule, block draws included
+        assert recorded[mode]["steps"] == APERIODIC_PER_MODE * HORIZON, mode
+        assert recorded[mode]["generate_s"] > 0, mode
