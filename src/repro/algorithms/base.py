@@ -70,6 +70,19 @@ class Scheduler(ABC):
         return self
 
     @property
+    def seeded(self) -> bool:
+        """Whether :meth:`build` reads its ``seed``.
+
+        True unless a subclass knows otherwise: a scheduler whose ``build``
+        never reads ``seed`` builds the same schedule at every seed and
+        overrides this to return False, which lets a content key of its
+        schedules (the serving layer's trace-cache key) leave the seed out.
+        The value follows from the scheduler's configuration; it is not an
+        option of its own.
+        """
+        return True
+
+    @property
     def name(self) -> str:
         """Shorthand for ``info.name``."""
         return self.info.name

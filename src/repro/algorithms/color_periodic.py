@@ -91,6 +91,10 @@ class ColorPeriodicScheduler(Scheduler):
         paper_section="§4, Theorem 4.2",
     )
 
+    @property
+    def seeded(self) -> bool:
+        return False  # the coloring function sees the graph alone
+
     def build(self, graph: ConflictGraph, seed: int = 0) -> Schedule:
         coloring = self._coloring_fn(graph)
         if self.compact_colors:

@@ -46,6 +46,11 @@ class DegreePeriodicScheduler(Scheduler):
         paper_section="§5, Theorem 5.3",
     )
 
+    @property
+    def seeded(self) -> bool:
+        """Only the distributed construction's LOCAL-model rounds read the seed."""
+        return self.mode == "distributed"
+
     def build(self, graph: ConflictGraph, seed: int = 0) -> Schedule:
         if self.mode == "sequential":
             assignment = sequential_slot_assignment(graph)

@@ -60,6 +60,10 @@ class SequentialScheduler(Scheduler):
         paper_section="§4 example 1",
     )
 
+    @property
+    def seeded(self) -> bool:
+        return False
+
     def build(self, graph: ConflictGraph, seed: int = 0) -> Schedule:
         nodes = graph.nodes()
         n = max(len(nodes), 1)
@@ -93,6 +97,10 @@ class RoundRobinColorScheduler(Scheduler):
         local_bound="C (number of colors, global)",
         paper_section="§1 coloring connection",
     )
+
+    @property
+    def seeded(self) -> bool:
+        return False  # the coloring function sees the graph alone
 
     def build(self, graph: ConflictGraph, seed: int = 0) -> Schedule:
         coloring = self._coloring_fn(graph).relabel_compact()

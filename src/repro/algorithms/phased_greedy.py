@@ -127,6 +127,13 @@ class PhasedGreedyScheduler(Scheduler):
         paper_section="§3, Theorem 3.1",
     )
 
+    @property
+    def seeded(self) -> bool:
+        """Only the distributed initial coloring reads the seed; a greedy or
+        callable one sees the graph alone, and the recoloring rule is
+        deterministic."""
+        return self._initial_coloring == "distributed"
+
     def _make_initial(self, graph: ConflictGraph, seed: int) -> Coloring:
         if callable(self._initial_coloring):
             return self._initial_coloring(graph)

@@ -29,12 +29,17 @@ request's declared body is read before routing, so a 404 or 405 leaves the
 connection at the next request; a body that cannot be read — a
 non-numeric or negative ``Content-Length`` (400) or one above
 :data:`MAX_BODY_BYTES` (413) — stays unread, and that reply carries
-``Connection: close`` and ends the connection.
+``Connection: close`` and ends the connection with a bounded lingering
+close: half-close, drop what the client still sends (at most
+:data:`LINGER_BYTES`, for at most :data:`LINGER_SECONDS`), then close.
+Closing with unread bytes queued would reset the connection, and a client
+still sending its body could see the reset instead of the reply.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple
@@ -42,13 +47,19 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.serve.service import SchedulingService, ServiceError
 from repro.utils.logging import get_logger
 
-__all__ = ["make_server", "RequestHandler", "MAX_BODY_BYTES"]
+__all__ = ["make_server", "RequestHandler", "MAX_BODY_BYTES", "LINGER_BYTES", "LINGER_SECONDS"]
 
 _log = get_logger("serve.app")
 
 #: largest request body accepted (a schedule query is a few hundred bytes;
 #: anything near this limit is a mistake or abuse).
 MAX_BODY_BYTES = 1 * 1024 * 1024
+#: after a reply that leaves the body unread, drop at most this many bytes
+#: the client still sends (a body of up to twice MAX_BODY_BYTES drains
+#: whole) ...
+LINGER_BYTES = 2 * 1024 * 1024
+#: ... for at most this many seconds, then close
+LINGER_SECONDS = 2.0
 
 
 class RequestHandler(BaseHTTPRequestHandler):
@@ -60,6 +71,8 @@ class RequestHandler(BaseHTTPRequestHandler):
     # headers and body go out in two sends; with Nagle's algorithm on, the
     # body would wait for the client's delayed ACK of the headers (~40 ms)
     disable_nagle_algorithm = True
+    #: set when a reply leaves the request body unread (see finish)
+    body_unread = False
 
     @property
     def service(self) -> SchedulingService:
@@ -90,15 +103,42 @@ class RequestHandler(BaseHTTPRequestHandler):
             return b""
         declared = declared.strip()
         if not (declared.isascii() and declared.isdigit()):
-            self.close_connection = True
+            self.close_connection = self.body_unread = True
             raise ServiceError(
                 400, "bad_request", f"Content-Length must be a non-negative integer, got {declared!r}"
             )
         length = int(declared)
         if length > MAX_BODY_BYTES:
-            self.close_connection = True
+            self.close_connection = self.body_unread = True
             raise ServiceError(413, "body_too_large", f"request body exceeds {MAX_BODY_BYTES} bytes")
         return self.rfile.read(length)
+
+    def finish(self) -> None:
+        super().finish()
+        if self.body_unread:
+            self._linger()
+
+    def _linger(self) -> None:
+        """Half-close, then read and drop what the client still sends until
+        it closes or :data:`LINGER_BYTES` or :data:`LINGER_SECONDS` run
+        out: a close with unread bytes queued sends a reset, which can
+        reach a client still sending its body before it reads the reply."""
+        sock = self.connection
+        deadline = time.monotonic() + LINGER_SECONDS
+        drained = 0
+        try:
+            sock.shutdown(socket.SHUT_WR)
+            while drained < LINGER_BYTES:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                sock.settimeout(remaining)
+                chunk = sock.recv(64 * 1024)
+                if not chunk:
+                    break
+                drained += len(chunk)
+        except OSError:  # a timeout, or the client reset first
+            pass
 
     @staticmethod
     def _parse_body(raw: bytes) -> Dict[str, object]:

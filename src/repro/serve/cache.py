@@ -15,11 +15,12 @@ Two primitives back :mod:`repro.serve`:
   schedule_key, horizon, config_key)`` — *content*, not object identity, so
   the cache outlives any one request, session or client (contrast
   :class:`repro.api.SessionTraceCache`, the identity-keyed private default).
-  The service stores each built trace's
-  :meth:`~repro.core.trace.TraceView.summary_view` — the scanned summary and
-  mul array, no matrix, stream or schedule — and charges it by its
-  :meth:`~repro.core.trace.TraceView.nbytes`, which tracks what the entry
-  really keeps alive, so the budget bounds resident memory.  Values are
+  The service stores a :class:`~repro.serve.service.TraceEntry` per built
+  trace — its :meth:`~repro.core.trace.TraceView.summary_view` (the scanned
+  summary and mul array, no matrix, stream or schedule) and the schedule's
+  advertised periods — and charges it by its
+  :meth:`~repro.serve.service.TraceEntry.nbytes`, which tracks what the
+  entry really keeps alive, so the budget bounds resident memory.  Values are
   treated as immutable once inserted: a hit returns the very object a
   previous request built, which is safe because the trace query API is
   read-only.  Entries enter the cache only after their build completes, so
@@ -39,12 +40,12 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 __all__ = ["SingleFlight", "TraceCache", "TraceKey", "DEFAULT_CACHE_BYTES"]
 
-#: default trace-cache budget.  A summary-view entry of a 60-node graph at
-#: its policy horizon holds ~7 KiB for a periodic schedule and ~21 KiB (up
-#: to 45 KiB) for an aperiodic one, so 2 MiB keeps a few hundred entries:
-#: every hot key of the perfbench ``serve`` mix (trace-cache hit ratio
-#: ~0.87) while its fresh-seed misses are evicted, at a server peak RSS of
-#: ~65 MiB there (2 vCPU).
+#: default trace-cache budget.  An entry of a 60-node graph at its policy
+#: horizon holds ~7.5 KiB for a periodic schedule and ~21 KiB (up to 45
+#: KiB) for an aperiodic one, so 2 MiB keeps over a hundred entries: every
+#: hot key of the perfbench ``serve`` mix (trace-cache hit ratio ~0.97)
+#: while its fresh-seed misses are evicted, at a server peak RSS of ~63 MiB
+#: there (2 vCPU).
 DEFAULT_CACHE_BYTES = 2 * 1024 * 1024
 
 
@@ -53,8 +54,9 @@ class TraceKey(NamedTuple):
 
     ``graph_key`` identifies the workload *content* (registry name +
     canonical factory params), ``schedule_key`` the schedule content
-    (deterministically derived, e.g. ``algorithm:seed`` — registered
-    schedulers are pure functions of ``(graph, seed)``), ``config_key`` the
+    (deterministically derived: ``algorithm:seed``, since registered
+    schedulers are pure functions of ``(graph, seed)``, or ``algorithm``
+    alone for one that never reads its seed), ``config_key`` the
     result-changing :class:`~repro.core.config.EngineConfig` knobs
     (:meth:`~repro.core.config.EngineConfig.cache_key`).
     """

@@ -15,13 +15,15 @@ uses:
 * schedulers through :func:`repro.algorithms.registry.get_scheduler` —
   registered schedulers are deterministic functions of ``(graph, seed)``,
   which is what makes ``algorithm:seed`` a valid *content* key for the
-  schedule they produce;
+  schedule they produce, and ``algorithm`` alone one for a scheduler that
+  never reads its seed (:attr:`~repro.algorithms.base.Scheduler.seeded`);
 * evaluation through a per-request :class:`repro.api.Session` whose trace
   cache is the service's shared, content-addressed
-  :class:`~repro.serve.cache.TraceCache` — so the expensive artifact (the
-  occupancy trace) is built once per ``(graph, schedule, horizon, config)``
-  across *all* concurrent clients, with single-flight coalescing while a
-  build is in progress.
+  :class:`~repro.serve.cache.TraceCache` — so the expensive artifacts (the
+  schedule and its occupancy trace) are built once per ``(graph, schedule,
+  horizon, config)`` across *all* concurrent clients, with single-flight
+  coalescing while a build is in progress.  The key is computed from the
+  request alone; only a miss builds the schedule.
 
 The serializers (:func:`report_payload`, :func:`validation_payload`, ...)
 are module-level on purpose: the differential suite imports them to render
@@ -31,15 +33,18 @@ the library-path answer and asserts byte-equality with the service's JSON.
 from __future__ import annotations
 
 import json
+import sys
 import threading
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.algorithms.registry import available_schedulers, get_scheduler
 from repro.analysis.engine import ExperimentCell, HorizonPolicy, execute_cell
 from repro.api import Session
 from repro.core.config import DEFAULT_CONFIG, EngineConfig, config_with
-from repro.core.metrics import ScheduleReport
-from repro.core.problem import ConflictGraph
+from repro.core.metrics import ScheduleReport, build_trace
+from repro.core.problem import ConflictGraph, Node
 from repro.core.schedule import PeriodicSchedule, Schedule
 from repro.core.trace import TraceView
 from repro.core.validation import ValidationReport
@@ -95,34 +100,78 @@ def graph_key_for(workload: str, params: Mapping[str, object]) -> str:
     return f"{workload}|{json.dumps(dict(params), sort_keys=True, default=repr)}"
 
 
-def schedule_key_for(algorithm: str, seed: int) -> str:
+def schedule_key_for(algorithm: str, seed: int, seeded: bool) -> str:
     """Content key of the schedule a registered scheduler builds.
 
-    Valid because registered schedulers are deterministic in ``(graph,
-    seed)`` — the same property the experiment engine's derived-seed
-    byte-identity contract rests on — and the graph is already part of the
-    :class:`~repro.serve.cache.TraceKey`.
+    ``algorithm:seed`` — valid because registered schedulers are
+    deterministic in ``(graph, seed)``, the same property the experiment
+    engine's derived-seed byte-identity contract rests on, and the graph is
+    already part of the :class:`~repro.serve.cache.TraceKey`.  A scheduler
+    that is not :attr:`~repro.algorithms.base.Scheduler.seeded` never reads
+    its seed, so it builds one schedule per graph and its key is
+    ``algorithm`` alone: every seed shares one entry.
     """
-    return f"{algorithm}:{seed}"
+    return f"{algorithm}:{seed}" if seeded else algorithm
+
+
+class TraceEntry(NamedTuple):
+    """One value of the service's trace cache.
+
+    ``view`` is the built trace's
+    :meth:`~repro.core.trace.TraceView.summary_view` — everything the
+    endpoints query of the trace, with no matrix, stream or schedule.
+    ``periods`` is what ``/validate`` with ``check_periodic`` reads of the
+    schedule itself: ``None`` when the schedule does not claim periodicity,
+    else each node's advertised ``node_period`` in graph order (0 where it
+    advertises none).
+    """
+
+    view: TraceView
+    periods: Optional[np.ndarray]
+
+    @classmethod
+    def of(cls, schedule: Schedule, view: TraceView) -> "TraceEntry":
+        if not schedule.is_periodic():
+            return cls(view, None)
+        periods = [schedule.node_period(p) or 0 for p in view.graph.nodes()]
+        return cls(view, np.array(periods, dtype=np.int64))
+
+    def nbytes(self) -> int:
+        """The view's :meth:`~repro.core.trace.TraceView.nbytes` plus this
+        tuple and the period table: everything the entry keeps alive."""
+        size = sys.getsizeof(self) + self.view.nbytes()
+        return size if self.periods is None else size + sys.getsizeof(self.periods)
 
 
 class _BoundTraceCache:
     """Adapts the shared content-addressed cache to the Session protocol.
 
     A :class:`~repro.api.Session` asks its cache for ``(schedule, graph,
-    horizon, config)`` by *identity*; the service already knows the request's
-    *content* key, so this one-request adapter ignores identity and delegates
-    every lookup to the shared :class:`TraceCache` under that key.
-
-    What the cache keeps is each built trace's
-    :meth:`~repro.core.trace.TraceView.summary_view` — everything the
-    endpoints query, with no matrix, stream or schedule — charged by its
-    :meth:`~repro.core.trace.TraceView.nbytes`.
+    horizon, config)`` by *identity*, with a callback that would trace that
+    schedule.  The service already knows the request's *content* key, and
+    the schedule it hands the session is a :class:`_CachedSchedule`
+    stand-in, so this one-request adapter ignores both and looks every
+    query up in the shared :class:`TraceCache` under the key.  Only a miss
+    builds: the real schedule (``build_schedule``), its trace — through
+    the same :func:`~repro.core.metrics.build_trace` a library session
+    uses, fast paths included — and the :class:`TraceEntry`.
     """
 
-    def __init__(self, cache: TraceCache, key: TraceKey) -> None:
+    def __init__(
+        self, cache: TraceCache, key: TraceKey, build_schedule: Callable[[], Schedule]
+    ) -> None:
         self._cache = cache
         self._key = key
+        self._build_schedule = build_schedule
+        #: the entry the last lookup returned (what the stand-in reads)
+        self.entry: Optional[TraceEntry] = None
+
+    def _build_entry(
+        self, graph: ConflictGraph, horizon: int, config: EngineConfig
+    ) -> TraceEntry:
+        schedule = self._build_schedule()
+        trace = build_trace(schedule, graph, horizon, config=config)
+        return TraceEntry.of(schedule, trace.summary_view())
 
     def get_or_build(
         self,
@@ -131,16 +180,44 @@ class _BoundTraceCache:
         horizon: int,
         config: EngineConfig,
         build: Callable[[], object],
-    ) -> object:
-        engine = config.resolve(graph.num_nodes(), horizon)
-        if not engine.uses_matrix:
-            return build()  # sets reference: there is no trace to share
-        return self._cache.get_or_build(
-            self._key, lambda: build().summary_view(), TraceView.nbytes
+    ) -> TraceView:
+        self.entry = self._cache.get_or_build(
+            self._key, lambda: self._build_entry(graph, horizon, config), TraceEntry.nbytes
         )
+        return self.entry.view
 
     def clear(self) -> None:  # pragma: no cover - sessions here never clear
         pass
+
+
+class _CachedSchedule(Schedule):
+    """The schedule a served query hands its session, hit or miss.
+
+    It takes its graph from the request and ``is_periodic()`` and
+    ``node_period()`` from the cache entry the query's trace came from:
+    everything the metric suite and the validator read of a schedule once
+    they have its trace.  It has no happy sets — a query that needs the
+    schedule itself fails loudly here instead of quietly building it.
+    """
+
+    def __init__(self, graph: ConflictGraph, traces: _BoundTraceCache) -> None:
+        super().__init__(graph)
+        self._traces = traces
+
+    def happy_set(self, holiday: int) -> FrozenSet[Node]:
+        raise TypeError(
+            "a served query reads its schedule's trace from the trace cache; "
+            "the stand-in schedule has no happy sets"
+        )
+
+    def is_periodic(self) -> bool:
+        return self._traces.entry.periods is not None
+
+    def node_period(self, node: Node) -> Optional[int]:
+        periods = self._traces.entry.periods
+        if periods is None:
+            return None
+        return int(periods[self.graph.index_of(node)]) or None
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +371,15 @@ class SchedulingService:
                 f"unknown algorithm {algorithm!r}; see /algorithms",
             )
 
-    def _resolve_query(
+    def _resolve_request(
         self, payload: Mapping[str, object]
-    ) -> Tuple[Dict[str, object], ConflictGraph, Schedule, int, Session]:
-        """Everything the evaluate/validate/report endpoints share.
+    ) -> Tuple[Dict[str, object], ConflictGraph, TraceKey, EngineConfig, Callable[[], Schedule]]:
+        """What every schedule endpoint reads from a request body.
 
-        Returns ``(identity, graph, schedule, horizon, session)`` where
-        ``identity`` is the echo block every response starts with and
-        ``session`` is bound to the shared trace cache under the request's
-        content key.
+        Returns ``(identity, graph, key, config, build)`` where ``identity``
+        is the echo block every response starts with, ``key`` the content
+        key of the request's trace and ``build()`` builds the request's
+        schedule.  Nothing is built here.
         """
         if not isinstance(payload, Mapping):
             raise ServiceError(400, "bad_request", "request body must be a JSON object")
@@ -328,11 +405,8 @@ class SchedulingService:
                 f"horizon {horizon} exceeds this service's limit of {self.max_horizon}; "
                 "run oversized horizons through the library/CLI streaming path",
             )
-        schedule = scheduler.build(graph, seed=seed)
-        key = TraceKey(graph_key, schedule_key_for(algorithm, seed), horizon, config.cache_key())
-        session = Session(
-            graph, config=config, policy=self.policy, traces=_BoundTraceCache(self.cache, key)
-        )
+        schedule_key = schedule_key_for(algorithm, seed, scheduler.seeded)
+        key = TraceKey(graph_key, schedule_key, horizon, config.cache_key())
         identity: Dict[str, object] = {
             "workload": workload,
             "algorithm": algorithm,
@@ -340,12 +414,33 @@ class SchedulingService:
             "horizon": horizon,
             "n": graph.num_nodes(),
         }
-        return identity, graph, schedule, horizon, session
+        return identity, graph, key, config, lambda: scheduler.build(graph, seed=seed)
+
+    def _resolve_query(
+        self, payload: Mapping[str, object]
+    ) -> Tuple[Dict[str, object], Schedule, int, Session]:
+        """Everything the evaluate/validate/report endpoints share.
+
+        Returns ``(identity, schedule, horizon, session)`` where ``session``
+        is bound to the shared trace cache under the request's content key
+        and ``schedule`` is the stand-in a hit and a miss both query; only
+        a miss builds the real schedule.  The ``sets`` reference has no
+        trace to cache and walks the real schedule, built here.
+        """
+        identity, graph, key, config, build = self._resolve_request(payload)
+        horizon = key.horizon
+        if config.resolve(graph.num_nodes(), horizon).uses_matrix:
+            traces = _BoundTraceCache(self.cache, key, build)
+            schedule: Schedule = _CachedSchedule(graph, traces)
+        else:
+            traces, schedule = None, build()
+        session = Session(graph, config=config, policy=self.policy, traces=traces)
+        return identity, schedule, horizon, session
 
     # -- endpoints -----------------------------------------------------------
     def evaluate(self, payload: Mapping[str, object]) -> Dict[str, object]:
         """``POST /evaluate`` — the full metric suite over the shared trace."""
-        identity, _, schedule, horizon, session = self._resolve_query(payload)
+        identity, schedule, horizon, session = self._resolve_query(payload)
         report = session.evaluate(schedule, horizon)
         identity["report"] = report_payload(report)
         return identity
@@ -355,14 +450,14 @@ class SchedulingService:
         check_periodic = payload.get("check_periodic", False)
         if not isinstance(check_periodic, bool):
             raise ServiceError(400, "bad_request", "'check_periodic' must be a boolean")
-        identity, _, schedule, horizon, session = self._resolve_query(payload)
+        identity, schedule, horizon, session = self._resolve_query(payload)
         validation = session.validate(schedule, horizon, check_periodic=check_periodic)
         identity["validation"] = validation_payload(validation)
         return identity
 
     def report(self, payload: Mapping[str, object]) -> Dict[str, object]:
         """``POST /report`` — evaluate *and* validate over one trace build."""
-        identity, _, schedule, horizon, session = self._resolve_query(payload)
+        identity, schedule, horizon, session = self._resolve_query(payload)
         combined = session.report(schedule, horizon)
         identity.update(
             {
@@ -379,12 +474,13 @@ class SchedulingService:
 
         The schedule-synthesis endpoint: the scheduling construction itself
         as a service, without measuring it (chain ``/report`` for metrics).
+        It always builds: the schedule is the answer.
         """
         holidays = self._int_field(payload, "holidays", 12)
         if holidays < 1 or holidays > 10_000:
             raise ServiceError(400, "bad_request", "'holidays' must be in [1, 10000]")
-        identity, _, schedule, _, _ = self._resolve_query(payload)
-        identity["schedule"] = schedule_payload(schedule, min(holidays, identity["horizon"]))
+        identity, _, _, _, build = self._resolve_request(payload)
+        identity["schedule"] = schedule_payload(build(), min(holidays, identity["horizon"]))
         return identity
 
     def cell(self, payload: Mapping[str, object]) -> Dict[str, object]:
@@ -442,7 +538,9 @@ class SchedulingService:
                     stored = self.store.get(cell_id)
                 if stored is not None:
                     return stored, True
-            record = execute_cell(cell)
+            # the graph the query endpoints share, not a registry rebuild
+            _, graph = self._graph_for(cell.workload, cell.params)
+            record = execute_cell(cell, graph)
             if self.store is not None:
                 with self._store_lock:
                     self.store.put(record, campaign="serve", config_json=config.to_json())

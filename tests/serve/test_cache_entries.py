@@ -1,11 +1,13 @@
 """What the service's trace cache holds, and what it charges for it.
 
-Each entry is the :meth:`~repro.core.trace.TraceView.summary_view` of a
-built trace: a plain :class:`~repro.core.trace.TraceView` with the scanned
-summary and mul array, holding no matrix, stream source or schedule.  It is
-charged by its :meth:`~repro.core.trace.TraceView.nbytes`, which must track
-what the entries really keep alive (measured with :mod:`tracemalloc`) so
-that ``max_bytes`` bounds resident memory.
+Each entry is a :class:`~repro.serve.service.TraceEntry`: the
+:meth:`~repro.core.trace.TraceView.summary_view` of a built trace (a plain
+:class:`~repro.core.trace.TraceView` with the scanned summary and mul
+array, holding no matrix, stream source or schedule) and the schedule's
+advertised periods.  It is charged by its
+:meth:`~repro.serve.service.TraceEntry.nbytes`, which must track what the
+entries really keep alive (measured with :mod:`tracemalloc`) so that
+``max_bytes`` bounds resident memory.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import get_scheduler
+from repro.analysis.engine import HorizonPolicy
 from repro.core.schedule import Schedule
 from repro.core.trace import TraceStream, TraceView
-from repro.graphs.suites import BENCHMARK_WORKLOADS
+from repro.graphs.suites import BENCHMARK_WORKLOADS, get_workload
 from repro.serve import DEFAULT_CACHE_BYTES, SchedulingService, TraceCache
 
 #: the schedulers the perfbench ``serve`` mix queries: four periodic, two
@@ -88,11 +92,16 @@ def test_cached_values_are_summary_views(algorithm, config):
     service.validate(dict(body, check_periodic=True))
     service.report(body)
     assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 3  # /report asks twice
-    [(value, size)] = cache.sized
-    assert type(value) is TraceView
-    assert value.mode == ("dense" if config is None else "stream")
-    assert size == value.nbytes() == cache.total_bytes
-    assert not [obj for obj in reachable(value, value.graph) if holds_trace_data(obj)]
+    [(entry, size)] = cache.sized
+    assert type(entry.view) is TraceView
+    assert entry.view.mode == ("dense" if config is None else "stream")
+    assert size == entry.nbytes() == cache.total_bytes
+    assert not [obj for obj in reachable(entry, entry.view.graph) if holds_trace_data(obj)]
+    graph = entry.view.graph
+    schedule = get_scheduler(algorithm).build(graph, seed=3)
+    assert (entry.periods is not None) == schedule.is_periodic()
+    if schedule.is_periodic():
+        assert entry.periods.tolist() == [schedule.node_period(p) for p in graph.nodes()]
 
 
 def test_sets_backend_bypasses_the_cache():
@@ -104,9 +113,16 @@ def test_sets_backend_bypasses_the_cache():
     assert cache.stats()["hits"] == cache.stats()["misses"] == 0
 
 
-#: fresh-seed /evaluate bodies on the perfbench graphs: 264 distinct entries
+POLICY_HORIZON = {
+    graph: HorizonPolicy().resolve(get_workload(graph)) for graph in BENCHMARK_WORKLOADS
+}
+
+#: fresh-seed /evaluate bodies on the perfbench graphs: 264 distinct
+#: entries.  A seed-free scheduler's key leaves the seed out, so each seed
+#: also gets its own horizon (the policy horizon plus the seed).
 FRESH = [
-    {"workload": graph, "algorithm": algorithm, "seed": seed}
+    {"workload": graph, "algorithm": algorithm, "seed": seed,
+     "horizon": POLICY_HORIZON[graph] + seed}
     for seed in range(1, 5) for graph in BENCHMARK_WORKLOADS for algorithm in ALGORITHMS
 ]
 

@@ -19,10 +19,8 @@ import threading
 import time
 import urllib.request
 
-from repro.algorithms.registry import get_scheduler
 from repro.core.trace import StreamedTrace, TraceMatrix
-from repro.graphs.suites import get_workload
-from repro.serve import TraceCache
+from repro.serve import SchedulingService, TraceCache
 
 THREADS = 8
 BODY = {
@@ -167,16 +165,18 @@ class TestSingleFlight:
 
 class TestByteBudget:
     def test_concurrent_distinct_requests_respect_the_budget(self, serve_stack):
-        # size one cached entry (the summary view of a 64-holiday small/path
-        # trace) — budget two entries, then ask for five distinct seeds at once
-        graph = get_workload("small/path")
-        schedule = get_scheduler("degree-periodic").build(graph, seed=0)
-        entry = TraceMatrix.from_schedule(schedule, graph, 64).summary_view().nbytes()
+        # size one cached entry (that of a 64-holiday small/path request) —
+        # budget two entries, then ask for five distinct seeds at once, each
+        # at its own horizon of at most 64: degree-periodic ignores its
+        # seed, so its key leaves the seed out
+        probe = SchedulingService(cache=TraceCache())
+        probe.evaluate(dict(BODY, horizon=64))
+        entry = probe.cache.total_bytes
         cache = TraceCache(max_bytes=2 * entry)
         service, server, _client = serve_stack(cache=cache)
         port = server.server_address[1]
 
-        variants = [dict(BODY, horizon=64, seed=s) for s in range(5)]
+        variants = [dict(BODY, horizon=64 - s, seed=s) for s in range(5)]
         bodies = _fire(port, variants)
 
         assert len({json.loads(b)["seed"] for b in bodies}) == 5

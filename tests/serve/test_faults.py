@@ -236,6 +236,21 @@ class TestKeepAlive:
         assert response.getheader("Connection") == "close"
         self.assert_next_request_is_served(conn)  # on a fresh connection
 
+    def test_an_oversized_body_still_being_sent_reads_the_413(self, serve_stack):
+        """The 413 arrives while the client is still sending: the server
+        drains the body it will not read (bounded) before it closes, so the
+        close resets nothing and no send fails with a broken pipe."""
+        _service, server, _client = serve_stack()
+        body = b"x" * (MAX_BODY_BYTES + 1)
+        for _ in range(100):
+            conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=30)
+            try:
+                conn.request("POST", "/evaluate", body=body, headers=JSON)
+                response, reply = self.reply(conn)
+            finally:
+                conn.close()
+            assert_envelope(response.status, reply, 413, "body_too_large")
+
     def test_accepted_sockets_disable_nagle(self, serve_stack, monkeypatch):
         """Headers and body go out in two sends; ``TCP_NODELAY`` keeps the
         body from waiting on the client's delayed ACK."""
