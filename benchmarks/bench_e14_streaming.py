@@ -4,50 +4,50 @@ A dense node × holiday matrix has a ceiling: a 60-node workload at horizon
 10⁸ would need ~6 GB.  The streaming mode (``horizon_mode="stream"``)
 removes it: :class:`~repro.core.trace.StreamedTrace` summarises a periodic
 schedule in closed form from its ``(period, phase)`` table
-(:func:`repro.core.trace.periodic_summary`, no chunk at all), and folds any
-other schedule's fixed-width :class:`~repro.core.trace.TraceStream` chunks
-with gap and edge-collision state carried across chunk boundaries, so the
-full metric suite and the validator run in ``O(n × chunk)`` resident memory
-regardless of horizon.
+(:func:`repro.core.trace.periodic_summary`) and a cyclic one from its one
+folded cycle (:func:`repro.core.trace.cyclic_summary`), no chunk at all, and
+folds any other schedule's fixed-width
+:class:`~repro.core.trace.TraceStream` chunks with gap and edge-collision
+state carried across chunk boundaries, so the full metric suite and the
+validator run in ``O(n × chunk)`` resident memory regardless of horizon.
 
 This benchmark demonstrates exactly that claim and turns it into assertions:
 
 1. **Equivalence** — at a dense-feasible horizon, ``dense`` and ``stream``
    produce identical reports and validation outcomes.
 2. **Bounded memory** — the full run evaluates + validates the standard
-   60-node society workload at horizon 10⁸ (``--quick``: 2·10⁶) under
-   ``tracemalloc``, asserting the peak traced allocation stays within a
-   small multiple of one chunk — versus the ~6 GB a dense matrix would need.
-3. **Parallel streaming** — periodic schedules never reach the worker
-   pool, so this stage runs the schedule's *cyclic twin* (one global period
-   as a cyclic :class:`~repro.core.schedule.ExplicitSchedule`, whose chunks
-   are tiled and folded): serially (``cyclic_stream_stage``) and with
-   ``jobs`` worker processes (``parallel_stream_stage``).  Both reports
-   must be *identical* to the closed-form one — the ``jobs=1 ≡ jobs=N``
-   determinism contract, and the closed form checked against the chunk
-   fold at the full horizon — and the parallel wall time is recorded next
-   to its serial twin so the speedup trajectory is tracked across PRs.
+   60-node society workload at horizon 10⁸ (``--quick``: 2·10⁶), asserting
+   the peak traced allocation stays within a small multiple of one chunk —
+   versus the ~6 GB a dense matrix would need.
+3. **Cyclic closed form** — the schedule's *cyclic twin* (one global period
+   as a cyclic :class:`~repro.core.schedule.ExplicitSchedule`) is summarised
+   by folding its cycle and doubling it out (``cyclic_stream_stage``); its
+   report must be *identical* to the periodic closed form's — two
+   derivations that share no logic, checked against each other at the full
+   horizon.
 4. **Windowed generator** — an *aperiodic*, generator-backed scheduler
    (Phased Greedy with a sliding-window memo cache) streams a horizon far
-   beyond its window under ``tracemalloc``, asserting the peak is bounded
-   by the *eviction window*, not the horizon — closing the historical
-   caveat that streaming bounded the trace but not the generator's cache.
+   beyond its window, asserting the peak is bounded by the *eviction
+   window*, not the horizon — closing the historical caveat that streaming
+   bounded the trace but not the generator's cache.
 
-Results land in ``BENCH_stream.json`` (see ``docs/bench_schema.md``).
+Every stage is timed untraced, as the best of :data:`REPEATS` runs; its
+``peak_traced_bytes`` comes from one more run under ``tracemalloc``, whose
+bookkeeping slows every allocation and so is never timed.  Results land in
+``BENCH_stream.json`` (see ``docs/bench_schema.md``).
 
 Run as a script::
 
     python benchmarks/bench_e14_streaming.py [--quick] [--horizon H]
-        [--chunk W] [--backend B] [--algorithm NAME] [--jobs N]
+        [--chunk W] [--backend B] [--algorithm NAME]
         [--generator-horizon H] [--window W]
-
-(``--stream-jobs`` is an alias of ``--jobs``, matching the CLI knob.)
 
 Notes: the default scheduler is perfectly periodic (``degree-periodic``), so
 no schedule prefix is ever materialised — that is the fast path the 10⁸
 claim rests on; its cyclic twin materialises one global period.  The
 generator stage runs Phased Greedy, whose per-holiday cost is inherently
-Python-loop-bound, so its horizon is set in the millions rather than 10⁸.
+Python-loop-bound, so its horizon is set in the hundreds of thousands
+rather than 10⁸.
 """
 
 from __future__ import annotations
@@ -85,12 +85,14 @@ GENERATOR_WINDOW = 1 << 14
 QUICK_GENERATOR_WINDOW = 1 << 13
 
 MIB = 1 << 20
+#: untraced runs per stage; the recorded wall time is the best of them
+REPEATS = 3
 
 
 class CyclicTwin:
     """A periodic scheduler whose schedules are run as their cyclic twins —
     one global period as a cyclic :class:`ExplicitSchedule`: the same
-    trace, built chunk by chunk and split by the ``stream_jobs`` pool."""
+    trace, summarised from its one cycle."""
 
     def __init__(self, inner: Scheduler) -> None:
         self.inner, self.info, self.name = inner, inner.info, inner.name
@@ -146,59 +148,60 @@ def equivalence_check(graph, algorithm: str, backend: str, chunk: int):
     return horizon
 
 
-def streaming_run(
-    graph, algorithm: str, horizon: int, chunk: int, backend: str, jobs: int = 1,
-    cyclic: bool = False,
-):
-    """One streamed run: evaluate + validate at ``horizon`` under tracemalloc.
+def measured(run):
+    """Time ``run()`` untraced, best of :data:`REPEATS`, then run it once
+    more under ``tracemalloc`` for its peak.
+
+    Returns ``(seconds, peak_bytes, outcome)`` with the outcome of the
+    fastest untraced run.
+    """
+    best, outcome = None, None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = run()
+        seconds = time.perf_counter() - start
+        if best is None or seconds < best:
+            best, outcome = seconds, result
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return best, peak, outcome
+
+
+def streaming_run(graph, algorithm: str, horizon: int, chunk: int, backend: str,
+                  cyclic: bool = False):
+    """One streamed run: evaluate + validate at ``horizon`` (:func:`measured`).
 
     Returns ``(record, outcome)``.  Raises when the run is not actually
-    streamed, is illegal, misses its bound, or — for the serial stages —
-    exceeds the chunk-derived memory budget.  ``cyclic`` runs the
-    scheduler's cyclic twin (:class:`CyclicTwin`; record metric
-    ``cyclic_stream_stage``), whose chunks ``jobs > 1`` fans out over
-    worker processes (metric ``parallel_stream_stage``); then **no memory
-    assertion is made**:
-    ``tracemalloc`` is per-process, so the parent's peak never sees the
-    chunks the workers build; the parent-side number is recorded as
-    ``parent_peak_traced_bytes`` (it bounds the merge, not the run) and the
-    serial stage remains the memory receipt.
+    streamed, is illegal, misses its bound, or exceeds the chunk-derived
+    memory budget.  ``cyclic`` runs the scheduler's cyclic twin
+    (:class:`CyclicTwin`; record metric ``cyclic_stream_stage``).
     """
     scheduler = CyclicTwin(get_scheduler(algorithm)) if cyclic else get_scheduler(algorithm)
     budget = memory_budget(graph.num_nodes(), chunk)
     dense_bytes = dense_trace_bytes(graph.num_nodes(), horizon)
-
-    tracemalloc.start()
-    start = time.perf_counter()
-    outcome = run_scheduler(
-        scheduler, graph, horizon=horizon, seed=1,
-        config=EngineConfig(
-            backend=backend, horizon_mode="stream", chunk=chunk, stream_jobs=jobs
-        ),
+    config = EngineConfig(backend=backend, horizon_mode="stream", chunk=chunk)
+    seconds, peak, outcome = measured(
+        lambda: run_scheduler(scheduler, graph, horizon=horizon, seed=1, config=config)
     )
-    seconds = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
 
     assert outcome.horizon_mode == "stream"
     assert outcome.validation.ok, "streamed validation found violations"
     assert outcome.bound_satisfied, "streamed run misses the scheduler's bound"
-    if jobs == 1:
-        if peak > budget:
-            raise AssertionError(
-                f"peak traced memory {peak / MIB:.1f} MiB exceeds the chunk budget "
-                f"{budget / MIB:.1f} MiB (chunk={chunk}, n={graph.num_nodes()})"
-            )
-        if horizon >= 10_000_000 and peak * 4 > dense_bytes:
-            raise AssertionError(
-                f"streaming saved less than 4x over dense ({peak} vs {dense_bytes} bytes)"
-            )
-    if jobs > 1:
-        metric = "parallel_stream_stage"
-    else:
-        metric = "cyclic_stream_stage" if cyclic else "stream_measure_stage"
+    if peak > budget:
+        raise AssertionError(
+            f"peak traced memory {peak / MIB:.1f} MiB exceeds the chunk budget "
+            f"{budget / MIB:.1f} MiB (chunk={chunk}, n={graph.num_nodes()})"
+        )
+    if horizon >= 10_000_000 and peak * 4 > dense_bytes:
+        raise AssertionError(
+            f"streaming saved less than 4x over dense ({peak} vs {dense_bytes} bytes)"
+        )
     record = bench_record(
-        metric,
+        "cyclic_stream_stage" if cyclic else "stream_measure_stage",
         horizon,
         seconds,
         backend,
@@ -207,23 +210,17 @@ def streaming_run(
         form="cyclic" if cyclic else "periodic",
         horizon_mode="stream",
         chunk=chunk,
-        jobs=jobs,
         num_chunks=-(-horizon // chunk),
         max_mul=int(outcome.report.max_mul),
         legal=1.0,
         bound_satisfied=1.0,
         build_seconds=outcome.build_seconds,
         measure_seconds=outcome.measure_seconds,
+        peak_traced_bytes=int(peak),
+        budget_bytes=int(budget),
+        dense_estimate_bytes=int(dense_bytes),
+        dense_to_peak_ratio=round(dense_bytes / peak, 2) if peak else None,
     )
-    if jobs == 1:
-        record.update(
-            peak_traced_bytes=int(peak),
-            budget_bytes=int(budget),
-            dense_estimate_bytes=int(dense_bytes),
-            dense_to_peak_ratio=round(dense_bytes / peak, 2) if peak else None,
-        )
-    else:
-        record["parent_peak_traced_bytes"] = int(peak)
     return record, outcome
 
 
@@ -257,23 +254,17 @@ def generator_streaming_run(graph, horizon: int, window: int, chunk: int, backen
     The scheduler's :class:`~repro.core.schedule.GeneratorSchedule` keeps a
     sliding window of ``window`` holidays, so the whole evaluate + validate
     pipeline (which shares one streaming summary pass) runs at memory
-    bounded by ``window``/``chunk`` — asserted under ``tracemalloc``
-    against :func:`generator_memory_budget`.
+    bounded by ``window``/``chunk`` — asserted against
+    :func:`generator_memory_budget` (:func:`measured`).
     """
     assert window >= chunk, "the window must cover at least one chunk"
     assert horizon >= 8 * window, "horizon must dwarf the window for the claim to mean anything"
     scheduler = PhasedGreedyScheduler(initial_coloring="greedy", window=window)
     budget = generator_memory_budget(window, chunk, graph.num_nodes())
-
-    tracemalloc.start()
-    start = time.perf_counter()
-    outcome = run_scheduler(
-        scheduler, graph, horizon=horizon, seed=1,
-        config=EngineConfig(backend=backend, horizon_mode="stream", chunk=chunk),
+    config = EngineConfig(backend=backend, horizon_mode="stream", chunk=chunk)
+    seconds, peak, outcome = measured(
+        lambda: run_scheduler(scheduler, graph, horizon=horizon, seed=1, config=config)
     )
-    seconds = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
 
     assert outcome.horizon_mode == "stream"
     assert outcome.validation.ok, "windowed generator validation found violations"
@@ -318,8 +309,6 @@ def main(argv=None) -> int:
     parser.add_argument("--backend", default="auto", choices=["auto", "numpy"])
     parser.add_argument("--algorithm", default="degree-periodic",
                         help="registered scheduler (default: degree-periodic, perfectly periodic)")
-    parser.add_argument("--jobs", "--stream-jobs", type=int, default=2, dest="jobs",
-                        help="worker processes for the parallel-stream stage (default 2)")
     parser.add_argument("--generator-horizon", type=int, default=None,
                         help="override the windowed-generator stage horizon")
     parser.add_argument("--window", type=int, default=None,
@@ -341,15 +330,6 @@ def main(argv=None) -> int:
     assert_same_report(cyclic_outcome, serial_outcome, "the cyclic twin", "the closed form")
     records = [serial, cyclic]
     print("cyclic twin == closed form: reports identical")
-    if args.jobs > 1:
-        parallel, parallel_outcome = streaming_run(
-            graph, args.algorithm, horizon, args.chunk, backend, jobs=args.jobs, cyclic=True
-        )
-        assert_same_report(parallel_outcome, cyclic_outcome, f"jobs={args.jobs}", "the serial stream")
-        parallel["parallel_speedup"] = round(cyclic["seconds"] / parallel["seconds"], 3)
-        records.append(parallel)
-        print(f"jobs={args.jobs} == jobs=1: reports identical "
-              f"(speedup {parallel['parallel_speedup']}x)")
 
     gen_horizon = args.generator_horizon or (
         QUICK_GENERATOR_HORIZON if args.quick else GENERATOR_HORIZON
@@ -363,17 +343,17 @@ def main(argv=None) -> int:
 
     print_table(
         f"E14 streaming trace (backend {backend}, {graph.name})",
-        ["stage", "scheduler", "horizon", "chunk", "jobs/window",
+        ["stage", "scheduler", "horizon", "chunk", "window",
          "seconds", "peak MiB", "budget MiB"],
         [[
             r["metric"].replace("_stage", ""),
             r["scheduler"],
             f"{r['horizon']:,}",
             r["chunk"],
-            r.get("jobs") or r.get("window", "-"),
-            round(r["seconds"], 2),
-            round(r["peak_traced_bytes"] / MIB, 1) if "peak_traced_bytes" in r else "(workers)",
-            round(r["budget_bytes"] / MIB, 1) if "budget_bytes" in r else "-",
+            r.get("window", "-"),
+            round(r["seconds"], 4),
+            round(r["peak_traced_bytes"] / MIB, 1),
+            round(r["budget_bytes"] / MIB, 1),
         ] for r in records],
     )
 
@@ -382,6 +362,7 @@ def main(argv=None) -> int:
         records,
         meta={
             "quick": args.quick,
+            "repeats": REPEATS,
             "equivalence_horizon": eq_horizon,
             "workload_nodes": graph.num_nodes(),
             "workload_edges": graph.num_edges(),
@@ -404,21 +385,17 @@ def test_e14_stream_bounded_memory():
     assert record["peak_traced_bytes"] <= record["budget_bytes"]
 
 
-def test_e14_parallel_stream_matches_serial():
+def test_e14_cyclic_twin_matches_closed_form():
     graph = society_workload()
     backend = resolve_backend("auto")
     chunk = 1 << 15
     _, closed_form = streaming_run(graph, "degree-periodic", 300_000, chunk, backend)
-    serial, serial_outcome = streaming_run(
+    cyclic, cyclic_outcome = streaming_run(
         graph, "degree-periodic", 300_000, chunk, backend, cyclic=True
     )
-    parallel, parallel_outcome = streaming_run(
-        graph, "degree-periodic", 300_000, chunk, backend, jobs=2, cyclic=True
-    )
-    assert_same_report(serial_outcome, closed_form, "the cyclic twin", "the closed form")
-    assert_same_report(parallel_outcome, serial_outcome, "jobs=2", "the serial stream")
-    assert serial["metric"] == "cyclic_stream_stage" and serial["form"] == "cyclic"
-    assert parallel["metric"] == "parallel_stream_stage" and parallel["jobs"] == 2
+    assert_same_report(cyclic_outcome, closed_form, "the cyclic twin", "the closed form")
+    assert cyclic["metric"] == "cyclic_stream_stage" and cyclic["form"] == "cyclic"
+    assert cyclic["peak_traced_bytes"] <= cyclic["budget_bytes"]
 
 
 def test_e14_generator_window_bounds_memory():

@@ -56,7 +56,7 @@ def main() -> None:
     # One session owns the engine configuration for every run below.  The
     # default EngineConfig() is right for a graph this size; the same object
     # scales to 10^8-holiday horizons by flipping knobs, e.g.
-    # EngineConfig(horizon_mode="stream", stream_jobs=4).
+    # EngineConfig(horizon_mode="stream", chunk=2**18).
     session = Session(graph, config=EngineConfig())
 
     schedulers = [
@@ -116,7 +116,7 @@ def spec_driven_sweep() -> None:
         workloads=("small/star", "small/cycle", "small/gnp"),
         algorithms=("phased-greedy", "color-periodic-omega", "degree-periodic"),
         horizon=64,
-        config=EngineConfig(batch=4),  # backend/horizon_mode/chunk/stream_jobs/window/batch
+        config=EngineConfig(batch=4),  # backend/horizon_mode/chunk/window/batch
     )
     results = ExperimentEngine(jobs=1).run(spec)
     pivot = results.pivot("mean_norm_gap")

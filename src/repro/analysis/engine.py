@@ -682,7 +682,6 @@ def _execute_batch(
             backend=config.backend,
             measure_seconds=measure_seconds,
             horizon_mode=view.mode,
-            jobs=config.stream_jobs,
             config=config,
         )
         out.append((index, _record_from_outcome(cell, graph, outcome)))

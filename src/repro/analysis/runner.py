@@ -11,8 +11,8 @@ The runner encapsulates the repetitive part of every experiment:
    claimed per-node bound) through the session — which builds the occupancy
    trace **once** and shares it between both steps.
 
-Execution knobs (backend, horizon representation, chunk width, streamed-scan
-workers, generator window) arrive on one ``config=``.
+Execution knobs (backend, horizon representation, chunk width, generator
+window) arrive on one ``config=``.
 
 ``compare_schedulers`` runs a list of registered scheduler names over a
 workload dictionary and returns a :class:`~repro.analysis.records.ResultSet`
@@ -59,9 +59,6 @@ class RunOutcome:
     #: horizon representation actually used: "dense", "stream" or "sets"
     #: (the frozenset reference has no streaming mode).
     horizon_mode: str = "dense"
-    #: worker processes the streamed summary pass was allowed to fan out
-    #: over (1 = serial; never affects any measured number, only wall time).
-    jobs: int = 1
     #: the full execution configuration the run was measured under.
     config: EngineConfig = field(default_factory=EngineConfig)
 
@@ -111,10 +108,7 @@ def run_scheduler(
     ``"numpy"``/``"sets"``), ``horizon_mode`` (``"dense"`` one
     n × horizon matrix, ``"stream"`` fixed-width chunks of ``chunk``
     holidays at ``O(n × chunk)`` memory, ``"auto"`` dense until the matrix
-    would exceed :data:`repro.core.trace.AUTO_STREAM_BYTES`) and
-    ``stream_jobs`` (streamed-scan worker fan-out — a pure wall-clock knob
-    whose results are identical to serial by the
-    :class:`~repro.core.trace.StreamedTrace` determinism contract).
+    would exceed :data:`repro.core.trace.AUTO_STREAM_BYTES`).
     ``config.window`` re-configures schedulers that support a sliding
     generator window (:meth:`~repro.algorithms.base.Scheduler.with_window`).
     On the matrix engines the occupancy trace is built exactly once — the
@@ -169,7 +163,6 @@ def run_scheduler(
         backend=config.backend,
         measure_seconds=measure_seconds,
         horizon_mode=getattr(session.trace(schedule, horizon), "mode", "sets"),
-        jobs=config.stream_jobs,
         config=config,
     )
 
@@ -192,12 +185,8 @@ def compare_schedulers(
     A thin wrapper over the declarative engine: the workload dictionary is
     turned into an :class:`~repro.analysis.engine.ExperimentSpec` whose
     workload names shadow the registry with the given graphs.  ``jobs``
-    selects parallel execution *across cells*; ``config.stream_jobs``
-    parallelises the chunk scan *within* each streamed cell (the two
-    compose, but on a fixed core budget prefer ``jobs`` when there are many
-    cells and ``stream_jobs`` when one long-horizon cell dominates).
-    ``sink``/``resume`` stream the records to a JSONL file and skip
-    already-completed cells.
+    selects parallel execution *across cells*.  ``sink``/``resume`` stream
+    the records to a JSONL file and skip already-completed cells.
 
     Seed semantics: ``seed`` is the *root* seed; each cell's scheduler runs
     with a seed derived from ``(workload, algorithm, params, seed)`` (the

@@ -120,8 +120,8 @@ def _backend_arg(value: str) -> str:
 
 
 def _positive_int(value: str) -> int:
-    """Counts and widths (``--horizon``, ``--chunk``, ``--stream-jobs``,
-    ``--batch``), rejected at parse time unless they are >= 1."""
+    """Counts and widths (``--horizon``, ``--chunk``, ``--batch``),
+    rejected at parse time unless they are >= 1."""
     try:
         number = int(value)
     except ValueError:
@@ -153,7 +153,7 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
 
     One registration shared by ``schedule``/``compare``/``experiment``/
     ``serve`` (it used to be copied per subcommand): ``--backend``,
-    ``--horizon-mode``, ``--chunk``, ``--stream-jobs`` and ``--batch``.
+    ``--horizon-mode``, ``--chunk`` and ``--batch``.
     Every flag defaults to ``None`` = "not given", so
     :func:`engine_overrides` can layer only the flags the user typed over a
     spec's config.
@@ -186,18 +186,6 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="streaming chunk width in holidays (default: 262144)",
     )
     parser.add_argument(
-        "--stream-jobs",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for the streamed chunk scan of one run (takes "
-            "effect only when the horizon actually streams; results are "
-            "identical for every value, see docs/streaming.md).  For "
-            "parallelism *across* runs use 'experiment --jobs' instead"
-        ),
-    )
-    parser.add_argument(
         "--batch",
         type=_positive_int,
         default=None,
@@ -211,6 +199,7 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument("--no-checkpoint", dest="checkpoint", action=_RemovedFlag)
+    parser.add_argument("--stream-jobs", action=_RemovedFlag)
 
 
 def engine_overrides(args: argparse.Namespace) -> dict:
@@ -222,8 +211,6 @@ def engine_overrides(args: argparse.Namespace) -> dict:
         overrides["horizon_mode"] = args.horizon_mode
     if args.chunk is not None:
         overrides["chunk"] = args.chunk
-    if args.stream_jobs is not None:
-        overrides["stream_jobs"] = args.stream_jobs
     if getattr(args, "batch", None) is not None:
         overrides["batch"] = args.batch
     return overrides

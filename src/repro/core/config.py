@@ -20,9 +20,6 @@ The knobs:
   :data:`repro.core.trace.AUTO_STREAM_BYTES`).
 * ``chunk`` — streaming chunk width (``None`` =
   :data:`repro.core.trace.DEFAULT_CHUNK`).
-* ``stream_jobs`` — worker processes for the streamed chunk scan.  Purely a
-  wall-clock knob: results are identical for every value (the
-  :class:`~repro.core.trace.StreamedTrace` determinism contract).
 * ``window`` — sliding-window memo width for generator-backed schedules
   (see :class:`~repro.core.schedule.GeneratorSchedule`).  Applied by
   :func:`~repro.analysis.runner.run_scheduler` /
@@ -38,8 +35,8 @@ The knobs:
   modulo the timing metrics.
 
 Values earlier releases accepted and this one dropped (:data:`REMOVED`: the
-``bitmask`` backend and the ``checkpoint`` field) fail with a
-:class:`ValueError` that says so and lists the valid choices.
+``bitmask`` backend and the ``checkpoint`` and ``stream_jobs`` fields) fail
+with a :class:`ValueError` that says so and lists the valid choices.
 
 Every entry point from :func:`repro.core.metrics.build_trace` up to the CLI
 takes its knobs as ``config: EngineConfig`` and nowhere else.
@@ -74,20 +71,20 @@ __all__ = [
 #: knob cannot ship without deciding its hashing story.
 RESULT_KNOBS = frozenset({"backend", "horizon_mode", "chunk", "window"})
 
-#: knobs the determinism contracts prove result-neutral (``stream_jobs``,
-#: ``batch`` — parallelism and batching never change an answer,
-#: differentially tested): excluded from cache keys so warming a cache at
-#: one parallelism serves every other.
-WALL_CLOCK_KNOBS = frozenset({"stream_jobs", "batch"})
+#: knobs the determinism contracts prove result-neutral (``batch`` —
+#: batching never changes an answer, differentially tested): excluded from
+#: cache keys so warming a cache at one batch size serves every other.
+WALL_CLOCK_KNOBS = frozenset({"batch"})
 
 #: backends EngineConfig accepts: the matrix backends plus the frozenset
 #: reference engine (which is handled above the TraceMatrix layer).
 CONFIG_BACKENDS = tuple(BACKENDS) + ("sets",)
 
 #: backend values and config fields earlier releases accepted: the
-#: pure-Python ``bitmask`` backend (numpy is now required) and the
-#: ``checkpoint`` knob of the deleted generator checkpoint fan-out.
-REMOVED = frozenset({"bitmask", "checkpoint"})
+#: pure-Python ``bitmask`` backend (numpy is now required), the
+#: ``checkpoint`` knob of the deleted generator checkpoint fan-out and the
+#: ``stream_jobs`` knob of the deleted streamed-scan process pool.
+REMOVED = frozenset({"bitmask", "checkpoint", "stream_jobs"})
 
 _SETS_STREAM_ERROR = (
     "backend='sets' (the frozenset reference) has no streaming mode; "
@@ -118,7 +115,6 @@ class ResolvedEngine:
     backend: str
     mode: str
     chunk: Optional[int]
-    stream_jobs: int
     window: Optional[int]
 
     @property
@@ -142,7 +138,6 @@ class EngineConfig:
     backend: str = "auto"
     horizon_mode: str = "auto"
     chunk: Optional[int] = None
-    stream_jobs: int = 1
     window: Optional[int] = None
     batch: Optional[int] = None
 
@@ -157,8 +152,6 @@ class EngineConfig:
             raise ValueError(_SETS_STREAM_ERROR)
         if self.chunk is not None and int(self.chunk) < 1:
             raise ValueError(f"chunk width must be >= 1, got {self.chunk!r}")
-        if int(self.stream_jobs) < 1:
-            raise ValueError(f"stream_jobs must be >= 1, got {self.stream_jobs!r}")
         if self.window is not None and int(self.window) < 1:
             raise ValueError(f"window must be >= 1, got {self.window!r}")
         if self.batch is not None and int(self.batch) < 1:
@@ -177,13 +170,13 @@ class EngineConfig:
         graph exists.
         """
         if self.backend == "sets":
-            return ResolvedEngine("sets", "sets", self.chunk, self.stream_jobs, self.window)
+            return ResolvedEngine("sets", "sets", self.chunk, self.window)
         backend = resolve_backend(self.backend)
         if self.horizon_mode == "auto" and num_nodes is not None and horizon is not None:
             mode = resolve_horizon_mode("auto", num_nodes, horizon)
         else:
             mode = self.horizon_mode
-        return ResolvedEngine(backend, mode, self.chunk, self.stream_jobs, self.window)
+        return ResolvedEngine(backend, mode, self.chunk, self.window)
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
@@ -214,7 +207,7 @@ class EngineConfig:
         This is what the experiment engine hashes into cell ids: default
         knobs leave the id untouched, so results sinks recorded before a
         knob existed keep resuming (dense and stream produce identical
-        records; parallelism never changes a result).
+        records; batching never changes a result).
         """
         default = DEFAULT_CONFIG
         return {

@@ -26,8 +26,8 @@ the architecture notes):
   metric becomes a lookup in that summary.
 
 Execution knobs — backend, horizon representation (``dense`` one n × horizon
-matrix vs ``stream``ed fixed-width chunks at ``O(n × chunk)`` memory), chunk
-width and streamed-scan worker count — travel together on one
+matrix vs ``stream``ed fixed-width chunks at ``O(n × chunk)`` memory) and
+chunk width — travel together on one
 :class:`~repro.core.config.EngineConfig` accepted by every entry point as
 ``config=``.  Every entry point also accepts a pre-built ``trace=`` so a
 caller (e.g. :class:`repro.api.Session` or the experiment runner) can share
@@ -88,9 +88,8 @@ def build_trace(
     already built it, a fresh one otherwise), or ``None`` when
     ``config.backend == "sets"`` selects the frozenset reference path.
     ``config`` carries the representation choice (``horizon_mode`` resolved
-    by estimated memory when ``"auto"``), the streaming chunk width and the
-    streamed-scan worker count — the latter two are ignored when the
-    resolved representation is dense.
+    by estimated memory when ``"auto"``) and the streaming chunk width,
+    which is ignored when the resolved representation is dense.
 
     The fourth positional slot takes only ``None``: perfbench's span
     wrapper forwards ``(schedule, graph, horizon, None, trace)`` by
@@ -122,10 +121,7 @@ def build_trace(
     if not engine.uses_matrix:
         return None
     if engine.mode == "stream":
-        return StreamedTrace(
-            schedule, graph, horizon,
-            backend=engine.backend, chunk=engine.chunk, jobs=engine.stream_jobs,
-        )
+        return StreamedTrace(schedule, graph, horizon, backend=engine.backend, chunk=engine.chunk)
     return TraceMatrix.from_schedule(schedule, graph, horizon, backend=engine.backend)
 
 

@@ -27,11 +27,9 @@ three trace kinds feed the same fold:
     A dense ``n × horizon`` matrix, folded as one block.
 :class:`StreamedTrace`
     The fixed-width chunks of a :class:`TraceStream`, folded one at a time
-    at ``O(n × chunk)`` resident bytes whatever the horizon — serially, or
-    with ``jobs > 1`` over contiguous chunk ranges on worker processes whose
-    partial summaries merge in order.  A periodic schedule's summary needs
-    no chunk at all: :func:`periodic_summary` writes down the fold in
-    closed form.
+    at ``O(n × chunk)`` resident bytes whatever the horizon.  A periodic or
+    cyclic schedule's summary needs no chunk at all: :func:`periodic_summary`
+    and :func:`cyclic_summary` write down the fold in closed form.
 :class:`TraceBatch`
     ``S`` schedules over one graph and horizon stacked into ``S·n`` rows and
     folded at once; each member view reads its slice of the one summary.
@@ -63,54 +61,41 @@ Construction fast paths (see :meth:`TraceMatrix.from_schedule`):
   runs and raw sequences of sets) — columns are filled from the materialised
   prefix in a single batched pass.
 
-The streaming fast paths go one step further for periodic schedules: every
-summary and legality query of a :class:`StreamedTrace` over a
-:class:`~repro.core.schedule.PeriodicSchedule` (covering exactly the graph's
-nodes) reads :func:`periodic_summary`, which derives each row's count,
-first and last appearance from ``(period, phase, horizon)`` and each
+The streaming fast paths go one step further for periodic and cyclic
+schedules: every summary and legality query of a :class:`StreamedTrace`
+over a :class:`~repro.core.schedule.PeriodicSchedule` (covering exactly the
+graph's nodes) reads :func:`periodic_summary`, which derives each row's
+count, first and last appearance from ``(period, phase, horizon)`` and each
 edge's collisions from one CRT residue class — O(rows + edges) at any
-horizon, no block built.  With ``fail_fast`` it stops where the chunk scan
-would, at the end of the chunk holding the first collision.  The
-per-appearance queries (``appearances``, ``gaps``, ``all_gaps``,
-``happy_set``) still stream periodic blocks tiled from the table; cyclic
-schedules tile one cycle into each chunk, and generic schedules
-materialise one chunk of happy sets at a time.  A
+horizon, no block built.  A cyclic
+:class:`~repro.core.schedule.ExplicitSchedule` reads :func:`cyclic_summary`,
+which folds its one cycle and doubles it out with merges of shifted copies —
+O(log(horizon / cycle)) merges, no chunk built.  With ``fail_fast`` both
+stop where the chunk scan would, at the end of the chunk holding the first
+violation.  The per-appearance queries (``appearances``, ``gaps``,
+``all_gaps``, ``happy_set``) still stream blocks: periodic ones tiled from
+the table, cyclic ones from one cycle, and generic schedules materialise
+one chunk of happy sets at a time.  A
 :class:`~repro.core.schedule.GeneratorSchedule`
 constructed with a ``window=`` evicts holidays far behind its generation
 frontier, so aperiodic generator-backed schedulers also stream at bounded
 memory — at the price of supporting a single forward pass: the summary pass
 is that pass, and a second pass over evicted history (``appearances``,
 ``all_gaps``, ``happy_set``) raises :class:`ValueError`.
-
-Parallel streaming (``jobs=``): cyclic schedules rebuild any chunk from
-``(schedule, chunk range)`` alone, and raw happy-set sequences ship each
-worker just its slice, so the fold splits into contiguous chunk ranges
-evaluated on worker processes.  Periodic schedules have no chunks to split
-— their closed form starts no pool at any ``jobs`` — and generator
-schedules must run forward in one process and keep the serial scan (with
-one logged warning).  Either way ``jobs=1`` and ``jobs=N`` produce
-*identical* summaries, collisions and validation reports
-(``tests/core/test_stream_parallel.py``); with ``fail_fast`` the legality
-pass stops at the first violating chunk and the parent cancels every
-outstanding range past it.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.problem import ConflictGraph, Node
 from repro.core.schedule import ExplicitSchedule, PeriodicSchedule, Schedule
-
-_LOG = logging.getLogger(__name__)
 
 __all__ = [
     "TraceSummary",
@@ -121,6 +106,7 @@ __all__ = [
     "TraceBatch",
     "fold",
     "periodic_summary",
+    "cyclic_summary",
     "BACKENDS",
     "HORIZON_MODES",
     "DEFAULT_CHUNK",
@@ -150,12 +136,6 @@ DEFAULT_CHUNK = 1 << 18
 #: this many bytes (256 MiB).  Every horizon the HorizonPolicy can pick on
 #: its own stays far below it, so default runs never change representation.
 AUTO_STREAM_BYTES = 1 << 28
-
-#: Parallel streaming splits the chunk sequence into up to ``jobs`` × this
-#: many contiguous blocks: more blocks than workers keeps the pool busy when
-#: block costs are uneven and lets a ``fail_fast`` legality scan cancel
-#: outstanding blocks at a finer granularity than one block per worker.
-BLOCKS_PER_JOB = 4
 
 #: :func:`fold` scans blocks at most this many holidays wide flat — one
 #: ``flatnonzero`` over the whole block, rows recovered by ``divmod`` and
@@ -245,8 +225,7 @@ class TraceSummary:
     distinct differences — possibly repeated; :meth:`distinct` normalises.
     ``collisions`` maps edge ``k`` (position in the folded edge list) to its
     collision holidays and omits edges without any; ``unknown`` holds the
-    ``(holiday, node)`` pairs the builder could not place.  Instances pickle
-    as-is, which is how worker processes return partial summaries.
+    ``(holiday, node)`` pairs the builder could not place.
     """
 
     count: np.ndarray
@@ -303,6 +282,20 @@ class TraceSummary:
             diffs,
             collisions,
             a.unknown + b.unknown,
+        )
+
+    def shifted(self, offset: int) -> "TraceSummary":
+        """This summary's holiday range moved ``offset`` holidays later."""
+        seen = self.count > 0
+        return TraceSummary(
+            self.count,
+            np.where(seen, self.first + offset, 0),
+            np.where(seen, self.last + offset, 0),
+            self.dmax,
+            self.dmin,
+            dict(self.diffs),
+            {k: [t + offset for t in hits] for k, hits in self.collisions.items()},
+            [(t + offset, p) for t, p in self.unknown],
         )
 
     def split(self, parts: int, edges: int) -> List["TraceSummary"]:
@@ -463,30 +456,63 @@ def periodic_summary(
     return out
 
 
-def _merge_in_order(parts: Iterable[TraceSummary], fail_fast: bool) -> TraceSummary:
-    """Merge the summaries of consecutive holiday ranges; with ``fail_fast``,
-    stop after the first range with a collision or an unknown node (``parts``
-    is consumed lazily, so later ranges are never computed)."""
-    summary: Optional[TraceSummary] = None
-    for part in parts:
-        summary = part if summary is None else summary.merge(part)
-        if fail_fast and (part.collisions or part.unknown):
-            break
-    return summary
+def cyclic_summary(
+    cycle: "TraceMatrix",
+    horizon: int,
+    edge_rows: Sequence[Tuple[int, int]] = (),
+    fail_fast_chunk: Optional[int] = None,
+) -> TraceSummary:
+    """The :func:`fold` of a cyclic schedule's trace over holidays
+    ``1..horizon``, from one cycle: O(log(horizon / C)) merges, no chunk is
+    built.
+
+    ``cycle`` is the one-cycle block of ``C`` holidays, with its unknown
+    pairs, that the schedule repeats forever.  Its fold is doubled out with
+    :meth:`TraceSummary.merge` of :meth:`~TraceSummary.shifted` copies to the
+    ``horizon // C`` whole cycles, and the fold of its first ``horizon mod
+    C`` columns is merged on after them.  With ``fail_fast_chunk`` the
+    summary stops where a fail-fast scan of chunks that wide stops: at the
+    end of the chunk holding the cycle's earliest collision or unknown node.
+    """
+    matrix, length = cycle._matrix, cycle.horizon
+    power = fold(matrix, 1, edge_rows, cycle._unknown)
+    if fail_fast_chunk is not None:
+        firsts = [t for t, _ in power.unknown] + [times[0] for times in power.collisions.values()]
+        if firsts:
+            horizon = min(horizon, -(-min(firsts) // fail_fast_chunk) * fail_fast_chunk)
+    copies, remainder = divmod(horizon, length)
+    total: Optional[TraceSummary] = None
+    covered, span = 0, length
+    while copies:
+        if copies & 1:
+            total = power if total is None else total.merge(power.shifted(covered))
+            covered += span
+        copies >>= 1
+        if copies:
+            power = power.merge(power.shifted(span))
+            span *= 2
+    if remainder:
+        unknown = [(t, p) for t, p in cycle._unknown if t <= remainder]
+        tail = fold(matrix[:, :remainder], covered + 1, edge_rows, unknown)
+        total = tail if total is None else total.merge(tail)
+    return total
 
 
 def _fold_blocks(
     blocks: Iterable[Tuple[int, "TraceMatrix"]],
     edge_rows: Sequence[Tuple[int, int]],
     fail_fast: bool = False,
-    offset: int = 0,
 ) -> TraceSummary:
-    """Fold ``(start, block)`` pairs in order into one summary — the serial
-    pass, and each worker's share of a parallel one."""
-    return _merge_in_order(
-        (fold(block._matrix, offset + start, edge_rows, block._unknown) for start, block in blocks),
-        fail_fast,
-    )
+    """Fold ``(start, block)`` pairs in order into one summary; with
+    ``fail_fast``, stop after the first block with a collision or an unknown
+    node (``blocks`` is consumed lazily, so later blocks are never built)."""
+    summary: Optional[TraceSummary] = None
+    for start, block in blocks:
+        part = fold(block._matrix, start, edge_rows, block._unknown)
+        summary = part if summary is None else summary.merge(part)
+        if fail_fast and (part.collisions or part.unknown):
+            break
+    return summary
 
 
 def _gaps(times: Sequence[int], horizon: int) -> List[int]:
@@ -934,6 +960,8 @@ class TraceStream:
       queries only; its summaries come from :func:`periodic_summary`.)
     * cyclic :class:`~repro.core.schedule.ExplicitSchedule` — one cycle is
       materialised once, then every chunk is a rotated tiling of it.
+      (Again for positions queries only: :class:`StreamedTrace` summarises
+      the cycle itself with :func:`cyclic_summary`.)
     * everything else — one chunk of happy sets is materialised at a time
       (a :class:`~repro.core.schedule.GeneratorSchedule` memoises what it
       generated unless it was built with a ``window=``).
@@ -968,10 +996,6 @@ class TraceStream:
                     f"explicit sequence has only {len(schedule)} holidays, "
                     f"requested horizon {horizon}"
                 )
-
-    def num_chunks(self) -> int:
-        """Number of blocks the stream yields."""
-        return -(-self.horizon // self.chunk)
 
     def __iter__(self) -> Iterator[Tuple[int, TraceMatrix]]:
         return self.blocks()
@@ -1022,36 +1046,6 @@ class TraceStream:
         return TraceMatrix(self.graph, width, block, unknown=unknown)
 
 
-def _chunk_blocks(num_chunks: int, parts: int) -> List[Tuple[int, int]]:
-    """Split chunk indices ``0..num_chunks-1`` into at most ``parts``
-    contiguous ``(first_chunk, chunk_count)`` blocks of near-equal size."""
-    parts = max(1, min(parts, num_chunks))
-    base, extra = divmod(num_chunks, parts)
-    blocks: List[Tuple[int, int]] = []
-    first = 0
-    for b in range(parts):
-        count = base + (1 if b < extra else 0)
-        blocks.append((first, count))
-        first += count
-    return blocks
-
-
-def _fold_worker(payload) -> TraceSummary:
-    """Process-pool entry point: fold one contiguous range of chunks.
-
-    ``payload`` is ``(schedule, graph, horizon, chunk, first_chunk,
-    chunk_count, offset, edge_rows, fail_fast)`` where ``schedule`` is
-    either the full schedule (cyclic — the offset-aware fast path rebuilds
-    any chunk from it directly) or, for raw happy-set sequences,
-    just the slice covering this range with ``offset`` holding the global
-    holiday shift.  Returns the range's partial summary.
-    """
-    schedule, graph, horizon, chunk, first_chunk, chunk_count, offset, edge_rows, fail_fast = payload
-    stream = TraceStream(schedule, graph, horizon, chunk=chunk)
-    blocks = islice(stream.blocks(first_chunk * chunk + 1), chunk_count)
-    return _fold_blocks(blocks, edge_rows, fail_fast, offset)
-
-
 class StreamedTrace(TraceView):
     """Streaming counterpart of :class:`TraceMatrix`: same query API, chunked
     evaluation, ``O(n × chunk)`` resident memory.
@@ -1061,25 +1055,16 @@ class StreamedTrace(TraceView):
     that then answers every summary query, so the metric suite and the
     validator share a single pass exactly the way they share one dense
     matrix.  A :class:`~repro.core.schedule.PeriodicSchedule` covering the
-    graph's nodes skips the pass: :func:`periodic_summary` gives the same
-    summary in closed form, for the graph's own edges and for every other
-    edge set (foreign-graph ``legality_scan``, non-edge
-    ``edge_collisions``), and under ``fail_fast`` cuts its collisions at the
-    end of the chunk holding the first one, as the chunk scan would.
-    Queries that *return* per-appearance data (``appearances``, ``gaps``,
+    graph's nodes and a cyclic :class:`~repro.core.schedule.ExplicitSchedule`
+    skip the pass: :func:`periodic_summary` and :func:`cyclic_summary` give
+    the same summary in closed form, for the graph's own edges and for every
+    other edge set (foreign-graph ``legality_scan``, non-edge
+    ``edge_collisions``), and under ``fail_fast`` cut it at the end of the
+    chunk holding the first violation, as the chunk scan would.  Queries
+    that *return* per-appearance data (``appearances``, ``gaps``,
     ``all_gaps``, ``happy_set``) stream a dedicated pass for every kind of
     schedule and are O(appearances) in their output — inherent to the
     question, not to the engine.
-
-    Parallelism: with ``jobs > 1`` the fold splits the chunk sequence into
-    contiguous ranges evaluated on worker processes and merged in order —
-    possible because :meth:`TraceSummary.merge` is associative and the
-    cyclic fast path can build any chunk from ``(schedule, chunk range)``
-    alone.  Raw happy-set sequences ship each worker only its range's
-    slice.  Periodic schedules are never split (their closed form starts no
-    pool), and generator-backed schedules — whose future depends on their
-    past — run the serial scan, with one logged warning.  ``jobs`` never
-    changes any result (``tests/core/test_stream_parallel.py``).
     """
 
     mode = "stream"
@@ -1091,99 +1076,28 @@ class StreamedTrace(TraceView):
         horizon: int,
         backend: str = "auto",
         chunk: Optional[int] = None,
-        jobs: int = 1,
     ) -> None:
         super().__init__(graph, horizon)
         resolve_backend(backend)
         self.chunk = DEFAULT_CHUNK if chunk is None else int(chunk)
-        self.jobs = int(jobs)
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs!r}")
         self.schedule = schedule
         # one re-iterable stream shared by every pass, so the cyclic fast
         # path materialises its cycle once, not once per query; also
         # validates horizon/chunk eagerly
         self._source = TraceStream(schedule, graph, horizon, chunk=self.chunk)
-        self._warned_serial = False
 
     def _blocks(self, first: int = 1) -> Iterator[Tuple[int, TraceMatrix]]:
         return self._source.blocks(first)
 
-    def _parallel_source(self) -> Optional[ScheduleOrSets]:
-        """What a worker process can rebuild chunks from, or None when the
-        scan cannot be split.
-
-        Cyclic schedules are picklable and random-access, so workers
-        receive the schedule itself; raw happy-set sequences — and
-        non-cyclic explicit prefixes, which are just a validated list — are
-        sliceable, so each worker receives only its range's slice.
-        Generator schedules must be run forward in one process.
-        """
-        if isinstance(self.schedule, ExplicitSchedule):
-            if self.schedule.is_periodic():
-                return self.schedule  # one small cycle; workers tile it
-            if len(self.schedule) >= self.horizon:
-                return self.schedule._sets  # validated frozensets; slice per block
-            return None  # too-short prefix: fail serially, as dense would
-        if not isinstance(self.schedule, Schedule):
-            return self.schedule  # raw sequence: workers get their slice
-        return None
-
-    def _block_payload(self, source, first_chunk: int, chunk_count: int) -> Tuple:
-        """The ``(schedule, graph, horizon, chunk, first, count, offset)``
-        tuple one worker needs to rebuild its chunk range."""
-        if isinstance(source, Schedule):
-            return (source, self.graph, self.horizon, self.chunk, first_chunk, chunk_count, 0)
-        lo = first_chunk * self.chunk
-        hi = min(self.horizon, (first_chunk + chunk_count) * self.chunk)
-        return (list(source[lo:hi]), self.graph, hi - lo, self.chunk, 0, chunk_count, lo)
-
     def _fold_pass(self, edge_rows: Sequence[Tuple[int, int]], fail_fast: bool = False) -> TraceSummary:
-        """Fold every chunk — on ``jobs`` workers when the schedule allows.
-
-        A periodic source skips the chunks: :func:`periodic_summary` gives
-        the same summary in closed form, at any ``jobs``.  Otherwise worker
-        summaries merge **in range order**, reproducing the serial
-        left-to-right fold exactly.  Under ``fail_fast`` each worker stops
-        at its first violating chunk, and the parent stops merging (and
-        cancels all outstanding ranges) at the first range reporting one —
-        exactly the first violating chunk overall.
-        """
+        """The summary of the whole trace: in closed form for a periodic or
+        cyclic source, otherwise the serial fold of every chunk."""
+        cut = self.chunk if fail_fast else None
         if self._source._kind == "periodic":
-            return periodic_summary(
-                self.schedule, self._order, self.horizon, edge_rows,
-                self.chunk if fail_fast else None,
-            )
-        source = None
-        if self.jobs > 1 and self._source.num_chunks() > 1:
-            source = self._parallel_source()
-            if source is None and not self._warned_serial:
-                self._warned_serial = True
-                _LOG.warning(
-                    "jobs=%d has no effect for %s: only cyclic and "
-                    "explicit-sequence schedules split across worker processes "
-                    "(generator schedules run forward in one process); running "
-                    "the serial chunk scan instead",
-                    self.jobs,
-                    self.schedule.describe() if isinstance(self.schedule, Schedule)
-                    else type(self.schedule).__name__,
-                )
-        if source is None:
-            return super()._fold_pass(edge_rows, fail_fast)
-        blocks = _chunk_blocks(self._source.num_chunks(), self.jobs * BLOCKS_PER_JOB)
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(blocks))) as pool:
-            futures = [
-                pool.submit(
-                    _fold_worker,
-                    self._block_payload(source, first, count) + (list(edge_rows), fail_fast),
-                )
-                for first, count in blocks
-            ]
-            try:
-                return _merge_in_order((future.result() for future in futures), fail_fast)
-            finally:
-                for future in futures:  # no-op on completed futures
-                    future.cancel()
+            return periodic_summary(self.schedule, self._order, self.horizon, edge_rows, cut)
+        if self._source._kind == "cyclic":
+            return cyclic_summary(self._source._cycle_base(), self.horizon, edge_rows, cut)
+        return super()._fold_pass(edge_rows, fail_fast)
 
 
 class _BatchMember(TraceMatrix):

@@ -117,12 +117,11 @@ def check_independent_sets(
     On the trace engine this is one adjacency-masked column test per edge —
     ``row(u) & row(v)`` flags every holiday at which two in-laws host
     simultaneously — instead of a per-holiday membership scan; on the
-    streaming engine the row-ANDs run chunk by chunk (fanned out over
-    ``config.stream_jobs`` worker processes when the schedule kind allows
-    it — the result never depends on ``stream_jobs``).  With ``fail_fast`` the report stops at the
-    first offending holiday (identically on every engine), a streaming scan
-    stops building chunks there, and a parallel streaming scan cancels
-    every outstanding chunk block.
+    streaming engine the row-ANDs run chunk by chunk (or not at all: a
+    periodic or cyclic schedule's collisions come in closed form).  With
+    ``fail_fast`` the report stops at the first offending holiday
+    (identically on every engine) and a streaming scan stops building
+    chunks there.
     """
     matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
     if matrix is not None:

@@ -1,15 +1,13 @@
 """REP102 — callables handed to ``ProcessPoolExecutor`` must pickle.
 
-The parallel engines (the streamed chunk scan of
-:mod:`repro.core.trace`, the experiment pool of
-:mod:`repro.analysis.engine`) ship work to ``spawn``-ed processes, and
-pickle serialises functions *by qualified name*: only module-level
-functions survive the trip.  A lambda, a function defined inside another
-function, or a bound method submitted to ``pool.submit``/``pool.map``
-raises ``PicklingError`` at runtime — but only on the ``jobs > 1`` path,
-which is exactly the path unit tests exercise least.  This rule rejects
-those shapes statically (the PR 4/9 worker contract: every
-``_*_block_worker`` is a module-level function).
+The experiment pool of :mod:`repro.analysis.engine` ships work to
+``spawn``-ed processes, and pickle serialises functions *by qualified
+name*: only module-level functions survive the trip.  A lambda, a function
+defined inside another function, or a bound method submitted to
+``pool.submit``/``pool.map`` raises ``PicklingError`` at runtime — but only
+on the ``jobs > 1`` path, which is exactly the path unit tests exercise
+least.  This rule rejects those shapes statically: every callable handed
+to the pool is a module-level function.
 
 Receivers are tracked conservatively: only names provably bound to a
 ``ProcessPoolExecutor(...)`` (assignment or ``with ... as pool``) are

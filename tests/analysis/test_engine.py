@@ -460,46 +460,6 @@ class TestRunGrid:
         ]
 
 
-class TestStreamJobs:
-    """Per-cell streamed-scan parallelism (spec/cell `stream_jobs`)."""
-
-    def test_spec_round_trips_stream_jobs(self, tmp_path):
-        spec = tiny_spec(config=EngineConfig(horizon_mode="stream", chunk=16, stream_jobs=2))
-        path = spec.to_json(tmp_path / "spec.json")
-        assert ExperimentSpec.from_json(path) == spec
-
-    def test_invalid_stream_jobs_rejected(self):
-        with pytest.raises(ValueError, match="stream_jobs"):
-            tiny_spec(config=EngineConfig(stream_jobs=0))
-
-    def test_default_stream_jobs_keeps_cell_ids(self):
-        """stream_jobs=1 (the default) is not hashed, so existing resume
-        sinks keep working; any other value marks the cell id."""
-        base = tiny_spec().cells()[0]
-        assert tiny_spec(config=EngineConfig(stream_jobs=1)).cells()[0].cell_id() == base.cell_id()
-        assert tiny_spec(config=EngineConfig(stream_jobs=2)).cells()[0].cell_id() != base.cell_id()
-
-    def test_stream_jobs_records_match_serial_modulo_id_and_timing(self):
-        from repro.io.results import record_to_json_line
-
-        serial = ExperimentEngine(jobs=1).run(tiny_spec(config=EngineConfig(horizon_mode="stream", chunk=7)))
-        parallel = ExperimentEngine(jobs=1).run(
-            tiny_spec(config=EngineConfig(horizon_mode="stream", chunk=7, stream_jobs=2))
-        )
-
-        def stripped(records):
-            out = []
-            for r in records:
-                metrics = {k: v for k, v in r.metrics.items() if k not in TIMING_METRICS}
-                params = {k: v for k, v in r.params.items() if k != "cell_id"}
-                out.append(record_to_json_line(
-                    ExperimentRecord(r.experiment, r.workload, r.algorithm, metrics, params)
-                ))
-            return out
-
-        assert stripped(serial) == stripped(parallel)
-
-
 class TestBatching:
     """The cell-batching planner (spec/cell config `batch`)."""
 

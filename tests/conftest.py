@@ -75,12 +75,7 @@ FOLD_ARMS = {
 
 @pytest.fixture(params=sorted(FOLD_ARMS))
 def fold_arm(request, monkeypatch):
-    """Run the test with every trace fold on one arm of the kernel.
-
-    Process-pool workers inherit the patch where they fork from the parent
-    (Linux before Python 3.14); elsewhere they fold on the default arm,
-    which must give the same summary anyway.
-    """
+    """Run the test with every trace fold on one arm of the kernel."""
     width, group = FOLD_ARMS[request.param]
     monkeypatch.setattr(trace_module, "FLAT_FOLD_WIDTH", width)
     monkeypatch.setattr(trace_module, "EDGE_GROUP_CELLS", group)

@@ -11,7 +11,7 @@ results sink recorded before the consolidation still resumes.
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -84,8 +84,6 @@ class TestEngineConfig:
             EngineConfig(horizon_mode="chunked")
         with pytest.raises(ValueError, match="chunk"):
             EngineConfig(chunk=0)
-        with pytest.raises(ValueError, match="stream_jobs"):
-            EngineConfig(stream_jobs=0)
         with pytest.raises(ValueError, match="window"):
             EngineConfig(window=0)
         with pytest.raises(ValueError, match="batch"):
@@ -103,7 +101,7 @@ class TestEngineConfig:
             EngineConfig.from_dict({"backend": "auto", "checkpoint": False})
         assert str(field.value) == (
             "removed EngineConfig field 'checkpoint'; expected one of ('backend', "
-            "'horizon_mode', 'chunk', 'stream_jobs', 'window', 'batch')"
+            "'horizon_mode', 'chunk', 'window', 'batch')"
         )
         with pytest.raises(ValueError, match="removed EngineConfig field 'checkpoint'"):
             config_with(None, checkpoint=True)
@@ -114,6 +112,24 @@ class TestEngineConfig:
             })
         with pytest.raises(TypeError):
             EngineConfig(checkpoint=False)  # no longer a field at all
+
+    def test_removed_stream_jobs_fails_loudly(self):
+        """The streamed-scan process pool is gone: its knob fails in a spec
+        file, a config payload and as a keyword."""
+        removed = "removed EngineConfig field 'stream_jobs'"
+        with pytest.raises(ValueError, match=removed):
+            EngineConfig.from_dict({"backend": "auto", "stream_jobs": 2})
+        with pytest.raises(ValueError, match=removed):
+            config_with(None, stream_jobs=1)
+        with pytest.raises(ValueError, match=removed):
+            ExperimentSpec.from_dict({
+                "name": "old", "workloads": ["small/path"], "algorithms": ["sequential"],
+                "config": {"horizon_mode": "stream", "stream_jobs": 2},
+            })
+        with pytest.raises(TypeError, match="stream_jobs"):
+            EngineConfig(stream_jobs=2)  # no longer a field at all
+        assert [f.name for f in fields(EngineConfig)] == \
+            ["backend", "horizon_mode", "chunk", "window", "batch"]
 
     def test_sets_stream_rejected_with_one_message(self):
         """The historical asymmetry: backend='sets' + streaming used to raise
@@ -144,7 +160,7 @@ class TestEngineConfig:
 class TestJsonRoundTrip:
     def test_round_trip(self):
         config = EngineConfig(
-            backend="numpy", horizon_mode="stream", chunk=1 << 12, stream_jobs=3, window=500
+            backend="numpy", horizon_mode="stream", chunk=1 << 12, window=500, batch=3
         )
         assert EngineConfig.from_json(config.to_json()) == config
         assert EngineConfig.from_dict(config.to_dict()) == config
@@ -155,7 +171,6 @@ class TestJsonRoundTrip:
             "backend": "auto",
             "horizon_mode": "auto",
             "chunk": None,
-            "stream_jobs": 1,
             "window": None,
             "batch": None,
         }
@@ -192,9 +207,9 @@ class TestResolve:
 
     def test_resolved_carries_all_knobs(self):
         engine = EngineConfig(
-            backend="numpy", horizon_mode="stream", chunk=7, stream_jobs=2, window=99
+            backend="numpy", horizon_mode="stream", chunk=7, window=99
         ).resolve(4, 100)
-        assert (engine.chunk, engine.stream_jobs, engine.window) == (7, 2, 99)
+        assert (engine.chunk, engine.window) == (7, 99)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +417,6 @@ class TestWindowPlumbing:
 
 def test_replace_derives_config_variants():
     config = EngineConfig(horizon_mode="stream", chunk=64)
-    assert replace(config, stream_jobs=4).chunk == 64
+    assert replace(config, batch=4).chunk == 64
     with pytest.raises(ValueError, match="no streaming mode"):
         replace(config, backend="sets")

@@ -10,9 +10,12 @@ with collisions, on foreign edge sets and non-edges, and under ``fail_fast``
 (cut at the end of the chunk holding the first collision).
 
 Past the horizons a dense matrix or the frozenset reference can reach
-(10⁸ and 10¹² holidays) the matrix engine still checks it: one global
-period is folded, doubled out with :meth:`TraceSummary.merge` of shifted
-copies, and the folded remainder is merged on.
+(10⁸ and 10¹² holidays) the cyclic closed form checks it: the cyclic twin
+of each schedule — one global period as a cyclic
+:class:`~repro.core.schedule.ExplicitSchedule` — is summarised by
+:func:`~repro.core.trace.cyclic_summary`, which folds the period and doubles
+it out with :meth:`TraceSummary.merge` of shifted copies.  The two
+derivations share no logic.
 """
 
 from __future__ import annotations
@@ -27,7 +30,14 @@ from repro.algorithms.registry import available_schedulers, get_scheduler
 from repro.core.config import EngineConfig
 from repro.core.problem import ConflictGraph
 from repro.core.schedule import ExplicitSchedule, PeriodicSchedule, SlotAssignment
-from repro.core.trace import StreamedTrace, TraceMatrix, TraceStream, TraceSummary, fold
+from repro.core.trace import (
+    StreamedTrace,
+    TraceMatrix,
+    TraceStream,
+    TraceSummary,
+    fold,
+    periodic_summary,
+)
 from repro.core.validation import check_independent_sets, validate_schedule
 from repro.graphs.families import complete_bipartite, path, star
 from repro.graphs.random_graphs import erdos_renyi
@@ -43,7 +53,6 @@ GRAPHS = {
 }
 
 CHUNK = 16
-JOBS = (1, 3)
 
 
 def state(summary: TraceSummary):
@@ -110,15 +119,14 @@ def test_every_periodic_scheduler_is_covered():
 
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("jobs", JOBS)
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("name", PERIODIC)
-def test_registered_schedulers_match_dense_fold(name, graph_name, jobs):
+def test_registered_schedulers_match_dense_fold(name, graph_name):
     graph = GRAPHS[graph_name]
     schedule = get_scheduler(name).build(graph, seed=5)
     for horizon in horizons(schedule):
         dense = TraceMatrix.from_schedule(schedule, graph, horizon)
-        streamed = StreamedTrace(schedule, graph, horizon, chunk=CHUNK, jobs=jobs)
+        streamed = StreamedTrace(schedule, graph, horizon, chunk=CHUNK)
         assert state(streamed.summary()) == state(dense.summary()), horizon
         assert streamed.muls() == dense.muls(), horizon
         assert streamed.legality_scan(graph) == dense.legality_scan(graph), horizon
@@ -132,9 +140,8 @@ def test_registered_schedulers_match_dense_fold(name, graph_name, jobs):
 
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("jobs", JOBS)
 @pytest.mark.parametrize("seed", range(4))
-def test_random_tables_with_collisions_match_dense_fold(seed, jobs):
+def test_random_tables_with_collisions_match_dense_fold(seed):
     """Illegal tables: collision lists, fail-fast cuts, foreign edge sets and
     non-edges all equal the matrix engine's answers."""
     rng = random.Random(seed)
@@ -149,7 +156,7 @@ def test_random_tables_with_collisions_match_dense_fold(seed, jobs):
         schedule = random_table(graph, rng)
         for horizon in (1, 8, CHUNK - 1, CHUNK, CHUNK + 1, 5 * CHUNK + 3, 2 ** 12 + 37):
             dense = TraceMatrix.from_schedule(schedule, graph, horizon)
-            streamed = StreamedTrace(schedule, graph, horizon, chunk=CHUNK, jobs=jobs)
+            streamed = StreamedTrace(schedule, graph, horizon, chunk=CHUNK)
             collided += bool(streamed.summary().collisions)
             assert state(streamed.summary()) == state(dense.summary())
             for g in (graph, foreign):
@@ -170,9 +177,8 @@ def test_random_tables_with_collisions_match_dense_fold(seed, jobs):
 
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("jobs", JOBS)
 @pytest.mark.parametrize("first", (7, 8, 9), ids=("before", "on", "after"))
-def test_fail_fast_cuts_at_the_chunk_holding_the_first_collision(first, jobs):
+def test_fail_fast_cuts_at_the_chunk_holding_the_first_collision(first):
     """Chunks of 8: the first collision falls before, on and after the
     boundary at holiday 8, and a second edge collides one holiday later."""
     graph = path(4)
@@ -181,7 +187,7 @@ def test_fail_fast_cuts_at_the_chunk_holding_the_first_collision(first, jobs):
         2: SlotAssignment(16, first + 1), 3: SlotAssignment(16, first + 1),
     }
     schedule = PeriodicSchedule(graph, table, check_conflicts=False)
-    streamed = StreamedTrace(schedule, graph, 64, chunk=8, jobs=jobs)
+    streamed = StreamedTrace(schedule, graph, 64, chunk=8)
     dense = TraceMatrix.from_schedule(schedule, graph, 64)
     rows = edge_rows(dense, graph)
     cut = chunked_fold(dense._matrix, 8, rows, fail_fast=True)
@@ -214,7 +220,7 @@ def test_summary_queries_build_no_block(monkeypatch):
 
     monkeypatch.setattr(TraceStream, "block", counted)
     horizon = 10 * CHUNK + 5
-    streamed = StreamedTrace(schedule, graph, horizon, chunk=CHUNK, jobs=3)
+    streamed = StreamedTrace(schedule, graph, horizon, chunk=CHUNK)
     foreign = erdos_renyi(12, 0.4, seed=1, name="foreign")
     u, v = next(
         (u, v) for u, v in itertools.combinations(graph.nodes(), 2) if not graph.has_edge(u, v)
@@ -238,43 +244,12 @@ def test_summary_queries_build_no_block(monkeypatch):
 # the oracle past the reference horizon: 10⁸ and 10¹² holidays
 # ---------------------------------------------------------------------------
 
-def shifted(summary: TraceSummary, offset: int) -> TraceSummary:
-    """``summary`` of a holiday range moved ``offset`` holidays later."""
-    seen = summary.count > 0
-    return TraceSummary(
-        summary.count,
-        np.where(seen, summary.first + offset, 0),
-        np.where(seen, summary.last + offset, 0),
-        summary.dmax,
-        summary.dmin,
-        dict(summary.diffs),
-        {k: [t + offset for t in hits] for k, hits in summary.collisions.items()},
-        [(t + offset, p) for t, p in summary.unknown],
+def cyclic_twin(schedule: PeriodicSchedule) -> ExplicitSchedule:
+    """One global period of ``schedule`` as a cyclic explicit schedule: the
+    same trace, summarised by :func:`~repro.core.trace.cyclic_summary`."""
+    return ExplicitSchedule(
+        schedule.graph, schedule.prefix(schedule.global_period()), cyclic=True, validate=False
     )
-
-
-def doubled_out(schedule: PeriodicSchedule, graph: ConflictGraph, horizon: int) -> TraceSummary:
-    """The summary of ``horizon`` holidays from the matrix engine alone:
-    :func:`fold` of one global period (built from its happy sets), merged
-    with shifted copies of itself by doubling, then the folded remainder."""
-    period = schedule.global_period()
-    block = TraceMatrix.from_schedule(ExplicitSchedule(graph, schedule.prefix(period)), graph, period)
-    rows = edge_rows(block, graph)
-    copies, remainder = divmod(horizon, period)
-    total, covered = None, 0
-    power, span = fold(block._matrix, 1, rows), period
-    while copies:
-        if copies & 1:
-            total = power if total is None else total.merge(shifted(power, covered))
-            covered += span
-        copies >>= 1
-        if copies:
-            power = power.merge(shifted(power, span))
-            span *= 2
-    if remainder:
-        tail = fold(block._matrix[:, :remainder], covered + 1, rows)
-        total = tail if total is None else total.merge(tail)
-    return total
 
 
 def wide_period_schedule() -> PeriodicSchedule:
@@ -289,21 +264,25 @@ def wide_period_schedule() -> PeriodicSchedule:
     return PeriodicSchedule(graph, table, name="wide")
 
 
+#: every registered periodic scheduler (on the graph that keeps its global
+#: period small), plus a table whose global period is just under 2¹⁶
 ORACLE_CASES = {
-    "degree-periodic": lambda: get_scheduler("degree-periodic").build(GRAPHS["gnp-12"], seed=0),
-    "sequential": lambda: get_scheduler("sequential").build(GRAPHS["society"], seed=0),
-    "round-robin-color": lambda: get_scheduler("round-robin-color").build(GRAPHS["k-3-4"], seed=0),
+    **{
+        name: (lambda name=name: get_scheduler(name).build(GRAPHS["gnp-12"], seed=0))
+        for name in PERIODIC
+    },
     "wide-period": wide_period_schedule,
 }
 
 
 @pytest.mark.parametrize("horizon", (10 ** 8, 10 ** 12), ids=("1e8", "1e12"))
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_closed_form_matches_matrix_engine_far_past_the_reference(case, horizon):
+def test_cyclic_twin_matches_closed_form_far_past_the_reference(case, horizon):
     schedule = ORACLE_CASES[case]()
     graph = schedule.graph
     assert schedule.global_period() <= 2 ** 16
-    streamed = StreamedTrace(schedule, graph, horizon)
-    assert state(streamed.summary()) == state(doubled_out(schedule, graph, horizon))
-    assert streamed.legality_scan(graph) == ({}, {})
-    assert validate_schedule(schedule, graph, horizon, check_periodic=True, trace=streamed).ok
+    twin = StreamedTrace(cyclic_twin(schedule), graph, horizon)
+    closed = periodic_summary(schedule, graph.nodes(), horizon, edge_rows(twin, graph))
+    assert state(twin.summary()) == state(closed)
+    assert twin.legality_scan(graph) == ({}, {})
+    assert validate_schedule(twin.schedule, graph, horizon, check_periodic=True, trace=twin).ok

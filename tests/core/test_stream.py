@@ -45,9 +45,9 @@ from repro.graphs.random_graphs import erdos_renyi
 BACKENDS = ["numpy"]
 
 
-def cfg(backend=None, mode=None, chunk=None, jobs=None):
+def cfg(backend=None, mode=None, chunk=None):
     """EngineConfig from the sweep's knob spellings (None = default)."""
-    opts = {"backend": backend, "horizon_mode": mode, "chunk": chunk, "stream_jobs": jobs}
+    opts = {"backend": backend, "horizon_mode": mode, "chunk": chunk}
     return EngineConfig(**{k: v for k, v in opts.items() if v is not None})
 
 HORIZON = 96
@@ -103,6 +103,13 @@ class TestHorizonModeResolution:
         with pytest.raises(ValueError, match="chunk"):
             StreamedTrace(schedule, graph, 32, chunk=0)
 
+    def test_jobs_is_not_a_parameter(self):
+        """The streamed-scan process pool is gone, and its knob with it."""
+        graph = ConflictGraph.from_edges([(0, 1)], name="p2")
+        schedule = get_scheduler("degree-periodic").build(graph, seed=0)
+        with pytest.raises(TypeError, match="jobs"):
+            StreamedTrace(schedule, graph, 32, chunk=8, jobs=2)
+
 
 # ---------------------------------------------------------------------------
 # TraceStream blocks tile exactly onto the dense matrix
@@ -114,7 +121,7 @@ class TestTraceStreamBlocks:
     def assert_blocks_match_dense(self, schedule, graph, horizon, chunk, backend):
         dense = TraceMatrix.from_schedule(schedule, graph, horizon, backend=backend)
         stream = TraceStream(schedule, graph, horizon, chunk=chunk, backend=backend)
-        seen = 0
+        seen = blocks = 0
         for start, block in stream:
             for local in range(1, block.horizon + 1):
                 assert block.happy_set(local) == dense.happy_set(start + local - 1)
@@ -122,8 +129,9 @@ class TestTraceStreamBlocks:
                 (t, p) for t, p in dense.unknown if start <= t < start + block.horizon
             ]
             seen += block.horizon
+            blocks += 1
         assert seen == horizon
-        assert stream.num_chunks() == -(-horizon // chunk)
+        assert blocks == -(-horizon // chunk)
 
     def test_periodic_fast_path_blocks(self, backend):
         graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
@@ -305,6 +313,59 @@ def test_fail_fast_truncates_identically_on_every_engine(backend):
 
 
 @pytest.mark.usefixtures("fold_arm")
+@pytest.mark.parametrize("fail_fast", (False, True))
+def test_raw_sequence_legality_matches_reference(fail_fast):
+    """Collisions and unknown nodes spread over many chunks are flagged
+    exactly like the frozenset reference, with and without fail-fast."""
+    graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
+    bad = [
+        [0, 1] if t % 17 == 0 else ([99] if t % 23 == 0 else [0, 2])
+        for t in range(1, 81)
+    ]
+    stream = check_independent_sets(
+        bad, graph, 80, fail_fast=fail_fast, config=cfg(mode="stream", chunk=5))
+    reference = check_independent_sets(bad, graph, 80, fail_fast=fail_fast, config=cfg(backend="sets"))
+    assert [(v.kind, v.node, v.holiday) for v in stream.violations] == \
+        [(v.kind, v.node, v.holiday) for v in reference.violations]
+    if fail_fast:
+        assert [v.holiday for v in stream.violations] == [17]
+    else:
+        assert [v.holiday for v in stream.violations] == [17, 23, 34, 46, 51, 68, 69]
+
+
+def test_fail_fast_discards_later_chunks():
+    """With fail_fast, violations past the first offending chunk never
+    reach the report, though later chunks hold several."""
+    graph = ConflictGraph.from_edges([(0, 1)], name="p2")
+    horizon = 128
+    bad = [[0] for _ in range(horizon)]
+    for t in (9, 10, 21, 40, horizon - 1):
+        bad[t - 1] = [0, 1]
+    report = check_independent_sets(
+        bad, graph, horizon, fail_fast=True, config=cfg(mode="stream", chunk=2))
+    # chunk 5 covers holidays 9-10; everything later was discarded
+    assert [v.holiday for v in report.violations] == [9]
+
+
+def test_generator_holiday_made_once_per_scan():
+    """The summary pass runs a generator schedule forward once: every
+    holiday is generated exactly once."""
+    graph = ConflictGraph.from_edges([(0, 1)], name="p2")
+    calls = []
+
+    def step(t):
+        calls.append(t)
+        assert calls.count(t) == 1, f"holiday {t} generated twice"
+        return [t % 2]
+
+    schedule = GeneratorSchedule(graph, step, validate=False)
+    trace = StreamedTrace(schedule, graph, 30, chunk=4)
+    trace._scan()
+    assert calls == list(range(1, 31))
+    assert trace.count(0) == 15 and trace.count(1) == 15
+
+
+@pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fail_fast_stops_building_chunks(backend):
     """With fail_fast, chunks after the first violation are never
@@ -383,6 +444,38 @@ def test_run_scheduler_stream_matches_dense(backend):
         assert stream.report.summary() == dense.report.summary(), name
         assert stream.validation.ok == dense.validation.ok
         assert stream.bound_satisfied == dense.bound_satisfied
+
+
+class CyclicTwinScheduler:
+    """A periodic scheduler whose schedules come out as their cyclic twins:
+    one global period as a cyclic explicit schedule."""
+
+    def __init__(self, inner):
+        self.inner, self.info, self.name = inner, inner.info, inner.name
+
+    def build(self, graph, seed=0):
+        schedule = self.inner.build(graph, seed=seed)
+        return ExplicitSchedule(
+            graph, schedule.prefix(schedule.global_period()), cyclic=True, validate=False
+        )
+
+    def bound_function(self, graph):
+        return self.inner.bound_function(graph)
+
+
+def test_run_scheduler_cyclic_twin_matches_periodic_source():
+    from repro.analysis.runner import run_scheduler
+
+    graph = erdos_renyi(10, 0.3, seed=2, name="gnp-10")
+    periodic = get_scheduler("degree-periodic")
+    config = cfg(mode="stream", chunk=8)
+    source = run_scheduler(periodic, graph, horizon=90, seed=1, config=config)
+    twin = run_scheduler(CyclicTwinScheduler(periodic), graph, horizon=90, seed=1, config=config)
+    assert type(twin.schedule).__name__ == "ExplicitSchedule"
+    assert twin.horizon_mode == source.horizon_mode == "stream"
+    assert twin.report.summary() == source.report.summary()
+    assert report_tuples(twin.validation) == report_tuples(source.validation) == []
+    assert twin.bound_satisfied and source.bound_satisfied
 
 
 def test_run_scheduler_sets_backend_reports_sets_mode():

@@ -37,9 +37,9 @@ from repro.graphs.random_graphs import erdos_renyi
 BACKENDS = ["numpy"]
 
 
-def cfg(backend=None, mode=None, chunk=None, jobs=None):
+def cfg(backend=None, mode=None, chunk=None):
     """EngineConfig from the sweep's knob spellings (None = default)."""
-    opts = {"backend": backend, "horizon_mode": mode, "chunk": chunk, "stream_jobs": jobs}
+    opts = {"backend": backend, "horizon_mode": mode, "chunk": chunk}
     return EngineConfig(**{k: v for k, v in opts.items() if v is not None})
 
 

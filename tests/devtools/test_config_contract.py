@@ -22,7 +22,7 @@ REAL_CONFIG = Path(config_module.__file__).resolve()
 #: the injection anchors on a field only EngineConfig declares)
 ANCHOR = "    batch: Optional[int] = None\n"
 #: the WALL_CLOCK_KNOBS literal the stale-entry test edits
-WALL_CLOCK_LITERAL = 'WALL_CLOCK_KNOBS = frozenset({"stream_jobs", "batch"})'
+WALL_CLOCK_LITERAL = 'WALL_CLOCK_KNOBS = frozenset({"batch"})'
 
 
 
@@ -54,7 +54,7 @@ def test_stale_knob_list_entry_is_flagged(tmp_path):
     assert source.count(WALL_CLOCK_LITERAL) == 1, "literal drifted; update this test"
     source = source.replace(
         WALL_CLOCK_LITERAL,
-        'WALL_CLOCK_KNOBS = frozenset({"stream_jobs", "batch", "ghost"})',
+        'WALL_CLOCK_KNOBS = frozenset({"batch", "ghost"})',
     )
     copy = tmp_path / "config_copy.py"
     copy.write_text(source)
@@ -73,9 +73,9 @@ def test_knob_lists_cover_runtime_fields_exactly():
 
 
 def test_wall_clock_knobs_never_reach_cache_key():
-    cfg = EngineConfig(backend="numpy", stream_jobs=7, batch=3)
+    cfg = EngineConfig(backend="numpy", batch=3)
     key = cfg.cache_key()
-    assert "stream_jobs" not in key and "batch" not in key
+    assert "batch" not in key
     assert cfg.cache_key() == EngineConfig(backend="numpy").cache_key()
 
 

@@ -120,6 +120,7 @@ class TestBadValues:
         [
             ({"backend": "bitmask"}, "removed trace backend 'bitmask'"),
             ({"checkpoint": False}, "removed EngineConfig field 'checkpoint'"),
+            ({"stream_jobs": 2}, "removed EngineConfig field 'stream_jobs'"),
         ],
     )
     def test_removed_config_values(self, service_client, config, removed):

@@ -41,14 +41,14 @@ class TestParser:
         [
             (command, flag)
             for command in ("schedule", "compare", "experiment")
-            for flag in ("--horizon", "--chunk", "--stream-jobs", "--batch")
+            for flag in ("--horizon", "--chunk", "--batch")
         ]
         + [("satisfaction", "--horizon")],
     )
     def test_nonpositive_counts_are_parse_errors(
         self, graph_file, society_file, capsys, command, flag, value
     ):
-        """Horizons, chunk widths, worker and batch counts below 1 exit 2
+        """Horizons, chunk widths and batch counts below 1 exit 2
         with one argparse error line, not a ValueError traceback."""
         target = {"schedule": [graph_file], "compare": [graph_file],
                   "satisfaction": [society_file], "experiment": []}[command]
@@ -166,8 +166,27 @@ class TestSchedule:
                 main([*command, "--no-checkpoint"])
             assert (
                 "--no-checkpoint: removed EngineConfig field 'checkpoint'; expected one of "
-                "('backend', 'horizon_mode', 'chunk', 'stream_jobs', 'window', 'batch')"
+                "('backend', 'horizon_mode', 'chunk', 'window', 'batch')"
             ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["schedule", "compare", "experiment", "serve"])
+    def test_stream_jobs_flag_is_removed(self, graph_file, capsys, command):
+        """--stream-jobs is gone with the streamed-scan process pool: it exits
+        2 with one error line naming the removed field, and --help hides it."""
+        target = [graph_file] if command in ("schedule", "compare") else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *target, "--stream-jobs", "2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"repro-holiday {command}: error: --stream-jobs: removed EngineConfig field "
+            "'stream_jobs'; expected one of ('backend', 'horizon_mode', 'chunk', 'window', "
+            "'batch')"
+        ]
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--stream-jobs" not in capsys.readouterr().out
 
     def test_schedule_horizon_modes_are_observation_equivalent(self, graph_file, capsys):
         outputs = {}
@@ -181,24 +200,10 @@ class TestSchedule:
         with pytest.raises(SystemExit, match="no streaming mode"):
             main(["schedule", graph_file, "--backend", "sets", "--horizon-mode", "stream"])
 
-    def test_schedule_stream_jobs_are_observation_equivalent(self, graph_file, capsys):
-        """--stream-jobs fans the streamed chunk scan over worker processes
-        without changing a single printed character (the determinism
-        contract)."""
-        outputs = {}
-        for jobs in ("1", "2"):
-            code = main([
-                "schedule", graph_file, "--horizon", "128", "--calendar-years", "4",
-                "--horizon-mode", "stream", "--chunk", "16", "--stream-jobs", jobs,
-            ])
-            assert code == 0
-            outputs[jobs] = capsys.readouterr().out
-        assert outputs["1"] == outputs["2"]
-
     @pytest.mark.parametrize("command", ["schedule", "compare"])
     def test_jobs_alias_is_gone(self, graph_file, capsys, command):
-        """--stream-jobs is the one spelling of the chunk-scan knob: the old
-        schedule/compare --jobs alias is an argparse error."""
+        """The old schedule/compare --jobs alias is an argparse error: only
+        'experiment --jobs' fans out, across cells."""
         with pytest.raises(SystemExit) as exit_info:
             main([command, graph_file, "--horizon-mode", "stream", "--jobs", "2"])
         assert exit_info.value.code == 2
@@ -225,11 +230,10 @@ class TestCompareBoundsSatisfaction:
             outputs[backend] = capsys.readouterr().out
         assert outputs["auto"] == outputs["sets"]
 
-    def test_compare_accepts_stream_jobs_spelling(self, graph_file, capsys):
+    def test_compare_streams(self, graph_file, capsys):
         code = main([
             "compare", graph_file, "--horizon", "64", "--horizon-mode", "stream",
-            "--chunk", "16", "--stream-jobs", "2", "--algorithms", "degree-periodic",
-            "sequential",
+            "--chunk", "16", "--algorithms", "degree-periodic", "sequential",
         ])
         assert code == 0
         assert "most degree-local schedule" in capsys.readouterr().out
@@ -383,23 +387,6 @@ class TestExperiment:
 
         records = ResultSet.from_jsonl(out)
         assert [r.params["horizon_mode"] for r in records] == ["stream"]
-
-    def test_experiment_stream_jobs_flag(self, tmp_path, capsys):
-        """--stream-jobs runs the chunk scan of each streamed cell on worker
-        processes; metrics equal the serial run (ids differ by design)."""
-        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-        base = [
-            "experiment", "--workloads", "small/path",
-            "--algorithms", "degree-periodic",
-            "--horizon", "64", "--horizon-mode", "stream", "--chunk", "8",
-        ]
-        assert main(base + ["--output", str(serial)]) == 0
-        assert main(base + ["--stream-jobs", "2", "--output", str(parallel)]) == 0
-        from repro.analysis.records import ResultSet
-
-        a, b = ResultSet.from_jsonl(serial), ResultSet.from_jsonl(parallel)
-        assert [r.metrics["max_mul"] for r in a] == [r.metrics["max_mul"] for r in b]
-        assert [r.params["cell_id"] for r in a] != [r.params["cell_id"] for r in b]
 
     def test_errors(self, tmp_path):
         with pytest.raises(SystemExit, match="--workloads"):
