@@ -5,7 +5,7 @@ and a whole empirical campaign.  An :class:`ExperimentSpec` is pure data —
 named workloads (resolved through :mod:`repro.graphs.suites`), registered
 schedulers, a parameter grid, seeds, a :class:`HorizonPolicy` and one
 :class:`~repro.core.config.EngineConfig` of trace-engine knobs (backend,
-horizon representation, chunk width, streamed-scan workers) — and an
+horizon representation, chunk width, generator window, batch size) — and an
 :class:`ExperimentEngine` executes its
 cartesian product of cells with pluggable executors:
 
@@ -16,11 +16,12 @@ Before execution a **batching planner** groups compatible cells — same
 workload graph, same resolved horizon, same :class:`EngineConfig` — into
 units of up to ``config.batch`` schedules (default: auto-sized from
 :data:`~repro.core.trace.AUTO_STREAM_BYTES`), and each multi-cell unit is
-evaluated through one stacked :class:`~repro.core.trace.TraceBatch` kernel
-instead of one trace per cell.  Batching is purely a wall-clock
-optimisation: every record is assembled by the same code path as per-cell
-execution over a member view of the stacked trace, so a batched run's sink
-is byte-identical to a per-cell run modulo the timing metrics (asserted by
+evaluated through one :class:`~repro.core.trace.TraceBatch`, which holds
+each schedule's own trace and scans them in turn.  Batching never changes
+a result: every record is assembled by the same code path as per-cell
+execution over the member's trace — the trace a per-cell run builds — so a
+batched run's sink is byte-identical to a per-cell run modulo the timing
+metrics (asserted by
 ``tests/core/test_batch.py`` / ``tests/analysis/test_engine.py``).  With
 ``jobs=N`` the pool fans out across units, one future per batch.
 
@@ -218,8 +219,8 @@ class ExperimentSpec:
     certify_bound: bool = True
     workload_params: Mapping[str, object] = field(default_factory=dict)
     #: every trace-engine execution knob for every cell — backend, horizon
-    #: representation, chunk width, per-cell streamed-scan workers, generator
-    #: window, batch size — on one EngineConfig.  Non-default knobs are
+    #: representation, chunk width, generator window, batch size — on one
+    #: EngineConfig.  Non-default knobs are
     #: hashed into cell ids (except ``batch``, which never changes a record);
     #: defaults leave ids (and therefore resumable sinks) untouched.
     config: EngineConfig = field(default_factory=EngineConfig)
@@ -544,9 +545,9 @@ def _resolve_cell_horizon(cell: ExperimentCell, graph: ConflictGraph) -> int:
 
 
 def _auto_batch_size(num_nodes: int, horizon: int, config: EngineConfig) -> int:
-    """Default batch cap: as many schedules as keep the stacked trace within
-    :data:`~repro.core.trace.AUTO_STREAM_BYTES` (per-chunk in stream mode,
-    full-horizon in dense mode)."""
+    """Default batch cap: as many schedules as keep the members' blocks
+    within :data:`~repro.core.trace.AUTO_STREAM_BYTES` (per-chunk in stream
+    mode, full-horizon in dense mode)."""
     engine = config.resolve(num_nodes, horizon)
     width = horizon if engine.mode != "stream" else min(engine.chunk or DEFAULT_CHUNK, horizon)
     member_bytes = dense_trace_bytes(num_nodes, width)
@@ -559,12 +560,13 @@ def _plan_units(
 ) -> List[List[Tuple[int, ExperimentCell]]]:
     """Group pending cells into execution units.
 
-    Cells land in the same unit exactly when a stacked kernel can evaluate
-    them together: same workload graph, same resolved horizon, same
-    :class:`EngineConfig` and certification setting.  Units respect spec
-    order within each group, are capped at ``config.batch`` members
-    (default :func:`_auto_batch_size`), and ``backend="sets"`` cells — which
-    have no matrix representation to stack — always run per-cell.
+    Cells land in the same unit exactly when one
+    :class:`~repro.core.trace.TraceBatch` can hold them: same workload
+    graph, same resolved horizon, same :class:`EngineConfig` and
+    certification setting.  Units respect spec order within each group, are
+    capped at ``config.batch`` members (default :func:`_auto_batch_size`),
+    and ``backend="sets"`` cells — which have no trace — always run
+    per-cell.
     """
     units: List[List[Tuple[int, ExperimentCell]]] = []
     open_units: Dict[Tuple, List[Tuple[int, ExperimentCell]]] = {}
@@ -599,10 +601,10 @@ def _execute_batch(
     """Run one planner unit and return its indexed records, in unit order.
 
     Single-cell units take the ordinary :func:`execute_cell` path.  Larger
-    units build every member schedule, stack them into one
-    :class:`~repro.core.trace.TraceBatch`, run the stacked scan once, and
+    units build every member schedule, hold them in one
+    :class:`~repro.core.trace.TraceBatch`, scan every member once, and
     evaluate/validate each member through the unmodified metric and
-    validation entry points over its batch view — so every record is what
+    validation entry points over its trace — so every record is what
     per-cell execution would have produced, modulo the timing metrics (the
     shared scan cost is amortised evenly into each member's
     ``measure_seconds``).

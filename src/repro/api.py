@@ -11,7 +11,7 @@ The three-line happy path for library users::
 A :class:`Session` binds a conflict graph to an
 :class:`~repro.core.config.EngineConfig` and owns the occupancy-trace cache:
 the first query against a ``(schedule, horizon)`` pair builds the trace
-(dense matrix or streaming engine, per the config), and every later query —
+(dense or streamed, per the config), and every later query —
 ``evaluate``, ``validate``, ``report``, the per-metric helpers — reuses it.
 This replaces the manual trace-sharing dance callers used to copy from
 ``analysis/runner.py`` (build a trace, thread ``trace=`` through every

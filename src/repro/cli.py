@@ -191,11 +191,12 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="S",
         help=(
-            "schedules stacked per batched trace kernel in the experiment "
+            "schedules grouped per TraceBatch unit in the experiment "
             "engine (1 disables batching; default: auto-sized from the "
-            "~256 MiB dense-trace budget).  Purely a wall-clock knob — "
-            "records are byte-identical for every value modulo timing "
-            "fields; no effect on single-run 'schedule'"
+            "~256 MiB dense-trace budget).  Each member is its own "
+            "per-cell trace, with no stacked kernel, so records are "
+            "byte-identical for every value modulo timing fields; no "
+            "effect on single-run 'schedule'"
         ),
     )
     parser.add_argument("--no-checkpoint", dest="checkpoint", action=_RemovedFlag)

@@ -26,12 +26,12 @@ The knobs:
   :meth:`repro.api.Session.run` to schedulers that support it
   (:meth:`~repro.algorithms.base.Scheduler.with_window`); schedulers that
   don't ignore it.
-* ``batch`` — schedules stacked per batched trace kernel
-  (:class:`~repro.core.trace.TraceBatch`) by the experiment engine's
-  batching planner.  ``None`` auto-sizes from
-  :data:`~repro.core.trace.AUTO_STREAM_BYTES`; ``1`` disables batching.
-  Purely a wall-clock knob: the planner provably never changes a record
-  (differentially tested), so records are byte-identical for every value
+* ``batch`` — schedules grouped per :class:`~repro.core.trace.TraceBatch`
+  unit by the experiment engine's batching planner.  ``None`` auto-sizes
+  from :data:`~repro.core.trace.AUTO_STREAM_BYTES`; ``1`` disables
+  batching.  There is no stacked kernel: each member is the trace a
+  per-cell run builds, so the planner provably never changes a record
+  (differentially tested), and records are byte-identical for every value
   modulo the timing metrics.
 
 Values earlier releases accepted and this one dropped (:data:`REMOVED`: the

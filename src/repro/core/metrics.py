@@ -21,17 +21,17 @@ the architecture notes):
   O(n·horizon) Python-object churn; kept as ground truth for differential
   testing.
 * ``backend="auto"`` / ``"numpy"`` — the numpy trace engine
-  (:mod:`repro.core.trace`): the occupancy matrix is built once (vectorized
-  for periodic schedules), folded into one per-node summary, and every
-  metric becomes a lookup in that summary.
+  (:mod:`repro.core.trace`): the trace is summarised once per node (in
+  closed form for periodic and cyclic schedules, by folding its occupancy
+  blocks otherwise), and every metric becomes a lookup in that summary.
 
-Execution knobs — backend, horizon representation (``dense`` one n × horizon
-matrix vs ``stream``ed fixed-width chunks at ``O(n × chunk)`` memory) and
-chunk width — travel together on one
+Execution knobs — backend, horizon representation (``dense``, one block of
+the whole horizon kept once built, vs ``stream``ed fixed-width chunks at
+``O(n × chunk)`` memory) and chunk width — travel together on one
 :class:`~repro.core.config.EngineConfig` accepted by every entry point as
 ``config=``.  Every entry point also accepts a pre-built ``trace=`` so a
 caller (e.g. :class:`repro.api.Session` or the experiment runner) can share
-a single matrix between metrics and validation.
+a single trace between metrics and validation.
 
 Both horizon representations produce exactly equal metrics (asserted by
 ``tests/core/test_stream.py``).
@@ -46,7 +46,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.problem import ConflictGraph, Node
 from repro.core.schedule import Schedule
-from repro.core.trace import StreamedTrace, TraceMatrix, TraceView, materialize_prefix
+from repro.core.trace import TraceView, make_trace, materialize_prefix
 
 __all__ = [
     "HappinessTrace",
@@ -65,10 +65,10 @@ __all__ = [
 ScheduleLike = Union[Schedule, Sequence[Iterable[Node]]]
 
 #: what the trace-engine entry points accept and return: any
-#: :class:`~repro.core.trace.TraceView` — a dense matrix, its streaming
-#: counterpart, or a member of a :class:`~repro.core.trace.TraceBatch`,
-#: which is how the experiment engine runs this module unchanged over a
-#: stacked cell-batch.
+#: :class:`~repro.core.trace.TraceView` — a dense or streamed trace, a
+#: member of a :class:`~repro.core.trace.TraceBatch` (which is how the
+#: experiment engine runs this module unchanged over a cell-batch), or a
+#: :class:`~repro.core.trace.TraceMatrix`.
 TraceLike = TraceView
 
 
@@ -83,13 +83,14 @@ def build_trace(
 ) -> Optional[TraceLike]:
     """Resolve the evaluation engine for one metric call.
 
-    Returns a :class:`~repro.core.trace.TraceMatrix` or
-    :class:`~repro.core.trace.StreamedTrace` (the given one when the caller
-    already built it, a fresh one otherwise), or ``None`` when
+    Returns a :class:`~repro.core.trace.StreamedTrace` (the given trace
+    when the caller already built one, a fresh one from
+    :func:`~repro.core.trace.make_trace` otherwise), or ``None`` when
     ``config.backend == "sets"`` selects the frozenset reference path.
     ``config`` carries the representation choice (``horizon_mode`` resolved
     by estimated memory when ``"auto"``) and the streaming chunk width,
-    which is ignored when the resolved representation is dense.
+    which is ignored when the resolved representation is dense: a dense
+    trace is one chunk of the whole horizon.
 
     The fourth positional slot takes only ``None``: perfbench's span
     wrapper forwards ``(schedule, graph, horizon, None, trace)`` by
@@ -120,9 +121,7 @@ def build_trace(
         return trace
     if not engine.uses_matrix:
         return None
-    if engine.mode == "stream":
-        return StreamedTrace(schedule, graph, horizon, backend=engine.backend, chunk=engine.chunk)
-    return TraceMatrix.from_schedule(schedule, graph, horizon, backend=engine.backend)
+    return make_trace(schedule, graph, horizon, engine.mode, engine.chunk)
 
 
 def materialize(schedule: ScheduleLike, graph: ConflictGraph, horizon: int) -> List[FrozenSet[Node]]:

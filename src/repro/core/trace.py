@@ -20,62 +20,50 @@ edge collisions, legality — reads that summary.
 
 One kernel builds it: :func:`fold` summarises a ``rows × width`` block whose
 column ``j`` is holiday ``start + j``, and :meth:`TraceSummary.merge`
-combines the summaries of two adjacent holiday ranges associatively.  The
-three trace kinds feed the same fold:
+combines the summaries of two adjacent holiday ranges associatively.
 
-:class:`TraceMatrix`
-    A dense ``n × horizon`` matrix, folded as one block.
-:class:`StreamedTrace`
-    The fixed-width chunks of a :class:`TraceStream`, folded one at a time
-    at ``O(n × chunk)`` resident bytes whatever the horizon.  A periodic or
-    cyclic schedule's summary needs no chunk at all: :func:`periodic_summary`
-    and :func:`cyclic_summary` write down the fold in closed form.
-:class:`TraceBatch`
-    ``S`` schedules over one graph and horizon stacked into ``S·n`` rows and
-    folded at once; each member view reads its slice of the one summary.
+Every trace of a schedule is a :class:`StreamedTrace` over a
+:class:`TraceStream`, which decides once, at construction, what kind of
+schedule it reads:
 
-:class:`TraceView` answers every query for all three kinds: the summary
-queries from the trace's summary, and the per-appearance queries
-(``appearances``, ``gaps``, ``all_gaps``, ``happy_set``) from one positions
-pass over the same blocks.
+* a :class:`~repro.core.schedule.PeriodicSchedule` whose ``(period, phase)``
+  table covers exactly the graph's nodes is summarised by
+  :func:`periodic_summary`, which derives each row's count, first and last
+  appearance from the table and each edge's collisions from one CRT residue
+  class — O(rows + edges) at any horizon, no block built;
+* a cyclic :class:`~repro.core.schedule.ExplicitSchedule` shorter than the
+  horizon is summarised by :func:`cyclic_summary`, which folds its one
+  cycle and doubles it out with merges of shifted copies —
+  O(log(horizon / cycle)) merges, no block built;
+* everything else (raw sequences, finite explicit schedules, a cycle at
+  least as long as the horizon, generator runs) is folded block by block.
 
-Memory trade-off — dense vs. stream: a dense trace costs ``n × horizon``
+Both closed forms answer for any edge set, and with ``fail_fast`` stop
+where the block scan would, at the end of the chunk holding the first
+violation.  The horizon mode only sets the chunk width (:func:`make_trace`):
+a ``stream`` trace folds fixed-width chunks at ``O(n × chunk)`` resident
+bytes whatever the horizon, and a ``dense`` trace is the one-chunk stream,
+whose single ``n × horizon`` block is built on first need and then kept.
+So a periodic or cyclic summary builds no matrix in either mode; the
+per-appearance queries (``appearances``, ``gaps``, ``all_gaps``,
+``happy_set``) read blocks, built from the table, from one cycle, or from
+one chunk of happy sets at a time.
+
+:class:`TraceView` answers every query: the summary queries from the
+trace's summary, and the per-appearance queries from one positions pass
+over its blocks.  A block is a :class:`TraceMatrix`, itself a view folded
+as one block; :meth:`TraceMatrix.from_schedule` returns the one block of a
+one-chunk stream.  A :class:`TraceBatch` holds one trace per schedule.
+
+Memory trade-off — dense vs. stream: a dense block costs ``n × horizon``
 bytes (numpy stores one byte per bool), so a 60-node workload at horizon
-10⁶ is ~60 MB; every consumer reads every cell at least once, so below that
-scale dense is the right call and remains the default.  Dense stops scaling
-around horizon 10⁷–10⁸ (the same workload at 10⁸ would need ~6 GB), which
-is what the **streaming mode** removes.  ``horizon_mode="auto"``
-(:func:`resolve_horizon_mode`) picks dense below :data:`AUTO_STREAM_BYTES`
-and stream above it, so small-horizon numbers never move while 10⁸-holiday
-horizons stay bounded.
-
-Construction fast paths (see :meth:`TraceMatrix.from_schedule`):
-
-* :class:`~repro.core.schedule.PeriodicSchedule` — rows are computed directly
-  from the ``(period, phase)`` table, grouping nodes by period so each
-  distinct period costs one ``arange % τ``; **no happy set is ever
-  constructed**.
-* cyclic :class:`~repro.core.schedule.ExplicitSchedule` — one cycle of
-  columns is filled and then tiled out to the horizon.
-* everything else (including online :class:`~repro.core.schedule.GeneratorSchedule`
-  runs and raw sequences of sets) — columns are filled from the materialised
-  prefix in a single batched pass.
-
-The streaming fast paths go one step further for periodic and cyclic
-schedules: every summary and legality query of a :class:`StreamedTrace`
-over a :class:`~repro.core.schedule.PeriodicSchedule` (covering exactly the
-graph's nodes) reads :func:`periodic_summary`, which derives each row's
-count, first and last appearance from ``(period, phase, horizon)`` and each
-edge's collisions from one CRT residue class — O(rows + edges) at any
-horizon, no block built.  A cyclic
-:class:`~repro.core.schedule.ExplicitSchedule` reads :func:`cyclic_summary`,
-which folds its one cycle and doubles it out with merges of shifted copies —
-O(log(horizon / cycle)) merges, no chunk built.  With ``fail_fast`` both
-stop where the chunk scan would, at the end of the chunk holding the first
-violation.  The per-appearance queries (``appearances``, ``gaps``,
-``all_gaps``, ``happy_set``) still stream blocks: periodic ones tiled from
-the table, cyclic ones from one cycle, and generic schedules materialise
-one chunk of happy sets at a time.  A
+10⁶ is ~60 MB; below that scale a block that every consumer reads is best
+built once and kept, so dense remains the default.  Dense stops scaling
+around horizon 10⁷–10⁸ for the schedules that need their block (the same
+workload at 10⁸ would need ~6 GB), which is what the **streaming mode**
+removes.  ``horizon_mode="auto"`` (:func:`resolve_horizon_mode`) picks dense
+below :data:`AUTO_STREAM_BYTES` and stream above it, so small-horizon
+numbers never move while 10⁸-holiday horizons stay bounded.  A
 :class:`~repro.core.schedule.GeneratorSchedule`
 constructed with a ``window=`` evicts holidays far behind its generation
 frontier, so aperiodic generator-backed schedulers also stream at bounded
@@ -104,6 +92,7 @@ __all__ = [
     "TraceStream",
     "StreamedTrace",
     "TraceBatch",
+    "make_trace",
     "fold",
     "periodic_summary",
     "cyclic_summary",
@@ -123,8 +112,9 @@ __all__ = [
 BACKENDS = ("auto", "numpy")
 
 #: Horizon representations accepted by :func:`resolve_horizon_mode`:
-#: ``dense`` materialises one n × horizon matrix, ``stream`` evaluates
-#: fixed-width chunks with carried state, ``auto`` picks by estimated size.
+#: ``dense`` is one chunk of the whole horizon (its n × horizon block kept
+#: once built), ``stream`` evaluates fixed-width chunks with carried state,
+#: ``auto`` picks by estimated size.
 HORIZON_MODES = ("auto", "dense", "stream")
 
 #: Default streaming chunk width (holidays per block).  At 60 nodes one
@@ -297,24 +287,6 @@ class TraceSummary:
             {k: [t + offset for t in hits] for k, hits in self.collisions.items()},
             [(t + offset, p) for t, p in self.unknown],
         )
-
-    def split(self, parts: int, edges: int) -> List["TraceSummary"]:
-        """Cut a stacked summary into ``parts`` equal row groups, each with
-        its ``edges`` consecutive edges renumbered from 0 (unknowns stay
-        with the caller, who knows which part they belong to)."""
-        n = len(self.count) // parts
-        out = [
-            TraceSummary(
-                self.count[lo:lo + n], self.first[lo:lo + n], self.last[lo:lo + n],
-                self.dmax[lo:lo + n], self.dmin[lo:lo + n], {}, {}, [],
-            )
-            for lo in (s * n for s in range(parts))
-        ]
-        for row, values in self.diffs.items():
-            out[row // n].diffs[row % n] = values
-        for k, hits in self.collisions.items():
-            out[k // edges].collisions[k % edges] = hits
-        return out
 
 
 def _empty_summary(rows: int) -> TraceSummary:
@@ -529,7 +501,8 @@ def _gaps(times: Sequence[int], horizon: int) -> List[int]:
 
 
 class TraceView:
-    """The query API shared by dense, streamed and batched traces.
+    """The query API shared by every trace (:class:`StreamedTrace`, dense or
+    streamed) and every block (:class:`TraceMatrix`).
 
     Summary queries read the trace's :class:`TraceSummary`, built by the
     first of them (``_scan``) and cached; per-appearance queries run one
@@ -781,38 +754,16 @@ class TraceView:
         return frozenset(self._order[i] for i in column.tolist())
 
 
-def _periodic_fast_path(schedule: ScheduleOrSets, graph: ConflictGraph) -> bool:
-    """True when ``schedule``'s ``(period, phase)`` table covers exactly the
-    observed nodes — the precondition of the periodic fast paths (a schedule
-    evaluated against a different graph goes through the generic set fill,
-    which tracks unknowns)."""
-    return isinstance(schedule, PeriodicSchedule) and set(schedule.assignments) == set(graph.nodes())
-
-
-def _fill_periodic(
-    matrix: np.ndarray, by_period: Dict[int, Tuple[List[int], List[int]]], start: int
-) -> None:
-    """Set ``matrix[row, j]`` for every holiday ``start + j ≡ phase (mod
-    period)``: one ``arange % τ`` per distinct period, shared by every row
-    with that period."""
-    holidays = np.arange(start, start + matrix.shape[1], dtype=np.int64)
-    for period, (rows, phases) in by_period.items():
-        mod = holidays % period
-        phase_arr = np.asarray(phases, dtype=np.int64)
-        matrix[np.asarray(rows, dtype=np.intp)] = mod[np.newaxis, :] == phase_arr[:, np.newaxis]
-
-
 class TraceMatrix(TraceView):
-    """A dense node × holiday boolean occupancy matrix over a finite horizon.
+    """A node × holiday boolean occupancy block over a finite window.
 
-    Column ``j`` is holiday ``j + 1``.  Instances are immutable once built;
-    construct them through :meth:`from_schedule`.  The summary is one
-    :func:`fold` of the whole matrix, run by the first summary query.
-    :class:`TraceStream` yields its chunks as ``TraceMatrix`` blocks too,
-    whose local column ``j`` covers global holiday ``start + j``.
+    The block type of the engine: :class:`TraceStream` builds every block as
+    a ``TraceMatrix`` whose *local* column ``j`` covers *global* holiday
+    ``start + j``, and whose unknown pairs carry local holidays too.  A
+    block is a view of its own window (holiday 1 is its first column),
+    folded as one block by the first summary query; instances are immutable
+    once built.  :meth:`from_schedule` observes a schedule into one block.
     """
-
-    mode = "dense"
 
     def __init__(
         self,
@@ -838,29 +789,21 @@ class TraceMatrix(TraceView):
         horizon: int,
         backend: str = "auto",
     ) -> "TraceMatrix":
-        """Observe ``horizon`` holidays of ``schedule`` into a new matrix.
-
-        Dispatches to the periodic fast path, the cyclic tiling path, or the
-        generic batched column fill depending on the schedule type.
-        """
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon!r}")
-        resolve_backend(backend)
-        if _periodic_fast_path(schedule, graph):
-            return cls._from_periodic(schedule, graph, horizon)
-        if isinstance(schedule, ExplicitSchedule) and schedule.is_periodic() and 0 < len(schedule) < horizon:
-            return cls._from_cyclic_explicit(schedule, graph, horizon)
-        return cls._from_sets(materialize_prefix(schedule, horizon), graph, horizon)
+        """Observe ``horizon`` holidays of ``schedule`` into a new matrix:
+        the one block of a one-chunk :class:`TraceStream`."""
+        return TraceStream(schedule, graph, horizon, chunk=horizon, backend=backend).block(1, horizon)
 
     @classmethod
     def _from_periodic(
         cls, schedule: PeriodicSchedule, graph: ConflictGraph, horizon: int, start: int = 1
     ) -> "TraceMatrix":
-        """Vectorized build from a ``{node: (period, phase)}`` table.
+        """Vectorized build from a ``{node: (period, phase)}`` table: one
+        ``arange % τ`` per distinct period, shared by every row with that
+        period; no happy set is constructed.
 
         ``start`` shifts the observation window: column ``j`` covers holiday
         ``start + j``, which is how :class:`TraceStream` tiles the table
-        straight into each chunk without materialising any prefix.
+        straight into each block without materialising any prefix.
         """
         order = graph.nodes()
         by_period: Dict[int, Tuple[List[int], List[int]]] = {}
@@ -870,28 +813,11 @@ class TraceMatrix(TraceView):
             rows.append(i)
             phases.append(slot.phase)
         matrix = np.zeros((len(order), horizon), dtype=np.bool_)
-        _fill_periodic(matrix, by_period, start)
+        holidays = np.arange(start, start + horizon, dtype=np.int64)
+        for period, (rows, phases) in by_period.items():
+            phase = np.asarray(phases, dtype=np.int64)[:, np.newaxis]
+            matrix[np.asarray(rows, dtype=np.intp)] = holidays % period == phase
         return cls(graph, horizon, matrix)
-
-    @classmethod
-    def _from_cyclic_explicit(
-        cls, schedule: ExplicitSchedule, graph: ConflictGraph, horizon: int
-    ) -> "TraceMatrix":
-        """Fill one cycle of columns, then tile it out to the horizon."""
-        cycle = [schedule.happy_set(t) for t in range(1, len(schedule) + 1)]
-        base = cls._from_sets(cycle, graph, len(cycle))
-        reps = -(-horizon // len(cycle))  # ceil division
-        unknown = sorted(
-            (
-                (t0 + k * len(cycle), p)
-                for t0, p in base._unknown
-                for k in range(reps)
-                if t0 + k * len(cycle) <= horizon
-            ),
-            key=lambda pair: pair[0],
-        )
-        matrix = np.tile(base._matrix, (1, reps))[:, :horizon]
-        return cls(graph, horizon, np.ascontiguousarray(matrix), unknown=unknown)
 
     @classmethod
     def _from_sets(
@@ -951,19 +877,22 @@ class TraceStream:
     rebuilds blocks from the schedule — and only one block is ever
     resident, so memory is ``O(n × chunk)`` regardless of horizon.
 
-    Fast paths, chosen once at construction:
+    The kind of schedule is decided here, once, and nowhere else:
 
-    * :class:`~repro.core.schedule.PeriodicSchedule` (covering exactly the
-      graph's nodes) — every chunk comes straight from the ``(period,
-      phase)`` table shifted to the chunk's window; no prefix exists at any
-      point.  (:class:`StreamedTrace` builds these chunks for positions
-      queries only; its summaries come from :func:`periodic_summary`.)
-    * cyclic :class:`~repro.core.schedule.ExplicitSchedule` — one cycle is
-      materialised once, then every chunk is a rotated tiling of it.
-      (Again for positions queries only: :class:`StreamedTrace` summarises
-      the cycle itself with :func:`cyclic_summary`.)
-    * everything else — one chunk of happy sets is materialised at a time
-      (a :class:`~repro.core.schedule.GeneratorSchedule` memoises what it
+    * ``"periodic"`` — a :class:`~repro.core.schedule.PeriodicSchedule`
+      whose table covers exactly the graph's nodes: every block comes
+      straight from the ``(period, phase)`` table shifted to its window, and
+      :class:`StreamedTrace` summarises it with :func:`periodic_summary`.  (A
+      table evaluated against a different graph is read as happy sets,
+      which tracks unknown nodes.)
+    * ``"cyclic"`` — a cyclic :class:`~repro.core.schedule.ExplicitSchedule`
+      of ``0 < C < horizon`` holidays: one cycle is materialised once, every
+      block is a rotated tiling of it, and :class:`StreamedTrace` summarises
+      it with :func:`cyclic_summary`.
+    * ``"sets"`` — everything else, a cycle of at least ``horizon`` holidays
+      included (read as its prefix, so no block is wider than the horizon):
+      one block of happy sets is materialised at a time (a
+      :class:`~repro.core.schedule.GeneratorSchedule` memoises what it
       generated unless it was built with a ``window=``).
     """
 
@@ -985,9 +914,9 @@ class TraceStream:
         self.horizon = horizon
         resolve_backend(backend)
         self._cycle: Optional[TraceMatrix] = None
-        if _periodic_fast_path(schedule, graph):
+        if isinstance(schedule, PeriodicSchedule) and set(schedule.assignments) == set(graph.nodes()):
             self._kind = "periodic"
-        elif isinstance(schedule, ExplicitSchedule) and schedule.is_periodic() and len(schedule) > 0:
+        elif isinstance(schedule, ExplicitSchedule) and schedule.is_periodic() and 0 < len(schedule) < horizon:
             self._kind = "cyclic"
         else:
             self._kind = "sets"
@@ -1022,7 +951,7 @@ class TraceStream:
         return [frozenset(s) for s in self.schedule[start - 1 : start - 1 + width]]
 
     def _cycle_base(self) -> TraceMatrix:
-        """The one materialised cycle every cyclic chunk is tiled from."""
+        """The one materialised cycle every cyclic block is tiled from."""
         if self._cycle is None:
             length = len(self.schedule)
             cycle = [self.schedule.happy_set(t) for t in range(1, length + 1)]
@@ -1047,24 +976,26 @@ class TraceStream:
 
 
 class StreamedTrace(TraceView):
-    """Streaming counterpart of :class:`TraceMatrix`: same query API, chunked
-    evaluation, ``O(n × chunk)`` resident memory.
+    """The trace of a schedule: the :class:`TraceView` query API over the
+    blocks of a :class:`TraceStream`, at ``O(n × chunk)`` resident memory.
 
-    The first summary query triggers **one pass** over a
-    :class:`TraceStream`, folding chunk by chunk into a :class:`TraceSummary`
-    that then answers every summary query, so the metric suite and the
-    validator share a single pass exactly the way they share one dense
-    matrix.  A :class:`~repro.core.schedule.PeriodicSchedule` covering the
-    graph's nodes and a cyclic :class:`~repro.core.schedule.ExplicitSchedule`
-    skip the pass: :func:`periodic_summary` and :func:`cyclic_summary` give
-    the same summary in closed form, for the graph's own edges and for every
-    other edge set (foreign-graph ``legality_scan``, non-edge
+    The first summary query triggers **one pass** over the stream, folding
+    block by block into a :class:`TraceSummary` that then answers every
+    summary query, so the metric suite and the validator share a single
+    pass.  A periodic or cyclic source skips the pass:
+    :func:`periodic_summary` and :func:`cyclic_summary` give the same
+    summary in closed form, for the graph's own edges and for every other
+    edge set (foreign-graph ``legality_scan``, non-edge
     ``edge_collisions``), and under ``fail_fast`` cut it at the end of the
-    chunk holding the first violation, as the chunk scan would.  Queries
+    chunk holding the first violation, as the block scan would.  Queries
     that *return* per-appearance data (``appearances``, ``gaps``,
-    ``all_gaps``, ``happy_set``) stream a dedicated pass for every kind of
-    schedule and are O(appearances) in their output — inherent to the
-    question, not to the engine.
+    ``all_gaps``, ``happy_set``) take a positions pass over the blocks for
+    every kind of schedule and are O(appearances) in their output —
+    inherent to the question, not to the engine.
+
+    A trace of one chunk (``chunk >= horizon``, as every dense trace is)
+    keeps its block once a pass has built it, and every later pass reads
+    that block; a trace of several chunks rebuilds its chunks on each pass.
     """
 
     mode = "stream"
@@ -1085,13 +1016,19 @@ class StreamedTrace(TraceView):
         # path materialises its cycle once, not once per query; also
         # validates horizon/chunk eagerly
         self._source = TraceStream(schedule, graph, horizon, chunk=self.chunk)
+        #: the block of a one-chunk trace, kept once built
+        self._block: Optional[TraceMatrix] = None
 
     def _blocks(self, first: int = 1) -> Iterator[Tuple[int, TraceMatrix]]:
-        return self._source.blocks(first)
+        if self.chunk < self.horizon:
+            return self._source.blocks(first)
+        if self._block is None:
+            self._block = self._source.block(1, self.horizon)
+        return iter(((1, self._block),))
 
     def _fold_pass(self, edge_rows: Sequence[Tuple[int, int]], fail_fast: bool = False) -> TraceSummary:
         """The summary of the whole trace: in closed form for a periodic or
-        cyclic source, otherwise the serial fold of every chunk."""
+        cyclic source, otherwise the serial fold of every block."""
         cut = self.chunk if fail_fast else None
         if self._source._kind == "periodic":
             return periodic_summary(self.schedule, self._order, self.horizon, edge_rows, cut)
@@ -1100,49 +1037,41 @@ class StreamedTrace(TraceView):
         return super()._fold_pass(edge_rows, fail_fast)
 
 
-class _BatchMember(TraceMatrix):
-    """Member ``s`` of a dense :class:`TraceBatch`: a zero-copy row block of
-    the stacked tensor whose summary is its slice of the batch's one fold.
-    (The batch keeps no reference to its members, so dropping the batch
-    frees the tensor without waiting for the cycle collector.)"""
+class _DenseTrace(StreamedTrace):
+    """A ``dense`` trace: the one-chunk stream, stamped with its mode."""
 
-    def __init__(self, batch: "TraceBatch", s: int) -> None:
-        super().__init__(batch.graph, batch.horizon, batch._tensor[s], batch._unknown[s])
-        self._batch = batch
-        self._member = s
+    mode = "dense"
 
-    def _scan(self) -> None:
-        if self._summary is None:
-            self._batch.scan()
-            self._summary = self._batch._parts[self._member]
+
+def make_trace(
+    schedule: ScheduleOrSets,
+    graph: ConflictGraph,
+    horizon: int,
+    mode: str,
+    chunk: Optional[int] = None,
+) -> StreamedTrace:
+    """The trace of ``schedule`` in the resolved horizon ``mode``: chunks of
+    ``chunk`` holidays for ``"stream"``, one chunk of the whole horizon for
+    ``"dense"``.  :func:`repro.core.metrics.build_trace` and
+    :class:`TraceBatch` build every trace here."""
+    if mode == "dense":
+        return _DenseTrace(schedule, graph, horizon, chunk=horizon)
+    return StreamedTrace(schedule, graph, horizon, chunk=chunk)
 
 
 class TraceBatch:
-    """``S`` schedules over one graph and horizon, evaluated in one pass.
+    """``S`` schedules over one graph and horizon, scanned together.
 
-    Stacks the occupancy traces of ``S`` *compatible* schedules — same
-    :class:`~repro.core.problem.ConflictGraph`, same horizon — into a single
-    ``S × n × horizon`` boolean tensor and folds its flattened ``S·n`` rows
-    once (:meth:`scan`), with the per-edge collision pass covering every
-    member's edges at once.  Construction broadcasts the periodic fast path
-    across the schedule axis: every periodic row in the whole batch is
-    grouped by its period, so each distinct period is expanded once.
-    Non-periodic members fall back to their ordinary
-    :meth:`TraceMatrix.from_schedule` build.
-
-    ``horizon_mode="stream"`` (or ``"auto"`` above
-    :data:`AUTO_STREAM_BYTES`) degrades gracefully: each member is a
-    :class:`StreamedTrace` and :meth:`scan` folds them in turn, so resident
-    memory is one chunk — the batch never materialises ``S`` dense matrices
-    it could not afford per-cell.
-
-    :meth:`member` returns a trace with the full :class:`TraceView` API
-    whose summary is its slice of the shared scan; members satisfy the
-    shared-trace contract of :func:`repro.core.metrics.build_trace`
-    (matching graph and horizon), which is how the experiment engine runs
-    the unmodified metric suite and validator over each member.
-    Differential tests (``tests/core/test_batch.py``) assert every member
-    query equals its per-cell counterpart.
+    Member ``s`` is the trace :func:`make_trace` builds for schedule ``s``
+    in the batch's resolved horizon mode — the trace a per-cell run of the
+    same shape builds — and :meth:`scan` runs every member's summary pass,
+    so a caller can time the shared trace cost apart from the queries.
+    Members satisfy the shared-trace contract of
+    :func:`repro.core.metrics.build_trace` (matching graph and horizon),
+    which is how the experiment engine runs the unmodified metric suite and
+    validator over each member.  Differential tests
+    (``tests/core/test_batch.py``) assert every member query equals its
+    per-cell counterpart.
     """
 
     def __init__(
@@ -1154,8 +1083,6 @@ class TraceBatch:
         horizon_mode: str = "auto",
         chunk: Optional[int] = None,
     ) -> None:
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon!r}")
         self.schedules: List[ScheduleOrSets] = list(schedules)
         if not self.schedules:
             raise ValueError("TraceBatch needs at least one schedule")
@@ -1169,73 +1096,29 @@ class TraceBatch:
         #: resolved exactly like a per-cell trace of the same shape, so a
         #: batched record's ``horizon_mode`` stamp matches per-cell runs.
         self.member_mode = resolve_horizon_mode(horizon_mode, graph.num_nodes(), horizon)
-        #: per-member summaries of the dense stacked fold (set by scan)
-        self._parts: List[TraceSummary] = []
-        self._streamed: List[StreamedTrace] = []
-        if self.member_mode == "stream":
-            self._streamed = [
-                StreamedTrace(schedule, graph, horizon, chunk=self.chunk)
-                for schedule in self.schedules
-            ]
-        else:
-            self._tensor, self._unknown = self._build_dense()
+        self._members = [
+            make_trace(schedule, graph, horizon, self.member_mode, self.chunk)
+            for schedule in self.schedules
+        ]
 
     def __len__(self) -> int:
-        return len(self.schedules)
+        return len(self._members)
 
-    def member(self, s: int) -> TraceView:
+    def member(self, s: int) -> StreamedTrace:
         """The trace of member ``s``."""
-        if not (0 <= s < len(self.schedules)):
-            raise IndexError(f"member {s} outside batch of {len(self.schedules)}")
-        if self.member_mode == "stream":
-            return self._streamed[s]
-        return _BatchMember(self, s)
-
-    def members(self) -> List[TraceView]:
-        """Every member's trace, in schedule order."""
-        return [self.member(s) for s in range(len(self.schedules))]
-
-    def _build_dense(self) -> Tuple[np.ndarray, List[List[Tuple[int, Node]]]]:
-        order = self.graph.nodes()
-        n, horizon = len(order), self.horizon
-        tensor = np.zeros((len(self.schedules), n, horizon), dtype=np.bool_)
-        unknown: List[List[Tuple[int, Node]]] = [[] for _ in self.schedules]
-        by_period: Dict[int, Tuple[List[int], List[int]]] = {}
-        for s, schedule in enumerate(self.schedules):
-            if _periodic_fast_path(schedule, self.graph):
-                for i, p in enumerate(order):
-                    slot = schedule.assignments[p]
-                    rows, phases = by_period.setdefault(slot.period, ([], []))
-                    rows.append(s * n + i)  # flat row s·n + i aliases tensor[s, i]
-                    phases.append(slot.phase)
-            else:
-                member = TraceMatrix.from_schedule(schedule, self.graph, horizon)
-                tensor[s] = member._matrix
-                unknown[s] = member._unknown
-        _fill_periodic(tensor.reshape(len(self.schedules) * n, horizon), by_period, 1)
-        return tensor, unknown
+        if not (0 <= s < len(self._members)):
+            raise IndexError(f"member {s} outside batch of {len(self._members)}")
+        return self._members[s]
 
     def scan(self) -> None:
-        """Run the summary pass once (idempotent).
+        """Run every member's summary pass once (idempotent).
 
-        Triggered lazily by the first member query; callers that want the
-        shared cost timed separately (the experiment engine) invoke it
-        eagerly.
+        Triggered lazily by the first query of each member; callers that
+        want the shared cost timed separately (the experiment engine) invoke
+        it eagerly.
         """
-        if self.member_mode == "stream":
-            for trace in self._streamed:
-                trace._scan()
-            return
-        if self._parts:
-            return
-        members, n = len(self.schedules), self.graph.num_nodes()
-        index = {p: i for i, p in enumerate(self.graph.nodes())}
-        pairs = [(index[u], index[v]) for u, v in self.graph.edges()]
-        stacked = [(s * n + i, s * n + j) for s in range(members) for i, j in pairs]
-        flat = self._tensor.reshape(members * n, self.horizon)
-        self._parts = fold(flat, 1, stacked).split(members, len(pairs))
-        for part, unknown in zip(self._parts, self._unknown):
-            part.unknown = list(unknown)
+        for trace in self._members:
+            trace._scan()
 
 
 def _scatter_columns(matrix, columns, index, on_unknown) -> None:

@@ -15,24 +15,24 @@ Three levels of checking are provided:
 
 Like the metric suite, every check runs on either engine: the numpy trace
 engine (default), where legality reads the per-edge collision holidays of
-the trace's summary (one adjacency-masked AND of two rows per edge) and
-bound/periodicity certification reads its per-node statistics, or the
-``backend="sets"`` frozenset reference that walks every holiday.  A
-pre-built ``trace=`` can be shared across checks and with the metric suite.
+the trace's summary (in closed form for periodic and cyclic schedules, one
+AND of two rows per edge and block otherwise) and bound/periodicity
+certification reads its per-node statistics, or the ``backend="sets"``
+frozenset reference that walks every holiday.  A pre-built ``trace=`` can
+be shared across checks and with the metric suite.
 
 Execution knobs travel on one :class:`~repro.core.config.EngineConfig`
 (``config=``).  Every check honours the horizon representation
-(``horizon_mode="dense"`` / ``"stream"`` / ``"auto"``): on a
-:class:`~repro.core.trace.StreamedTrace`
-the legality test becomes per-chunk edge row-ANDs with boundary state, and
-``fail_fast=True`` stops the stream at the first chunk containing a
-violation — later chunks are never materialised.
+(``horizon_mode="dense"`` / ``"stream"`` / ``"auto"``): the legality test
+folds the trace's blocks — one block of the whole horizon when dense,
+fixed-width chunks with boundary state when streamed — and
+``fail_fast=True`` stops a stream at the first chunk containing a
+violation; later chunks are never materialised.
 
 The ``trace=`` parameter also accepts a :class:`~repro.core.trace.TraceBatch`
-member: it answers the same queries from the batch's one stacked scan (its
-per-edge legality pass already covered every member), so a batched
-experiment run validates each cell through this module unchanged and
-produces identical violation lists.
+member, which is the trace a per-cell run builds, so a batched experiment
+run validates each cell through this module unchanged and produces
+identical violation lists.
 """
 
 from __future__ import annotations
@@ -298,8 +298,8 @@ def validate_schedule(
 ) -> ValidationReport:
     """Run legality + optional bound + optional periodicity checks in one call.
 
-    On a non-``"sets"`` backend the occupancy trace (dense matrix or
-    streaming engine, per ``config.horizon_mode``) is built at most once and shared by all
+    On a non-``"sets"`` backend the occupancy trace (dense or streamed,
+    per ``config.horizon_mode``) is built at most once and shared by all
     three checks (or taken from ``trace=`` when the caller already built it
     for the metric suite).  ``fail_fast`` applies to the legality check only
     — bound and periodicity certification always cover every node.

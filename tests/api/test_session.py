@@ -97,7 +97,8 @@ class TestConfigSemantics:
     def test_config_selects_engine(self, graph, schedule):
         dense = Session(graph, config=EngineConfig(horizon_mode="dense"))
         stream = Session(graph, config=EngineConfig(horizon_mode="stream", chunk=8))
-        assert isinstance(dense.trace(schedule, 48), TraceMatrix)
+        dense_trace = dense.trace(schedule, 48)
+        assert dense_trace.mode == "dense" and dense_trace.chunk == 48
         streamed = stream.trace(schedule, 48)
         assert isinstance(streamed, StreamedTrace) and streamed.chunk == 8
         assert dense.evaluate(schedule, 48).summary() == stream.evaluate(schedule, 48).summary()

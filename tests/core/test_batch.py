@@ -1,12 +1,12 @@
-"""Differential tests for the batched multi-schedule trace kernels.
+"""Differential tests for batched multi-schedule traces.
 
 The contract of :class:`repro.core.trace.TraceBatch` is *exact* agreement
-between a member view of the stacked kernel and an ordinary per-cell trace
-of the same schedule — on every query, for every registered scheduler, on
-both arms of the fold kernel, for every way of splitting the schedule set
-into batches (size 1, 2, a size that does not divide the set, and the whole
-set), and in streamed mode for several chunk widths.  The views also plug
-into ``evaluate_schedule``/``validate_schedule`` via ``trace=`` and must
+between a batch member and an ordinary per-cell trace of the same
+schedule — on every query, for every registered scheduler, on both arms of
+the fold kernel, for every way of splitting the schedule set into batches
+(size 1, 2, a size that does not divide the set, and the whole set), and in
+streamed mode for several chunk widths.  The members also plug into
+``evaluate_schedule``/``validate_schedule`` via ``trace=`` and must
 reproduce per-cell reports verbatim.
 """
 
@@ -152,9 +152,11 @@ def test_raw_sequences_and_unknown_nodes(graph, backend):
 
 @pytest.mark.usefixtures("fold_arm")
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_mixed_periods_share_one_expansion(graph, backend):
-    """Periodic members with overlapping (period, phase) tables stack via
-    the broadcast fast path and still answer exactly per-cell."""
+def test_colliding_periodic_members_match_the_matrix_fold(graph, backend):
+    """Periodic members with overlapping, colliding (period, phase) tables:
+    each dense member summarises in closed form (``periodic_summary``) and
+    answers exactly like the fold of its ``TraceMatrix.from_schedule``
+    matrix."""
     nodes = graph.nodes()
     tables = []
     for shift in (0, 1, 3):

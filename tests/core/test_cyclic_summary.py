@@ -15,8 +15,10 @@ frozenset reference's.  The doubling's two steps are checked on their own
 (a shifted fold is the fold at a later start; a merged shifted copy is the
 fold of two cycles), and so are the boundary cases: a one-holiday cycle,
 chunks one holiday wide and wider than the horizon, a foreign-graph scan of
-a periodic table against its cyclic twin, and a finite explicit schedule,
-which has no closed form.
+a periodic table against its cyclic twin, a finite explicit schedule,
+which has no closed form, and a cycle at least as long as the horizon,
+which is read as its prefix.  A dense trace is the one-chunk stream and
+takes the same closed form: its summaries build no block either.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import pytest
 
 from repro.algorithms.registry import available_schedulers, get_scheduler
 from repro.core.config import EngineConfig
+from repro.core.metrics import HappinessTrace, build_trace
 from repro.core.problem import ConflictGraph
 from repro.core.schedule import ExplicitSchedule, PeriodicSchedule, SlotAssignment
 from repro.core.trace import StreamedTrace, TraceMatrix, TraceStream, TraceSummary, TraceView, fold
@@ -199,6 +202,40 @@ def test_cyclic_summary_queries_build_no_chunk(monkeypatch):
         trace.appearances(NON_EDGE[0])
 
 
+def test_dense_cyclic_summary_queries_build_no_block(monkeypatch):
+    """A dense trace of a cyclic schedule reads the same closed form: no
+    summary or legality query builds its block, the first positions query
+    builds the one block ``(1, horizon)``, and later ones reuse it."""
+    schedule = cyclic_twin("degree-periodic")
+    horizon = 200
+    matrix = TraceMatrix.from_schedule(schedule, GRAPH, horizon)
+    built = []
+    block = TraceStream.block
+
+    def counted(self, start, width):
+        built.append((start, width))
+        return block(self, start, width)
+
+    monkeypatch.setattr(TraceStream, "block", counted)
+    trace = build_trace(schedule, GRAPH, horizon, config=EngineConfig(horizon_mode="dense"))
+    assert trace.mode == "dense" and trace.chunk == horizon
+    trace.muls()
+    trace.observed_periods()
+    trace.happiness_rates()
+    trace.distinct_appearance_diffs(NON_EDGE[0])
+    trace.conflicting_holidays()
+    trace.legality_scan(FOREIGN)
+    trace.legality_scan(GRAPH, fail_fast=True)
+    trace.edge_collisions(*NON_EDGE)
+    validate_schedule(schedule, GRAPH, horizon, check_periodic=True, trace=trace)
+    assert built == []
+    assert state(trace.summary()) == state(matrix.summary())
+    assert trace.appearances(NON_EDGE[0]) == matrix.appearances(NON_EDGE[0])
+    assert built == [(1, horizon)]
+    assert trace.all_gaps() == matrix.all_gaps()
+    assert built == [(1, horizon)]
+
+
 # ---------------------------------------------------------------------------
 # the doubling's two steps: shift and merge
 # ---------------------------------------------------------------------------
@@ -308,3 +345,46 @@ def test_finite_explicit_schedule_takes_the_chunk_fold():
     short = StreamedTrace(ExplicitSchedule(graph, sets[:10], cyclic=False), graph, 70, chunk=6)
     with pytest.raises(IndexError):
         short.summary()
+
+
+@pytest.mark.parametrize("mode", ["dense", "stream"])
+@pytest.mark.parametrize("shortfall", [1, 0], ids=["horizon C-1", "horizon C"])
+def test_cycle_as_long_as_the_horizon_is_read_as_a_prefix(monkeypatch, mode, shortfall):
+    """A cycle of at least ``horizon`` holidays takes the prefix path in
+    both modes: no trace materialises (or folds) more than ``horizon``
+    columns of it, and every query equals the frozenset reference."""
+    schedule = illegal_cycle(2)
+    horizon = len(schedule) - shortfall
+
+    def no_cycle(self):
+        raise AssertionError("a prefix-length trace materialised the whole cycle")
+
+    monkeypatch.setattr(TraceStream, "_cycle_base", no_cycle)
+    trace = build_trace(schedule, GRAPH, horizon, config=EngineConfig(horizon_mode=mode, chunk=3))
+    assert trace._source._kind == "sets"
+    reference = HappinessTrace.from_schedule(schedule, GRAPH, horizon)
+    assert trace.muls() == {p: reference.mul(p) for p in GRAPH.nodes()}
+    assert trace.observed_periods() == {p: reference.observed_period(p) for p in GRAPH.nodes()}
+    assert trace.all_gaps() == {p: reference.gaps(p) for p in GRAPH.nodes()}
+    for graph in (GRAPH, FOREIGN):
+        for fail_fast in (False, True):
+            report = check_independent_sets(
+                schedule, graph, horizon, trace=trace, fail_fast=fail_fast)
+            expected = check_independent_sets(
+                schedule, graph, horizon, fail_fast=fail_fast, config=EngineConfig(backend="sets"))
+            assert violation_tuples(report) == violation_tuples(expected), (graph.name, fail_fast)
+
+
+def test_short_finite_explicit_schedule_fails_at_the_first_query():
+    """In either mode a finite explicit schedule shorter than the horizon
+    builds its trace and fails at the first query that reads past its end;
+    a raw sequence that short fails at construction."""
+    graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
+    sets = [[t % 3] for t in range(10)]
+    for mode in ("dense", "stream"):
+        config = EngineConfig(horizon_mode=mode, chunk=6)
+        trace = build_trace(ExplicitSchedule(graph, sets, cyclic=False), graph, 70, config=config)
+        with pytest.raises(IndexError, match="beyond the recorded horizon"):
+            trace.muls()
+        with pytest.raises(ValueError, match="only 10 holidays"):
+            build_trace(sets, graph, 70, config=config)

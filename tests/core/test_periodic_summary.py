@@ -9,9 +9,13 @@ dense matrix, for every registered periodic scheduler, for illegal tables
 with collisions, on foreign edge sets and non-edges, and under ``fail_fast``
 (cut at the end of the chunk holding the first collision).
 
+A dense trace is the one-chunk stream, so it reads the same closed form:
+its summary and legality queries build no block either, and its one block
+of the whole horizon is built by the first positions query and kept.
+
 Past the horizons a dense matrix or the frozenset reference can reach
-(10⁸ and 10¹² holidays) the cyclic closed form checks it: the cyclic twin
-of each schedule — one global period as a cyclic
+(10⁸ and 10¹² holidays, in both horizon modes) the cyclic closed form
+checks it: the cyclic twin of each schedule — one global period as a cyclic
 :class:`~repro.core.schedule.ExplicitSchedule` — is summarised by
 :func:`~repro.core.trace.cyclic_summary`, which folds the period and doubles
 it out with :meth:`TraceSummary.merge` of shifted copies.  The two
@@ -28,6 +32,7 @@ import pytest
 
 from repro.algorithms.registry import available_schedulers, get_scheduler
 from repro.core.config import EngineConfig
+from repro.core.metrics import build_trace
 from repro.core.problem import ConflictGraph
 from repro.core.schedule import ExplicitSchedule, PeriodicSchedule, SlotAssignment
 from repro.core.trace import (
@@ -206,38 +211,75 @@ def test_fail_fast_cuts_at_the_chunk_holding_the_first_collision(first):
         [(v.kind, v.holiday) for v in reference.violations] == [("not-independent", first)]
 
 
+def count_blocks(monkeypatch):
+    """Record ``(start, width)`` of every block a :class:`TraceStream` builds."""
+    built = []
+    block = TraceStream.block
+
+    def counted(self, start, width):
+        built.append((start, width))
+        return block(self, start, width)
+
+    monkeypatch.setattr(TraceStream, "block", counted)
+    return built
+
+
+def ask_summary_queries(trace, schedule, graph, horizon, non_edge):
+    """Every summary and legality query, on the trace's own edges, a foreign
+    edge set, under ``fail_fast`` and for a non-edge pair."""
+    foreign = erdos_renyi(12, 0.4, seed=1, name="foreign")
+    trace.muls()
+    trace.observed_periods()
+    trace.happiness_rates()
+    trace.distinct_appearance_diffs(non_edge[0])
+    trace.conflicting_holidays()
+    trace.legality_scan(foreign)
+    trace.legality_scan(graph, fail_fast=True)
+    trace.edge_collisions(*non_edge)
+    validate_schedule(schedule, graph, horizon, check_periodic=True, trace=trace)
+
+
+def first_non_edge(graph):
+    return next(
+        (u, v) for u, v in itertools.combinations(graph.nodes(), 2) if not graph.has_edge(u, v)
+    )
+
+
 def test_summary_queries_build_no_block(monkeypatch):
     """Every summary and legality query reads the closed form; positions
     queries still stream the periodic blocks."""
     graph = GRAPHS["gnp-12"]
     schedule = random_table(graph, random.Random(7))
-    built = []
-    block = TraceStream.block
-
-    def counted(self, start, width):
-        built.append(start)
-        return block(self, start, width)
-
-    monkeypatch.setattr(TraceStream, "block", counted)
     horizon = 10 * CHUNK + 5
-    streamed = StreamedTrace(schedule, graph, horizon, chunk=CHUNK)
-    foreign = erdos_renyi(12, 0.4, seed=1, name="foreign")
-    u, v = next(
-        (u, v) for u, v in itertools.combinations(graph.nodes(), 2) if not graph.has_edge(u, v)
-    )
-    streamed.muls()
-    streamed.observed_periods()
-    streamed.happiness_rates()
-    streamed.distinct_appearance_diffs(u)
-    streamed.conflicting_holidays()
-    streamed.legality_scan(foreign)
-    streamed.legality_scan(graph, fail_fast=True)
-    streamed.edge_collisions(u, v)
-    validate_schedule(schedule, graph, horizon, check_periodic=True, trace=streamed)
-    assert built == []
     dense = TraceMatrix.from_schedule(schedule, graph, horizon)
+    built = count_blocks(monkeypatch)
+    streamed = StreamedTrace(schedule, graph, horizon, chunk=CHUNK)
+    u, v = first_non_edge(graph)
+    ask_summary_queries(streamed, schedule, graph, horizon, (u, v))
+    assert built == []
     assert streamed.appearances(u) == dense.appearances(u)
-    assert built == list(range(1, horizon + 1, CHUNK))
+    assert [start for start, _ in built] == list(range(1, horizon + 1, CHUNK))
+
+
+def test_dense_summary_queries_build_no_block(monkeypatch):
+    """A dense trace is the one-chunk stream: its summary and legality
+    queries read the closed form too, the first positions query builds the
+    one block of the whole horizon, and later ones reuse it."""
+    graph = GRAPHS["gnp-12"]
+    schedule = random_table(graph, random.Random(7))
+    horizon = 10 * CHUNK + 5
+    matrix = TraceMatrix.from_schedule(schedule, graph, horizon)
+    built = count_blocks(monkeypatch)
+    dense = build_trace(schedule, graph, horizon, config=EngineConfig(horizon_mode="dense"))
+    assert dense.mode == "dense"
+    u, v = first_non_edge(graph)
+    ask_summary_queries(dense, schedule, graph, horizon, (u, v))
+    assert built == []
+    assert state(dense.summary()) == state(matrix.summary())
+    assert dense.appearances(u) == matrix.appearances(u)
+    assert built == [(1, horizon)]
+    assert dense.all_gaps() == matrix.all_gaps()
+    assert built == [(1, horizon)]
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +317,17 @@ ORACLE_CASES = {
 }
 
 
+@pytest.mark.parametrize("mode", ("stream", "dense"))
 @pytest.mark.parametrize("horizon", (10 ** 8, 10 ** 12), ids=("1e8", "1e12"))
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_cyclic_twin_matches_closed_form_far_past_the_reference(case, horizon):
+def test_cyclic_twin_matches_closed_form_far_past_the_reference(case, horizon, mode):
+    """In either horizon mode: a dense trace this long is one chunk of 10¹²
+    holidays, whose summary must never build that chunk."""
     schedule = ORACLE_CASES[case]()
     graph = schedule.graph
     assert schedule.global_period() <= 2 ** 16
-    twin = StreamedTrace(cyclic_twin(schedule), graph, horizon)
+    twin = build_trace(cyclic_twin(schedule), graph, horizon, config=EngineConfig(horizon_mode=mode))
+    assert twin.mode == mode
     closed = periodic_summary(schedule, graph.nodes(), horizon, edge_rows(twin, graph))
     assert state(twin.summary()) == state(closed)
     assert twin.legality_scan(graph) == ({}, {})

@@ -15,6 +15,7 @@ import pytest
 
 from repro.algorithms.registry import available_schedulers, get_scheduler
 from repro.core.metrics import (
+    HappinessTrace,
     build_trace,
     evaluate_schedule,
     happiness_rates,
@@ -86,10 +87,11 @@ class TestHorizonModeResolution:
     def test_build_trace_mode_selects_engine(self):
         graph = ConflictGraph.from_edges([(0, 1)], name="p2")
         schedule = get_scheduler("degree-periodic").build(graph, seed=0)
-        assert isinstance(build_trace(schedule, graph, 32, config=cfg(mode="dense")), TraceMatrix)
+        for mode in ("dense", "auto"):
+            dense = build_trace(schedule, graph, 32, config=cfg(mode=mode))
+            assert dense.mode == "dense" and dense.chunk == 32, mode
         streamed = build_trace(schedule, graph, 32, config=cfg(mode="stream", chunk=8))
         assert isinstance(streamed, StreamedTrace) and streamed.chunk == 8
-        assert isinstance(build_trace(schedule, graph, 32, config=cfg(mode="auto")), TraceMatrix)
 
     def test_sets_backend_has_no_stream_mode(self):
         graph = ConflictGraph.from_edges([(0, 1)], name="p2")
@@ -404,6 +406,51 @@ def test_second_pass_over_evicted_window_raises():
     ):
         with pytest.raises(ValueError, match="single forward pass"):
             second_pass()
+
+
+def test_one_chunk_trace_builds_its_block_once(monkeypatch):
+    """A dense trace is the one-chunk stream: its first pass builds the one
+    block of the whole horizon, and every later pass — a foreign-graph
+    legality scan, a non-edge's collisions, all gaps, happy sets — reads
+    that block.  A trace of several chunks rebuilds its chunks per pass."""
+    graph = erdos_renyi(10, 0.3, seed=4, name="gnp-10")
+    foreign = erdos_renyi(10, 0.5, seed=5, name="foreign-10")
+    u, v = next(
+        (u, v) for u in graph.nodes() for v in graph.nodes() if u < v and not graph.has_edge(u, v)
+    )
+    horizon = 90
+    sets = get_scheduler("phased-greedy").build(graph, seed=2).prefix(horizon)
+    reference = HappinessTrace.from_schedule(sets, graph, horizon)
+    built = []
+    block = TraceStream.block
+
+    def counted(self, start, width):
+        built.append((start, width))
+        return block(self, start, width)
+
+    monkeypatch.setattr(TraceStream, "block", counted)
+    dense = build_trace(
+        get_scheduler("phased-greedy").build(graph, seed=2), graph, horizon, config=cfg(mode="dense"))
+    assert dense.mode == "dense" and built == []
+    assert dense.muls() == {p: reference.mul(p) for p in graph.nodes()}
+    assert dense.legality_scan(foreign)[1] == {
+        t: hits for t, hits in (
+            (t, [(a, b) for a, b in foreign.edges() if a in happy and b in happy])
+            for t, happy in enumerate(sets, start=1)
+        ) if hits
+    }
+    assert dense.edge_collisions(u, v) == [
+        t for t, happy in enumerate(sets, start=1) if u in happy and v in happy
+    ]
+    assert dense.all_gaps() == {p: reference.gaps(p) for p in graph.nodes()}
+    assert [dense.happy_set(t) for t in (1, 45, horizon)] == [sets[0], sets[44], sets[-1]]
+    assert built == [(1, horizon)]
+
+    built.clear()
+    streamed = StreamedTrace(get_scheduler("phased-greedy").build(graph, seed=2), graph, horizon, chunk=32)
+    assert streamed.muls() == dense.muls()
+    assert streamed.all_gaps() == dense.all_gaps()
+    assert built == [(1, 32), (33, 32), (65, 26)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 :class:`repro.core.trace.TraceView` answers every query — the summary ones
 from the folded :class:`~repro.core.trace.TraceSummary`, the
 per-appearance ones from one positions pass over the trace's blocks — for a
-dense :class:`~repro.core.trace.TraceMatrix`, a
+:class:`~repro.core.trace.TraceMatrix` block, a
 :class:`~repro.core.trace.StreamedTrace` (chunk by chunk, and in closed form
-for a cyclic schedule) and the members of a
-:class:`~repro.core.trace.TraceBatch` (dense and streamed).  Each case asks
+for a cyclic schedule), a dense ``build_trace`` trace (the one-chunk
+stream, of the raw sequence and of the cyclic schedule) and the members of
+a :class:`~repro.core.trace.TraceBatch` (dense and streamed).  Each case asks
 one query of one trace kind over a deliberately illegal happy-set sequence —
 colliding edges, an unknown node, a never-happy node, periodic, single and
 irregular rows — and compares the answer with one computed directly from the
@@ -21,7 +22,8 @@ import random
 
 import pytest
 
-from repro.core.metrics import HappinessTrace
+from repro.core.config import EngineConfig
+from repro.core.metrics import HappinessTrace, build_trace
 from repro.core.problem import ConflictGraph
 from repro.core.schedule import ExplicitSchedule
 from repro.core.trace import StreamedTrace, TraceBatch, TraceMatrix
@@ -84,9 +86,18 @@ def other_sets(seed):
     return [frozenset(p for p in GRAPH.nodes() if rng.random() < 0.3) for _ in range(HORIZON)]
 
 
+def dense(source):
+    """A dense ``build_trace`` of ``source``: the one-chunk stream."""
+    trace = build_trace(source, GRAPH, HORIZON, config=EngineConfig(horizon_mode="dense"))
+    assert trace.mode == "dense" and trace.chunk == HORIZON
+    return trace
+
+
 #: kind -> (trace factory, the sequence it observes)
 KINDS = {
     "dense": (lambda: TraceMatrix.from_schedule(SETS, GRAPH, HORIZON), RAW),
+    "dense-schedule": (lambda: dense(SETS), RAW),
+    "dense-cyclic": (lambda: dense(CYCLIC), CYCLED),
     "stream": (lambda: StreamedTrace(SETS, GRAPH, HORIZON, chunk=CHUNK), RAW),
     "stream-cyclic": (lambda: StreamedTrace(CYCLIC, GRAPH, HORIZON, chunk=CHUNK), CYCLED),
     "batch": (

@@ -5,9 +5,10 @@ threads (released through a barrier, with the engine build slowed so the
 herd demonstrably overlaps) and assert the serving layer's two promises:
 
 * identical concurrent requests build the occupancy trace **exactly once**
-  (counted by stubbing both engine constructors, the same instrumentation
-  ``tests/api/test_session.py`` uses) and every client receives
-  byte-identical JSON — no torn responses;
+  (counted by stubbing :func:`repro.core.trace.make_trace` where
+  :func:`repro.core.metrics.build_trace` calls it, the one place every
+  numpy trace is built) and every client receives byte-identical JSON — no
+  torn responses;
 * distinct requests keep the shared cache within its byte budget, evicting
   LRU entries rather than growing without bound.
 """
@@ -19,7 +20,7 @@ import threading
 import time
 import urllib.request
 
-from repro.core.trace import StreamedTrace, TraceMatrix
+from repro.core import metrics
 from repro.serve import SchedulingService, TraceCache
 
 THREADS = 8
@@ -33,23 +34,17 @@ BODY = {
 
 
 def _slow_build_counter(monkeypatch, delay: float = 0.05):
-    """Count engine builds, slowing each so concurrent requests overlap."""
+    """Count trace builds by mode at the one construction helper, slowing
+    each so concurrent requests overlap."""
     calls = []
-    dense_build = TraceMatrix.from_schedule.__func__
-    stream_init = StreamedTrace.__init__
+    build = metrics.make_trace
 
-    def counting_build(cls, *args, **kwargs):
-        calls.append("dense")
+    def counting_build(schedule, graph, horizon, mode, *args, **kwargs):
+        calls.append(mode)
         time.sleep(delay)
-        return dense_build(cls, *args, **kwargs)
+        return build(schedule, graph, horizon, mode, *args, **kwargs)
 
-    def counting_init(self, *args, **kwargs):
-        calls.append("stream")
-        time.sleep(delay)
-        return stream_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(TraceMatrix, "from_schedule", classmethod(counting_build))
-    monkeypatch.setattr(StreamedTrace, "__init__", counting_init)
+    monkeypatch.setattr(metrics, "make_trace", counting_build)
     return calls
 
 
@@ -132,12 +127,12 @@ class TestSingleFlight:
         — the computation is not retried N times."""
         calls = []
 
-        def exploding_build(cls, *args, **kwargs):
+        def exploding_build(*args, **kwargs):
             calls.append("boom")
             time.sleep(0.05)
             raise RuntimeError("engine exploded (injected)")
 
-        monkeypatch.setattr(TraceMatrix, "from_schedule", classmethod(exploding_build))
+        monkeypatch.setattr(metrics, "make_trace", exploding_build)
         _service, server, client = serve_stack()
         port = server.server_address[1]
 
