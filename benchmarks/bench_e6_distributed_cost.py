@@ -10,10 +10,12 @@ The paper's lightweight/heavyweight distinction is about communication:
   coloring, i.e. a small constant factor more rounds than a single coloring,
   and is silent afterwards.
 
-The benchmark measures our LOCAL-model simulator's rounds / messages for the
-one-off constructions over growing G(n, p) graphs, and reports the per-holiday
-message cost of §3 separately so the cross-over is visible (after roughly
-``log Δ`` holidays the §5 construction has already paid for itself).
+The benchmark measures the rounds / messages of the one-off constructions
+over growing G(n, p) graphs, as counted by the LOCAL-model round kernel
+(``restricted_palette_rounds``, whose accounting is tested equal to the
+message simulator's), and reports the per-holiday message cost of §3
+separately so the cross-over is visible (after roughly ``log Δ`` holidays
+the §5 construction has already paid for itself).
 """
 
 from __future__ import annotations

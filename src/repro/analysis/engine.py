@@ -520,14 +520,6 @@ def _record_from_outcome(
     )
 
 
-def _execute_indexed(
-    payload: Tuple[int, ExperimentCell, Optional[ConflictGraph]]
-) -> Tuple[int, ExperimentRecord]:
-    """Process-pool entry point: tag each result with its cell index."""
-    index, cell, graph = payload
-    return index, execute_cell(cell, graph=graph)
-
-
 def _resolve_cell_horizon(cell: ExperimentCell, graph: ConflictGraph) -> int:
     """The horizon this cell will run at, resolved without building a
     schedule — :meth:`~repro.algorithms.base.Scheduler.bound_function` is

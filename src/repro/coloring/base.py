@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.problem import ConflictGraph, Node
+from repro.distributed.stats import RoundStats
 
 __all__ = [
     "Coloring",
@@ -107,6 +108,9 @@ class Coloring:
         colors: ``{node: color}`` with colors ``>= 1``.
         algorithm: name of the producing algorithm (for tables).
         rounds: communication rounds spent (None for sequential algorithms).
+        messages: messages delivered (None for sequential algorithms).
+        stats: the LOCAL-model run's full accounting (None for sequential
+            algorithms).
     """
 
     graph: ConflictGraph
@@ -114,6 +118,7 @@ class Coloring:
     algorithm: str = "unknown"
     rounds: Optional[int] = None
     messages: Optional[int] = None
+    stats: Optional[RoundStats] = None
 
     def __post_init__(self) -> None:
         verify_coloring(self.graph, self.colors)
@@ -159,4 +164,5 @@ class Coloring:
             algorithm=f"{self.algorithm}+compact",
             rounds=self.rounds,
             messages=self.messages,
+            stats=self.stats,
         )

@@ -17,26 +17,54 @@ constant per attempt, so the algorithm finishes in ``O(log n)`` rounds with
 high probability, and trivially never exceeds palette size
 ``deg(p) + 1``.
 
-The module exposes both the raw :class:`DistributedColoringProcess` (for
-composition inside other simulations) and the convenience driver
-:func:`distributed_deg_plus_one_coloring`.
+The library runs the algorithm through :func:`restricted_palette_rounds`,
+plain synchronous rounds over the graph's neighbour tuples with the
+communication cost (:class:`~repro.distributed.stats.RoundStats`) counted
+in closed form.  :class:`DistributedColoringProcess` is the same algorithm
+written as a :class:`~repro.distributed.node.NodeProcess`; run under
+:class:`~repro.distributed.simulator.SyncSimulator` it is the oracle the
+round function is tested equal to, colours, statistics and errors alike.
+:func:`distributed_deg_plus_one_coloring` is the convenience driver.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.coloring.base import Coloring
 from repro.core.problem import ConflictGraph, Node
-from repro.distributed.messages import Message
-from repro.distributed.network import Network
+from repro.distributed.messages import Message, payload_bits
 from repro.distributed.node import NodeContext, NodeProcess
-from repro.distributed.simulator import SyncSimulator
+from repro.distributed.simulator import SimulationError
+from repro.distributed.stats import RoundStats
+from repro.utils.rng import _MASK64, derive_seed
 
-__all__ = ["DistributedColoringProcess", "distributed_deg_plus_one_coloring"]
+__all__ = [
+    "DistributedColoringProcess",
+    "distributed_deg_plus_one_coloring",
+    "restricted_palette_rounds",
+]
 
 _PROPOSE = "propose"
 _FINAL = "final"
+
+
+def _base_palette(palette: Sequence[int]) -> List[int]:
+    """The sorted distinct colours of ``palette``, which must be non-empty and positive."""
+    if not palette:
+        raise ValueError("palette must be non-empty")
+    if any(c < 1 for c in palette):
+        raise ValueError("palette colors must be positive integers")
+    return sorted(set(palette))
+
+
+def _exhausted(index: int, base: List[int], forbidden: Set[int]) -> RuntimeError:
+    return RuntimeError(
+        f"palette exhausted for node index {index}: "
+        f"base={base}, forbidden={sorted(forbidden)}"
+    )
 
 
 class DistributedColoringProcess(NodeProcess):
@@ -51,12 +79,8 @@ class DistributedColoringProcess(NodeProcess):
     """
 
     def __init__(self, index: int, palette: Sequence[int]) -> None:
-        if not palette:
-            raise ValueError("palette must be non-empty")
-        if any(c < 1 for c in palette):
-            raise ValueError("palette colors must be positive integers")
         self.index = index
-        self.base_palette: List[int] = sorted(set(palette))
+        self.base_palette: List[int] = _base_palette(palette)
         self.forbidden: Set[int] = set()
         self.color: Optional[int] = None
         self._last_proposal: Optional[int] = None
@@ -65,10 +89,7 @@ class DistributedColoringProcess(NodeProcess):
     def _available(self) -> List[int]:
         available = [c for c in self.base_palette if c not in self.forbidden]
         if not available:
-            raise RuntimeError(
-                f"palette exhausted for node index {self.index}: "
-                f"base={self.base_palette}, forbidden={sorted(self.forbidden)}"
-            )
+            raise _exhausted(self.index, self.base_palette, self.forbidden)
         return available
 
     def _propose(self, ctx: NodeContext) -> None:
@@ -105,6 +126,114 @@ class DistributedColoringProcess(NodeProcess):
         return self.color
 
 
+def restricted_palette_rounds(
+    graph: ConflictGraph,
+    members: Sequence[Node],
+    palettes: Mapping[Node, Sequence[int]],
+    seed: int,
+    max_rounds: int,
+) -> Tuple[Dict[Node, int], RoundStats]:
+    """Colour ``members`` from their ``palettes`` in synchronous LOCAL rounds.
+
+    This is the run :class:`DistributedColoringProcess` makes under
+    :class:`~repro.distributed.simulator.SyncSimulator` on the subgraph that
+    ``members`` induce in ``graph``, over ``Network(subgraph, seed)``, with
+    each node's ``graph.index_of`` as its identity.  It returns the same
+    colours, the same :class:`~repro.distributed.stats.RoundStats` and
+    raises the same errors, but keeps no message, context or subgraph:
+
+    * round 0: every member proposes a uniform colour of its palette,
+      drawn from the stream ``Network.rng_for`` would give it;
+    * round r: a live member keeps its round r−1 proposal unless a finalised
+      neighbour has taken that colour or a neighbour with a lower index
+      proposed it in round r−1; it then broadcasts the colour as final and
+      halts, and otherwise proposes again from its palette minus the
+      finals received so far.
+
+    Messages delivered in round r are the (member-)degrees of the members
+    that broadcast in round r−1, each charged :func:`payload_bits` of the
+    broadcast tuple.  As in the simulator, a round that delivers the last
+    finals is recorded and counts against ``max_rounds``.
+
+    Raises:
+        ValueError: a palette is empty or non-positive, or ``max_rounds < 1``.
+        RuntimeError: a member's palette ran out (the first such member in
+            ``members`` order).
+        SimulationError: the run did not end within ``max_rounds`` rounds.
+    """
+    root = int(seed) & _MASK64  # as RngStream reads a seed
+    bases = [_base_palette(palettes[p]) for p in members]
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    position = {p: i for i, p in enumerate(members)}
+    neighbours = [[position[q] for q in graph.neighbor_tuple(p) if q in position] for p in members]
+    index = [graph.index_of(p) for p in members]
+    forbidden: List[Set[int]] = [set() for _ in members]
+    streams: List[Optional[np.random.Generator]] = [None] * len(members)
+    broadcasts = [1] * len(members)  # round 0's proposal included
+
+    def propose(i: int) -> Tuple[str, int, int]:
+        available = [c for c in bases[i] if c not in forbidden[i]]
+        if not available:
+            raise _exhausted(index[i], bases[i], forbidden[i])
+        if len(available) == 1:
+            # a draw from one colour can only pick it, and a member's palette
+            # never grows back, so it never draws from its stream again
+            return (_PROPOSE, available[0], index[i])
+        stream = streams[i]
+        if stream is None:
+            stream = streams[i] = np.random.default_rng(derive_seed(root, "node", members[i]))
+        return (_PROPOSE, available[stream.integers(0, len(available))], index[i])
+
+    colours: List[Optional[int]] = [None] * len(members)
+    stats = RoundStats()
+    live = list(range(len(members)))
+    sent = {i: propose(i) for i in live}
+    for _ in range(max_rounds):
+        heard, sent = sent, {}
+        delivered = delivered_bits = 0
+        for i, payload in heard.items():
+            degree = len(neighbours[i])
+            if degree:
+                delivered += degree
+                delivered_bits += degree * payload_bits(payload)
+        if not live and not delivered:
+            break
+        still_live = []
+        for i in live:
+            mine = heard[i][1]
+            taken = forbidden[i]
+            beaten = False
+            for j in neighbours[i]:
+                payload = heard.get(j)
+                if payload is None:
+                    continue
+                if payload[0] == _FINAL:
+                    taken.add(payload[1])
+                elif payload[1] == mine and index[j] < index[i]:
+                    beaten = True
+            broadcasts[i] += 1
+            if beaten or mine in taken:
+                sent[i] = propose(i)
+                still_live.append(i)
+            else:
+                colours[i] = mine
+                sent[i] = (_FINAL, mine)
+        live = still_live
+        stats.record_round(delivered, delivered_bits)
+        if not live and not any(neighbours[i] for i in sent):
+            break
+    else:
+        raise SimulationError(
+            f"simulation did not terminate within {max_rounds} rounds; "
+            f"{len(live)} node(s) still live"
+        )
+    stats.messages_by_node = {
+        p: len(neighbours[i]) * broadcasts[i] for i, p in enumerate(members) if neighbours[i]
+    }
+    return dict(zip(members, colours)), stats
+
+
 def _default_palettes(graph: ConflictGraph) -> Dict[Node, List[int]]:
     return {p: list(range(1, graph.degree(p) + 2)) for p in graph.nodes()}
 
@@ -123,34 +252,28 @@ def distributed_deg_plus_one_coloring(
         palettes: optional per-node allowed colors (defaults to
             ``{1, ..., deg(p)+1}``); used by the Section 5.2 phases to
             restrict colors modulo powers of two.
-        max_rounds: safety bound on simulated rounds.
+        max_rounds: safety bound on LOCAL-model rounds.
 
     Returns:
         A :class:`~repro.coloring.base.Coloring` whose ``rounds`` and
-        ``messages`` fields record the communication cost.
+        ``messages`` fields record the communication cost, and whose
+        ``stats`` holds the run's :class:`~repro.distributed.stats.RoundStats`.
     """
+    nodes = graph.nodes()
     if palettes is not None:
-        missing = [p for p in graph.nodes() if p not in palettes]
+        missing = [p for p in nodes if p not in palettes]
         if missing:
             raise ValueError(f"palettes missing for nodes {missing!r}")
-        chosen_palettes = {p: list(palettes[p]) for p in graph.nodes()}
+        chosen_palettes = {p: list(palettes[p]) for p in nodes}
     else:
         chosen_palettes = _default_palettes(graph)
 
-    network = Network(graph, seed=seed)
-    processes = {
-        p: DistributedColoringProcess(index=graph.index_of(p), palette=chosen_palettes[p])
-        for p in graph.nodes()
-    }
-    simulator = SyncSimulator(network, processes)
-    outcome = simulator.run(max_rounds=max_rounds)
-    colors = {p: outcome.result_of(p) for p in graph.nodes()}
-    if any(c is None for c in colors.values()):
-        raise RuntimeError("distributed coloring terminated with uncolored nodes")
+    colors, stats = restricted_palette_rounds(graph, nodes, chosen_palettes, seed, max_rounds)
     return Coloring(
         graph=graph,
-        colors={p: int(c) for p, c in colors.items()},
+        colors={p: int(colors[p]) for p in nodes},
         algorithm="distributed-deg+1",
-        rounds=outcome.stats.rounds,
-        messages=outcome.stats.messages,
+        rounds=stats.rounds,
+        messages=stats.messages,
+        stats=stats,
     )

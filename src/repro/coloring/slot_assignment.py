@@ -27,11 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.coloring.distributed import DistributedColoringProcess
+from repro.coloring.distributed import restricted_palette_rounds
 from repro.core.problem import ConflictGraph, Node
 from repro.core.schedule import PeriodicSchedule, SlotAssignment
-from repro.distributed.network import Network
-from repro.distributed.simulator import SyncSimulator
+from repro.distributed.stats import RoundStats
 from repro.utils.math import ceil_log2
 
 __all__ = [
@@ -62,6 +61,7 @@ class ModularSlotAssignment:
     algorithm: str = "slot-assignment"
     rounds: Optional[int] = None
     messages: Optional[int] = None
+    stats: Optional[RoundStats] = None
 
     def __post_init__(self) -> None:
         for p in self.graph.nodes():
@@ -137,15 +137,15 @@ def distributed_slot_assignment(
 
     Phase ``i`` (from ``⌈log(Δ+1)⌉`` down to 0) lets exactly the nodes with
     ``⌈log(deg+1)⌉ = i`` pick a slot, running the restricted-palette
-    distributed coloring on the subgraph they induce.  A node's palette is
-    the set of residues modulo ``2^{i}`` not blocked (mod ``2^{i}``) by
-    neighbors that picked in earlier phases; at most ``deg`` residues are
-    ever blocked so the palette is never empty.
+    distributed coloring (seed ``seed + i``) among them: a node hears only
+    the neighbours of its own phase.  A node's palette is the set of
+    residues modulo ``2^{i}`` not blocked (mod ``2^{i}``) by neighbors that
+    picked in earlier phases; at most ``deg`` residues are ever blocked so
+    the palette is never empty.  ``stats`` adds up the phases' rounds.
     """
     slots: Dict[Node, int] = {}
     moduli: Dict[Node, int] = {}
-    total_rounds = 0
-    total_messages = 0
+    stats = RoundStats()
 
     delta = graph.max_degree()
     top_phase = ceil_log2(delta + 1) if delta >= 0 else 0
@@ -166,7 +166,7 @@ def distributed_slot_assignment(
         palettes: Dict[Node, List[int]] = {}
         for p in members:
             blocked = set()
-            for q in graph.neighbors(p):
+            for q in graph.neighbor_tuple(p):
                 if q in slots:
                     blocked.add(slots[q] % modulus)
             allowed = [x for x in range(modulus) if x not in blocked]
@@ -178,20 +178,12 @@ def distributed_slot_assignment(
             # The coloring process expects colors >= 1, so shift residues by +1.
             palettes[p] = [x + 1 for x in allowed]
 
-        subgraph = graph.subgraph(members, name=f"{graph.name}-phase{phase}")
-        network = Network(subgraph, seed=seed + phase)
-        processes = {
-            p: DistributedColoringProcess(index=graph.index_of(p), palette=palettes[p])
-            for p in members
-        }
-        outcome = SyncSimulator(network, processes).run(max_rounds=max_rounds)
-        total_rounds += outcome.stats.rounds
-        total_messages += outcome.stats.messages
+        picked, phase_stats = restricted_palette_rounds(
+            graph, members, palettes, seed + phase, max_rounds
+        )
+        stats = stats.merge(phase_stats)
         for p in members:
-            picked = outcome.result_of(p)
-            if picked is None:
-                raise RuntimeError(f"phase {phase}: node {p!r} ended without a slot")
-            slots[p] = int(picked) - 1
+            slots[p] = int(picked[p]) - 1
             moduli[p] = modulus
 
     assignment = ModularSlotAssignment(
@@ -199,8 +191,9 @@ def distributed_slot_assignment(
         slots=slots,
         moduli=moduli,
         algorithm="slot-distributed",
-        rounds=total_rounds,
-        messages=total_messages,
+        rounds=stats.rounds,
+        messages=stats.messages,
+        stats=stats,
     )
     assignment.verify_conflict_free()
     return assignment

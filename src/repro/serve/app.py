@@ -83,8 +83,7 @@ class RequestHandler(BaseHTTPRequestHandler):
         # route access logs through the package logger instead of stderr
         _log.debug("%s %s", self.address_string(), format % args)
 
-    def _send_json(self, status: int, payload: Dict[str, object]) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def _send_json(self, status: int, body: bytes) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -155,45 +154,43 @@ class RequestHandler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         started = time.perf_counter()
-        endpoint = path
-        status = 500
         try:
-            raw = self._read_body()
-            route = _ROUTES.get(path)
-            if route is None:
-                raise ServiceError(404, "not_found", f"no such endpoint: {path}")
-            allowed, handler, needs_body = route
-            if method != allowed:
-                raise ServiceError(
-                    405, "method_not_allowed", f"{path} only accepts {allowed}"
-                )
-            payload = self._parse_body(raw) if needs_body else None
-            result = handler(self.service, payload)
-            status = 200
-            self._send_json(200, result)
+            status, body = 200, _encode(self._route(method, path))
         except ServiceError as exc:
-            status = exc.status
-            self._send_json(exc.status, exc.payload())
-        except BrokenPipeError:  # client went away; nothing to send
-            status = 499
+            status, body = exc.status, _encode(exc.payload())
         except Exception:
             # never leak a traceback to the client
             _log.exception("unhandled error serving %s %s", method, path)
-            status = 500
-            self._send_json(
-                500,
-                {"error": {"code": "internal", "message": "internal server error", "status": 500}},
-            )
-        finally:
-            self.service.metrics.observe_request(
-                endpoint, status, time.perf_counter() - started
-            )
+            internal = ServiceError(500, "internal", "internal server error")
+            status, body = internal.status, _encode(internal.payload())
+        # counted before the reply goes out: a client that has read the whole
+        # reply may scrape /metrics next, and must find this request in it
+        self.service.metrics.observe_request(path, status, time.perf_counter() - started)
+        try:
+            self._send_json(status, body)
+        except ConnectionError:  # client went away mid-reply: counted once, above
+            pass
+
+    def _route(self, method: str, path: str) -> Dict[str, object]:
+        raw = self._read_body()
+        route = _ROUTES.get(path)
+        if route is None:
+            raise ServiceError(404, "not_found", f"no such endpoint: {path}")
+        allowed, handler, needs_body = route
+        if method != allowed:
+            raise ServiceError(405, "method_not_allowed", f"{path} only accepts {allowed}")
+        payload = self._parse_body(raw) if needs_body else None
+        return handler(self.service, payload)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         self._dispatch("GET")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming
         self._dispatch("POST")
+
+
+def _encode(payload: Dict[str, object]) -> bytes:
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
 #: path -> (method, handler(service, payload), needs_body)

@@ -59,7 +59,8 @@ class ServiceMetrics:
         self._store_misses = 0
 
     def observe_request(self, endpoint: str, status: int, seconds: float) -> None:
-        """Record one finished request (called by the HTTP layer)."""
+        """Record one request whose reply is ready (called by the HTTP layer
+        before it writes the reply)."""
         with self._lock:
             self._requests[endpoint] = self._requests.get(endpoint, 0) + 1
             self._statuses[str(status)] = self._statuses.get(str(status), 0) + 1

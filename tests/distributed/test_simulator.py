@@ -1,8 +1,7 @@
 """Tests for the synchronous LOCAL-model simulator."""
 
-from functools import reduce
-
 import pytest
+from local_oracle import simulated_coloring, simulated_slot_assignment
 
 from repro.coloring.distributed import distributed_deg_plus_one_coloring
 from repro.coloring.slot_assignment import distributed_slot_assignment
@@ -392,22 +391,27 @@ LOCAL_BUILDS = {
     "distributed_slot_assignment": distributed_slot_assignment,
 }
 
+#: the same builds through the simulator oracle, reduced to their merged stats
+SIMULATED_BUILDS = {
+    "distributed_deg_plus_one_coloring": lambda graph, seed: simulated_coloring(graph, seed)[1],
+    "distributed_slot_assignment": lambda graph, seed: simulated_slot_assignment(graph, seed)[2],
+}
 
-@pytest.mark.parametrize("build, workload, seed", sorted(PINNED_ROUND_STATS))
-def test_round_stats_pinned(build, workload, seed, monkeypatch):
-    runs = []
-    run = SyncSimulator.run
 
-    def recording_run(self, *args, **kwargs):
-        outcome = run(self, *args, **kwargs)
-        runs.append(outcome.stats)
-        return outcome
-
-    monkeypatch.setattr(SyncSimulator, "run", recording_run)
-    graph = get_workload(workload)
-    LOCAL_BUILDS[build](graph, seed=seed)
-    stats = reduce(RoundStats.merge, runs, RoundStats())
-    rounds, messages, bits, per_round, by_node = PINNED_ROUND_STATS[(build, workload, seed)]
+def assert_pinned(stats, graph, pinned):
+    rounds, messages, bits, per_round, by_node = pinned
     assert (stats.rounds, stats.messages, stats.bits) == (rounds, messages, bits)
     assert stats.messages_per_round == per_round
     assert stats.messages_by_node == {p: c for p, c in zip(graph.nodes(), by_node) if c}
+
+
+@pytest.mark.parametrize("build, workload, seed", sorted(PINNED_ROUND_STATS))
+def test_round_stats_pinned(build, workload, seed):
+    """The round kernel's stats, the public rounds/messages and the simulator
+    oracle's merged stats all equal the pinned literals."""
+    graph = get_workload(workload)
+    pinned = PINNED_ROUND_STATS[(build, workload, seed)]
+    result = LOCAL_BUILDS[build](graph, seed=seed)
+    assert (result.rounds, result.messages) == pinned[:2]
+    assert_pinned(result.stats, graph, pinned)
+    assert_pinned(SIMULATED_BUILDS[build](graph, seed), graph, pinned)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
+import json
+import time
+from urllib.parse import urlsplit
+
 from repro.serve.health import LatencySummary, ServiceMetrics
 
 GOOD = {"workload": "small/path", "algorithm": "degree-periodic", "horizon": 32}
@@ -17,9 +22,8 @@ class TestHealthz:
         first_count = body["requests"]
         client.post("/evaluate", GOOD)
         _status, again = client.get("/healthz")
-        # counts are recorded after the response is written, so the in-flight
-        # request itself may or may not be included — only monotonicity and
-        # the completed /evaluate are guaranteed
+        # a request is counted before its reply is written, so the scrape
+        # counts the completed /evaluate but not itself
         assert again["requests"] > first_count
 
 
@@ -39,6 +43,37 @@ class TestMetricsEndpoint:
         assert latency["count"] == 3
         assert latency["min_seconds"] <= latency["mean_seconds"] <= latency["max_seconds"]
         assert latency["total_seconds"] > 0
+
+    def test_every_scrape_counts_every_earlier_request(self, service_client, monkeypatch):
+        """A client that has read a whole reply finds that request in its next
+        scrape.  Requests go over one keep-alive connection and scrapes over a
+        second, so two server threads race; recording is slowed down to widen
+        the window a record made after the reply was written would leave."""
+        service, client = service_client
+        observe = service.metrics.observe_request
+
+        def slow_observe(*args):
+            time.sleep(0.005)
+            observe(*args)
+
+        monkeypatch.setattr(service.metrics, "observe_request", slow_observe)
+        port = urlsplit(client.base).port
+        queries = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        scrapes = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            for done in range(1, 41):
+                queries.request("GET", "/healthz")
+                reply = queries.getresponse()
+                reply.read()
+                assert reply.status == 200
+                scrapes.request("GET", "/metrics")
+                reply = scrapes.getresponse()
+                requests = json.loads(reply.read())["requests"]
+                assert requests["by_endpoint"]["/healthz"] == done
+                assert requests["by_endpoint"].get("/metrics", 0) == done - 1
+        finally:
+            queries.close()
+            scrapes.close()
 
     def test_cache_counters_surface_hits_and_misses(self, service_client):
         service, client = service_client
