@@ -28,23 +28,13 @@ asserts both engines produce identical report summaries, and writes
 machine-readable ``BENCH_e5_comparison.json`` + ``BENCH_trace.json``
 perf reports (see :func:`benchmarks.common.write_bench_json`).
 
-Script mode also runs the *batched* stage: a batch-friendly campaign
-(quick workloads × the periodic scheduler families × several seeds, i.e.
-many cells per (workload, horizon) group) executed with the default
-auto-sized ``EngineConfig.batch`` — cells grouped into ``TraceBatch``
-units — and forced per-cell with ``batch=1``, the two arms interleaved
-and each timed best of :data:`BATCHED_REPEATS`.  The two arms' records are
-asserted identical modulo timing and the wall-clock ratio is recorded as
-``batched_speedup``.  A batch member is the same trace a per-cell run
-builds (there is no stacked kernel), so the ratio is a measurement, not a
-claimed win.
-
-Finally the *cache* stage runs the same campaign cold (into a fresh
-:class:`~repro.io.store.ResultStore`) and then warm: the warm run resolves
-every cell from the store by content key and executes nothing.  The warm
-sink is asserted records-identical to the cold one modulo the timing
-metrics and the ``cached: true`` provenance stamp, and the wall-clock
-ratio is recorded as ``cache_speedup`` with the hit/miss counts.
+Finally the *cache* stage runs a campaign of many small cells (quick
+workloads × the periodic scheduler families × several seeds) cold, into a
+fresh :class:`~repro.io.store.ResultStore`, and then warm: the warm run
+resolves every cell from the store by content key and executes nothing.
+The warm sink is asserted records-identical to the cold one modulo the
+timing metrics and the ``cached: true`` provenance stamp, and the
+wall-clock ratio is recorded as ``cache_speedup`` with the hit/miss counts.
 """
 
 from __future__ import annotations
@@ -83,22 +73,19 @@ SCHEDULERS = [
     "degree-periodic",
 ]
 
-#: The batched-stage grid: periodic families over many seeds, giving the
-#: planner large compatible groups per (workload, horizon).
-BATCHED_SCHEDULERS = (
+#: The cache-stage grid: periodic families over many seeds.
+CACHE_SCHEDULERS = (
     "sequential",
     "round-robin-color",
     "degree-periodic",
     "color-periodic-omega",
 )
-BATCHED_SEEDS = tuple(range(8))
-#: The batched stage's own horizon: the campaign regime the planner was
-#: built for, many small cells.
-BATCHED_HORIZON = 512
-#: Walls are reported as best-of-N, the batched and per-cell arms
-#: interleaved, so neither a single scheduler hiccup nor drift on a noisy
-#: shared machine can flip the recorded ratio.
-BATCHED_REPEATS = 5
+CACHE_SEEDS = tuple(range(8))
+#: The cache stage's own horizon: the campaign regime of many small cells.
+CACHE_HORIZON = 512
+#: The warm wall is reported as best-of-N, so a single scheduler hiccup on a
+#: noisy shared machine cannot flip the recorded ratio.
+CACHE_REPEATS = 5
 
 
 def run_comparison():
@@ -222,7 +209,7 @@ def stripped_records(results):
     """Canonical JSON per record with the provenance fields removed.
 
     Stricter than :func:`summary_pivots` (which keeps one value per
-    workload × scheduler): the batched stage runs several seeds per pair,
+    workload × scheduler): the cache stage runs several seeds per pair,
     so equality must hold record by record.  Strips the timing metrics and
     the ``cached: true`` stamp — the two things allowed to differ between
     equivalent runs (a cold and a cache-warm one included).
@@ -240,38 +227,18 @@ def stripped_records(results):
     return out
 
 
-def run_batched_comparison(workloads, horizon, backend, batch=None):
-    """One batched-stage run; returns ``(results, wall_seconds)``.
-
-    ``batch=None`` leaves the planner on its auto-sized default
-    (``TraceBatch`` units); ``batch=1`` forces classic per-cell runs.
-    """
-    spec = ExperimentSpec(
-        name="E5-batched",
-        workloads=tuple(workloads),
-        algorithms=BATCHED_SCHEDULERS,
-        horizon=horizon,
-        seeds=BATCHED_SEEDS,
-        config=EngineConfig(backend=backend, batch=batch),
-    )
-    start = time.perf_counter()
-    results = ExperimentEngine(jobs=1).run(spec, workloads=workloads)
-    return results, time.perf_counter() - start
-
-
 def run_cached_comparison(workloads, horizon, backend, store):
     """One cache-stage run against ``store``; returns ``(results, wall, stats)``.
 
-    Same campaign as :func:`run_batched_comparison` (default auto batching),
-    with the store attached: the first run over an empty store is the cold
-    measurement, every later one resolves entirely from the cache.
+    The first run over an empty store is the cold measurement, every later
+    one resolves entirely from the cache.
     """
     spec = ExperimentSpec(
-        name="E5-batched",
+        name="E5-cache",
         workloads=tuple(workloads),
-        algorithms=BATCHED_SCHEDULERS,
+        algorithms=CACHE_SCHEDULERS,
         horizon=horizon,
-        seeds=BATCHED_SEEDS,
+        seeds=CACHE_SEEDS,
         config=EngineConfig(backend=backend),
     )
     engine = ExperimentEngine(jobs=1, store=store, campaign="E5-cache-stage")
@@ -346,57 +313,23 @@ def main(argv=None) -> int:
     else:
         print(f"engine comparison: jobs=1 {wall:.2f}s")
 
-    # batched stage: auto-sized TraceBatch units vs forced per-cell, the
-    # arms interleaved so warm caches and machine drift reach both alike.
-    batched_workloads, _ = benchmark_grid(quick=True)
-    percell_wall = float("inf")
-    batched_wall = float("inf")
-    percell_results = batched_results = None
-    for _ in range(BATCHED_REPEATS):
-        percell_results, wall_1 = run_batched_comparison(
-            batched_workloads, BATCHED_HORIZON, backend, batch=1
-        )
-        percell_wall = min(percell_wall, wall_1)
-        batched_results, wall_s = run_batched_comparison(
-            batched_workloads, BATCHED_HORIZON, backend
-        )
-        batched_wall = min(batched_wall, wall_s)
-    if stripped_records(batched_results) != stripped_records(percell_results):
-        raise AssertionError("batched records diverge from per-cell records")
-    batched_speedup = percell_wall / batched_wall if batched_wall > 0 else float("inf")
-    meta.update(
-        {
-            "batch": "auto",
-            "batched_horizon": BATCHED_HORIZON,
-            "batched_wall_seconds": round(batched_wall, 4),
-            "percell_wall_seconds": round(percell_wall, 4),
-            "batched_speedup": round(batched_speedup, 2),
-        }
-    )
-    print(
-        f"batched stage: {len(batched_results)} cells at horizon {BATCHED_HORIZON}, "
-        f"batch=auto {batched_wall:.2f}s vs batch=1 {percell_wall:.2f}s "
-        f"(ratio {batched_speedup:.2f}, best of {BATCHED_REPEATS} interleaved runs each), "
-        f"records identical modulo timing; a batch member is the per-cell trace, "
-        f"so no win is claimed"
-    )
-
-    # cache stage: the same campaign cold into a fresh store, then warm.
-    # The cold run is measured once (the batched stage above already warmed
-    # the Python caches); the warm wall is best-of-N pure store lookups.
+    # cache stage: a campaign cold into a fresh store, then warm.  The cold
+    # run is measured once (the comparison stage above already warmed the
+    # Python caches); the warm wall is best-of-N pure store lookups.
+    cache_workloads, _ = benchmark_grid(quick=True)
     with tempfile.TemporaryDirectory() as tmp:
         store_path = Path(tmp) / "bench_cache.sqlite"
         from repro.io.store import ResultStore
 
         with ResultStore(store_path) as store:
             cold_results, cold_wall, cold_stats = run_cached_comparison(
-                batched_workloads, BATCHED_HORIZON, backend, store
+                cache_workloads, CACHE_HORIZON, backend, store
             )
             warm_wall = float("inf")
             warm_results = warm_stats = None
-            for _ in range(BATCHED_REPEATS):
+            for _ in range(CACHE_REPEATS):
                 warm_results, wall_w, warm_stats = run_cached_comparison(
-                    batched_workloads, BATCHED_HORIZON, backend, store
+                    cache_workloads, CACHE_HORIZON, backend, store
                 )
                 warm_wall = min(warm_wall, wall_w)
     if stripped_records(warm_results) != stripped_records(cold_results):
@@ -406,13 +339,14 @@ def main(argv=None) -> int:
     cache_speedup = cold_wall / warm_wall if warm_wall > 0 else float("inf")
     meta.update(
         {
+            "cache_horizon": CACHE_HORIZON,
             "cache_cold_wall_seconds": round(cold_wall, 4),
             "cache_warm_wall_seconds": round(warm_wall, 4),
             "cache_speedup": round(cache_speedup, 2),
         }
     )
     print(
-        f"cache stage: {len(cold_results)} cells at horizon {BATCHED_HORIZON}, "
+        f"cache stage: {len(cold_results)} cells at horizon {CACHE_HORIZON}, "
         f"cold {cold_wall:.2f}s ({cold_stats['executed']} executed) vs warm "
         f"{warm_wall:.3f}s ({warm_stats['cached']} cache hits, 0 executed) — "
         f"{cache_speedup:.1f}x; warm sink records-identical to cold modulo "
@@ -422,15 +356,7 @@ def main(argv=None) -> int:
     e5_records = engine_bench_records(results)
     e5_records.append(
         bench_record(
-            "batched_comparison", BATCHED_HORIZON, batched_wall, backend,
-            cells=len(batched_results), batch="auto",
-            percell_seconds=round(percell_wall, 4),
-            batched_speedup=round(batched_speedup, 2),
-        )
-    )
-    e5_records.append(
-        bench_record(
-            "cache_comparison", BATCHED_HORIZON, warm_wall, backend,
+            "cache_comparison", CACHE_HORIZON, warm_wall, backend,
             cells=len(cold_results),
             cold_seconds=round(cold_wall, 4),
             cache_hits=warm_stats["cached"],

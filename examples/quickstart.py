@@ -116,7 +116,7 @@ def spec_driven_sweep() -> None:
         workloads=("small/star", "small/cycle", "small/gnp"),
         algorithms=("phased-greedy", "color-periodic-omega", "degree-periodic"),
         horizon=64,
-        config=EngineConfig(batch=4),  # backend/horizon_mode/chunk/window/batch
+        config=EngineConfig(backend="numpy"),  # backend/horizon_mode/chunk/window
     )
     results = ExperimentEngine(jobs=1).run(spec)
     pivot = results.pivot("mean_norm_gap")

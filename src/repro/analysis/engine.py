@@ -5,25 +5,16 @@ and a whole empirical campaign.  An :class:`ExperimentSpec` is pure data —
 named workloads (resolved through :mod:`repro.graphs.suites`), registered
 schedulers, a parameter grid, seeds, a :class:`HorizonPolicy` and one
 :class:`~repro.core.config.EngineConfig` of trace-engine knobs (backend,
-horizon representation, chunk width, generator window, batch size) — and an
+horizon representation, chunk width, generator window) — and an
 :class:`ExperimentEngine` executes its
 cartesian product of cells with pluggable executors:
 
 * ``jobs=1`` — in-process serial loop (no pool overhead);
-* ``jobs=N`` — :class:`concurrent.futures.ProcessPoolExecutor` fan-out.
+* ``jobs=N`` — :class:`concurrent.futures.ProcessPoolExecutor` fan-out,
+  one future per cell.
 
-Before execution a **batching planner** groups compatible cells — same
-workload graph, same resolved horizon, same :class:`EngineConfig` — into
-units of up to ``config.batch`` schedules (default: auto-sized from
-:data:`~repro.core.trace.AUTO_STREAM_BYTES`), and each multi-cell unit is
-evaluated through one :class:`~repro.core.trace.TraceBatch`, which holds
-each schedule's own trace and scans them in turn.  Batching never changes
-a result: every record is assembled by the same code path as per-cell
-execution over the member's trace — the trace a per-cell run builds — so a
-batched run's sink is byte-identical to a per-cell run modulo the timing
-metrics (asserted by
-``tests/core/test_batch.py`` / ``tests/analysis/test_engine.py``).  With
-``jobs=N`` the pool fans out across units, one future per batch.
+Either way every cell runs through :func:`execute_cell`: build, evaluate,
+validate and record happen in one place.
 
 Records stream to a JSONL *sink* as cells complete, but always in spec
 order (a small reorder buffer holds out-of-order completions), so a serial
@@ -73,7 +64,6 @@ from typing import (
 from repro.analysis.records import ExperimentRecord, ResultSet
 from repro.core.config import EngineConfig
 from repro.core.problem import ConflictGraph
-from repro.core.trace import AUTO_STREAM_BYTES, DEFAULT_CHUNK, TraceBatch, dense_trace_bytes
 from repro.graphs.suites import expand_workload_names, get_workload
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
@@ -219,10 +209,9 @@ class ExperimentSpec:
     certify_bound: bool = True
     workload_params: Mapping[str, object] = field(default_factory=dict)
     #: every trace-engine execution knob for every cell — backend, horizon
-    #: representation, chunk width, generator window, batch size — on one
-    #: EngineConfig.  Non-default knobs are
-    #: hashed into cell ids (except ``batch``, which never changes a record);
-    #: defaults leave ids (and therefore resumable sinks) untouched.
+    #: representation, chunk width, generator window — on one EngineConfig.
+    #: Non-default knobs are hashed into cell ids; defaults leave ids (and
+    #: therefore resumable sinks) untouched.
     config: EngineConfig = field(default_factory=EngineConfig)
 
     def __post_init__(self) -> None:
@@ -421,19 +410,12 @@ class ExperimentCell:
             "graph_key": self.graph_key,
         }
         # Only non-default knobs mark the id (EngineConfig.non_default):
-        # the horizon representation and the parallelism knobs never change
-        # a record, so ids (and resumable sinks) recorded before each knob
-        # existed stay valid.  ``backend`` predates the config and is always
-        # hashed, exactly as it was pre-consolidation.  ``batch`` is never
-        # hashed: the batching planner provably produces the same record for
-        # every batch size (differentially tested), so hashing it would
-        # declare equivalent runs mutually unresumable.
+        # the horizon representation never changes a record, so ids (and
+        # resumable sinks) recorded before each knob existed stay valid.
+        # ``backend`` predates the config and is always hashed, exactly as
+        # it was pre-consolidation.
         identity.update(
-            {
-                k: v
-                for k, v in self.config.non_default().items()
-                if k not in ("backend", "batch")
-            }
+            {k: v for k, v in self.config.non_default().items() if k != "backend"}
         )
         payload = json.dumps(identity, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
@@ -487,18 +469,6 @@ def execute_cell(
         policy=cell.policy,
         config=cell.config,
     )
-    return _record_from_outcome(cell, graph, outcome)
-
-
-def _record_from_outcome(
-    cell: ExperimentCell, graph: ConflictGraph, outcome
-) -> ExperimentRecord:
-    """Assemble one cell's record from its run outcome.
-
-    The single assembly point shared by per-cell and batched execution, so
-    record layout (params, key order, stamped values) is identical by
-    construction across executors.
-    """
     params: Dict[str, object] = dict(cell.params)
     params.update(
         {
@@ -518,168 +488,6 @@ def _record_from_outcome(
         metrics=outcome.metrics(),
         params=params,
     )
-
-
-def _resolve_cell_horizon(cell: ExperimentCell, graph: ConflictGraph) -> int:
-    """The horizon this cell will run at, resolved without building a
-    schedule — :meth:`~repro.algorithms.base.Scheduler.bound_function` is
-    independent of :meth:`build`, so the planner and the batch worker both
-    reach exactly the horizon ``run_scheduler`` would."""
-    from repro.algorithms.registry import get_scheduler
-
-    if cell.horizon is not None:
-        return cell.horizon
-    scheduler = get_scheduler(cell.algorithm)
-    if cell.config.window is not None:
-        scheduler = scheduler.with_window(cell.config.window)
-    bound_fn = scheduler.bound_function(graph) if cell.certify_bound else None
-    return cell.policy.resolve(graph, bound_fn)
-
-
-def _auto_batch_size(num_nodes: int, horizon: int, config: EngineConfig) -> int:
-    """Default batch cap: as many schedules as keep the members' blocks
-    within :data:`~repro.core.trace.AUTO_STREAM_BYTES` (per-chunk in stream
-    mode, full-horizon in dense mode)."""
-    engine = config.resolve(num_nodes, horizon)
-    width = horizon if engine.mode != "stream" else min(engine.chunk or DEFAULT_CHUNK, horizon)
-    member_bytes = dense_trace_bytes(num_nodes, width)
-    return max(1, AUTO_STREAM_BYTES // max(1, member_bytes))
-
-
-def _plan_units(
-    pending: Sequence[Tuple[int, ExperimentCell]],
-    graphs: Mapping[Tuple[str, str], ConflictGraph],
-) -> List[List[Tuple[int, ExperimentCell]]]:
-    """Group pending cells into execution units.
-
-    Cells land in the same unit exactly when one
-    :class:`~repro.core.trace.TraceBatch` can hold them: same workload
-    graph, same resolved horizon, same :class:`EngineConfig` and
-    certification setting.  Units respect spec order within each group, are
-    capped at ``config.batch`` members (default :func:`_auto_batch_size`),
-    and ``backend="sets"`` cells — which have no trace — always run
-    per-cell.
-    """
-    units: List[List[Tuple[int, ExperimentCell]]] = []
-    open_units: Dict[Tuple, List[Tuple[int, ExperimentCell]]] = {}
-    for index, cell in pending:
-        config = cell.config
-        graph = graphs[_graph_cache_key(cell)]
-        if config.backend == "sets" or config.batch == 1:
-            units.append([(index, cell)])
-            continue
-        horizon = _resolve_cell_horizon(cell, graph)
-        cap = (
-            config.batch
-            if config.batch is not None
-            else _auto_batch_size(graph.num_nodes(), horizon, config)
-        )
-        if cap <= 1:
-            units.append([(index, cell)])
-            continue
-        key = (_graph_cache_key(cell), horizon, config, cell.certify_bound)
-        unit = open_units.get(key)
-        if unit is None or len(unit) >= cap:
-            unit = []
-            open_units[key] = unit
-            units.append(unit)
-        unit.append((index, cell))
-    return units
-
-
-def _execute_batch(
-    payload: Tuple[Sequence[Tuple[int, ExperimentCell]], Optional[ConflictGraph]]
-) -> List[Tuple[int, ExperimentRecord]]:
-    """Run one planner unit and return its indexed records, in unit order.
-
-    Single-cell units take the ordinary :func:`execute_cell` path.  Larger
-    units build every member schedule, hold them in one
-    :class:`~repro.core.trace.TraceBatch`, scan every member once, and
-    evaluate/validate each member through the unmodified metric and
-    validation entry points over its trace — so every record is what
-    per-cell execution would have produced, modulo the timing metrics (the
-    shared scan cost is amortised evenly into each member's
-    ``measure_seconds``).
-    """
-    indexed, graph = payload
-    if len(indexed) == 1:
-        index, cell = indexed[0]
-        return [(index, execute_cell(cell, graph=graph))]
-    # Lazy imports mirror execute_cell: the engine->runner edge stays lazy.
-    from repro.analysis.runner import RunOutcome
-    from repro.algorithms.registry import get_scheduler
-    from repro.core.metrics import evaluate_schedule
-    from repro.core.validation import validate_schedule
-
-    first_cell = indexed[0][1]
-    config = first_cell.config
-    if graph is None:
-        graph = get_workload(first_cell.workload, **_graph_params(first_cell))
-    horizon = _resolve_cell_horizon(first_cell, graph)
-    built = []
-    for _, cell in indexed:
-        scheduler = get_scheduler(cell.algorithm)
-        if config.window is not None:
-            scheduler = scheduler.with_window(config.window)
-        start = time.perf_counter()
-        schedule = scheduler.build(graph, seed=cell.cell_seed())
-        build_seconds = time.perf_counter() - start
-        bound_fn = scheduler.bound_function(graph) if cell.certify_bound else None
-        built.append((scheduler, schedule, bound_fn, build_seconds))
-    engine_choice = config.resolve(graph.num_nodes(), horizon)
-    start = time.perf_counter()
-    batch = TraceBatch(
-        [schedule for _, schedule, _, _ in built],
-        graph,
-        horizon,
-        backend=engine_choice.backend,
-        horizon_mode=engine_choice.mode,
-        chunk=engine_choice.chunk,
-    )
-    batch.scan()
-    shared_seconds = (time.perf_counter() - start) / len(indexed)
-    out: List[Tuple[int, ExperimentRecord]] = []
-    for member, ((index, cell), (scheduler, schedule, bound_fn, build_seconds)) in enumerate(
-        zip(indexed, built)
-    ):
-        view = batch.member(member)
-        start = time.perf_counter()
-        report = evaluate_schedule(
-            schedule, graph, horizon, name=scheduler.name, trace=view, config=config
-        )
-        validation = validate_schedule(
-            schedule,
-            graph,
-            horizon,
-            bound=bound_fn,
-            bound_name=scheduler.info.local_bound,
-            check_periodic=scheduler.info.periodic,
-            skip_isolated=True,
-            trace=view,
-            config=config,
-        )
-        measure_seconds = (time.perf_counter() - start) + shared_seconds
-        bound_satisfied = None
-        if bound_fn is not None:
-            bound_satisfied = not any(
-                v.kind == "bound-exceeded" for v in validation.violations
-            )
-        outcome = RunOutcome(
-            scheduler_name=scheduler.name,
-            graph_name=graph.name,
-            horizon=horizon,
-            schedule=schedule,
-            report=report,
-            validation=validation,
-            build_seconds=build_seconds,
-            bound_satisfied=bound_satisfied,
-            backend=config.backend,
-            measure_seconds=measure_seconds,
-            horizon_mode=view.mode,
-            config=config,
-        )
-        out.append((index, _record_from_outcome(cell, graph, outcome)))
-    return out
 
 
 def _record_line(record: ExperimentRecord) -> str:
@@ -893,8 +701,8 @@ class ExperimentEngine:
         # and replay hits instead of executing them.  Hits are stamped
         # ``cached: true`` (a provenance field, stripped alongside the timing
         # metrics when comparing runs) and flow to the sink like fresh
-        # records; only misses reach the batching planner — a fully warm
-        # campaign builds no graphs and runs no kernels at all.
+        # records; only misses execute — a fully warm campaign builds no
+        # graphs and runs no kernels at all.
         cache_hits: Dict[int, ExperimentRecord] = {}
         if self.store is not None and self.cache and pending:
             hits = self.store.lookup([cell_ids[i] for i, _ in pending])
@@ -959,18 +767,12 @@ class ExperimentEngine:
                         )
                     emitted += 1
 
-            units = _plan_units(pending, graphs)
-            if self.jobs == 1 or len(units) <= 1:
-                for unit in units:
-                    if len(unit) == 1:
-                        index, cell = unit[0]
-                        records[index] = self._run_one(cell, graphs, index, len(cells))
-                    else:
-                        for index, record in self._run_batch(unit, graphs, len(cells)):
-                            records[index] = record
+            if self.jobs == 1 or len(pending) <= 1:
+                for index, cell in pending:
+                    records[index] = self._run_one(cell, graphs, index, len(cells))
                     emit_ready()
             else:
-                self._run_pool(units, graphs, records, len(cells), emit_ready)
+                self._run_pool(pending, graphs, records, len(cells), emit_ready)
             emit_ready()
         finally:
             if sink_fh is not None:
@@ -1015,58 +817,34 @@ class ExperimentEngine:
         )
         return record
 
-    def _run_batch(
-        self,
-        unit: Sequence[Tuple[int, ExperimentCell]],
-        graphs: Mapping[Tuple[str, str], ConflictGraph],
-        total: int,
-    ) -> List[Tuple[int, ExperimentRecord]]:
-        start = time.perf_counter()
-        results = _execute_batch((list(unit), graphs[_graph_cache_key(unit[0][1])]))
-        wall = time.perf_counter() - start
-        for index, record in results:
-            _log.info(
-                "cell %d/%d %s: max_mul=%s (batched)",
-                index + 1, total, record.workload + " × " + record.algorithm,
-                record.metrics.get("max_mul"),
-            )
-        _log.info(
-            "batch of %d cells (%s, horizon %s): %.3fs",
-            len(unit), unit[0][1].workload, results[0][1].params.get("horizon"), wall,
-        )
-        return results
-
     def _run_pool(
         self,
-        units: Sequence[Sequence[Tuple[int, ExperimentCell]]],
+        pending: Sequence[Tuple[int, ExperimentCell]],
         graphs: Mapping[Tuple[str, str], ConflictGraph],
         records: Dict[int, ExperimentRecord],
         total: int,
         emit_ready: Callable[[], None],
     ) -> None:
-        max_workers = min(self.jobs, len(units))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            # The graph is pickled once per unit, not once per worker: workers
-            # must not resolve names themselves (runtime registrations don't
-            # exist in spawned children), and per-worker caching isn't worth
-            # the machinery at the graph sizes this package runs.  Parallelism
-            # moves *across* units — one future per (possibly batched) unit.
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(pending))) as pool:
+            # The graph is pickled with each cell, not once per worker:
+            # workers must not resolve names themselves (runtime
+            # registrations don't exist in spawned children), and per-worker
+            # caching isn't worth the machinery at the graph sizes this
+            # package runs.
             futures = {
-                pool.submit(
-                    _execute_batch, (list(unit), graphs[_graph_cache_key(unit[0][1])])
-                )
-                for unit in units
+                pool.submit(execute_cell, cell, graphs[_graph_cache_key(cell)]): (index, cell)
+                for index, cell in pending
             }
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
+            running = set(futures)
+            while running:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
                 for future in done:
-                    for index, record in future.result():
-                        records[index] = record
-                        _log.info(
-                            "cell %d/%d %s: max_mul=%s",
-                            index + 1, total, record.workload + " × " + record.algorithm,
-                            record.metrics.get("max_mul"),
-                        )
+                    index, cell = futures[future]
+                    records[index] = record = future.result()
+                    _log.info(
+                        "cell %d/%d %s: max_mul=%s",
+                        index + 1, total, cell.describe(), record.metrics.get("max_mul"),
+                    )
                 emit_ready()
 
 

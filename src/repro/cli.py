@@ -120,8 +120,8 @@ def _backend_arg(value: str) -> str:
 
 
 def _positive_int(value: str) -> int:
-    """Counts and widths (``--horizon``, ``--chunk``, ``--batch``),
-    rejected at parse time unless they are >= 1."""
+    """Counts and widths (``--horizon``, ``--chunk``), rejected at parse
+    time unless they are >= 1."""
     try:
         number = int(value)
     except ValueError:
@@ -153,7 +153,7 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
 
     One registration shared by ``schedule``/``compare``/``experiment``/
     ``serve`` (it used to be copied per subcommand): ``--backend``,
-    ``--horizon-mode``, ``--chunk`` and ``--batch``.
+    ``--horizon-mode`` and ``--chunk``.
     Every flag defaults to ``None`` = "not given", so
     :func:`engine_overrides` can layer only the flags the user typed over a
     spec's config.
@@ -185,22 +185,9 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
         metavar="W",
         help="streaming chunk width in holidays (default: 262144)",
     )
-    parser.add_argument(
-        "--batch",
-        type=_positive_int,
-        default=None,
-        metavar="S",
-        help=(
-            "schedules grouped per TraceBatch unit in the experiment "
-            "engine (1 disables batching; default: auto-sized from the "
-            "~256 MiB dense-trace budget).  Each member is its own "
-            "per-cell trace, with no stacked kernel, so records are "
-            "byte-identical for every value modulo timing fields; no "
-            "effect on single-run 'schedule'"
-        ),
-    )
     parser.add_argument("--no-checkpoint", dest="checkpoint", action=_RemovedFlag)
     parser.add_argument("--stream-jobs", action=_RemovedFlag)
+    parser.add_argument("--batch", action=_RemovedFlag)
 
 
 def engine_overrides(args: argparse.Namespace) -> dict:
@@ -212,8 +199,6 @@ def engine_overrides(args: argparse.Namespace) -> dict:
         overrides["horizon_mode"] = args.horizon_mode
     if args.chunk is not None:
         overrides["chunk"] = args.chunk
-    if getattr(args, "batch", None) is not None:
-        overrides["batch"] = args.batch
     return overrides
 
 

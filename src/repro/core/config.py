@@ -26,17 +26,15 @@ The knobs:
   :meth:`repro.api.Session.run` to schedulers that support it
   (:meth:`~repro.algorithms.base.Scheduler.with_window`); schedulers that
   don't ignore it.
-* ``batch`` — schedules grouped per :class:`~repro.core.trace.TraceBatch`
-  unit by the experiment engine's batching planner.  ``None`` auto-sizes
-  from :data:`~repro.core.trace.AUTO_STREAM_BYTES`; ``1`` disables
-  batching.  There is no stacked kernel: each member is the trace a
-  per-cell run builds, so the planner provably never changes a record
-  (differentially tested), and records are byte-identical for every value
-  modulo the timing metrics.
+
+``chunk`` and ``window`` are normalised to a plain ``int`` on construction
+(``operator.index``: a numpy integer is accepted, a ``bool``, ``float`` or
+``str`` is not), so equal widths compare, hash and key equally.
 
 Values earlier releases accepted and this one dropped (:data:`REMOVED`: the
-``bitmask`` backend and the ``checkpoint`` and ``stream_jobs`` fields) fail
-with a :class:`ValueError` that says so and lists the valid choices.
+``bitmask`` backend and the ``checkpoint``, ``stream_jobs`` and ``batch``
+fields) fail with a :class:`ValueError` that says so and lists the valid
+choices.
 
 Every entry point from :func:`repro.core.metrics.build_trace` up to the CLI
 takes its knobs as ``config: EngineConfig`` and nowhere else.
@@ -45,6 +43,7 @@ takes its knobs as ``config: EngineConfig`` and nowhere else.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional
 
@@ -71,10 +70,10 @@ __all__ = [
 #: knob cannot ship without deciding its hashing story.
 RESULT_KNOBS = frozenset({"backend", "horizon_mode", "chunk", "window"})
 
-#: knobs the determinism contracts prove result-neutral (``batch`` —
-#: batching never changes an answer, differentially tested): excluded from
-#: cache keys so warming a cache at one batch size serves every other.
-WALL_CLOCK_KNOBS = frozenset({"batch"})
+#: knobs the determinism contracts prove result-neutral: excluded from cache
+#: keys so warming a cache under one value serves every other.  Empty: every
+#: field changes computed results.
+WALL_CLOCK_KNOBS = frozenset()
 
 #: backends EngineConfig accepts: the matrix backends plus the frozenset
 #: reference engine (which is handled above the TraceMatrix layer).
@@ -82,9 +81,10 @@ CONFIG_BACKENDS = tuple(BACKENDS) + ("sets",)
 
 #: backend values and config fields earlier releases accepted: the
 #: pure-Python ``bitmask`` backend (numpy is now required), the
-#: ``checkpoint`` knob of the deleted generator checkpoint fan-out and the
-#: ``stream_jobs`` knob of the deleted streamed-scan process pool.
-REMOVED = frozenset({"bitmask", "checkpoint", "stream_jobs"})
+#: ``checkpoint`` knob of the deleted generator checkpoint fan-out, the
+#: ``stream_jobs`` knob of the deleted streamed-scan process pool and the
+#: ``batch`` knob of the deleted experiment-engine batching planner.
+REMOVED = frozenset({"bitmask", "checkpoint", "stream_jobs", "batch"})
 
 _SETS_STREAM_ERROR = (
     "backend='sets' (the frozenset reference) has no streaming mode; "
@@ -139,7 +139,6 @@ class EngineConfig:
     horizon_mode: str = "auto"
     chunk: Optional[int] = None
     window: Optional[int] = None
-    batch: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.backend not in CONFIG_BACKENDS:
@@ -150,12 +149,19 @@ class EngineConfig:
             )
         if self.backend == "sets" and self.horizon_mode == "stream":
             raise ValueError(_SETS_STREAM_ERROR)
-        if self.chunk is not None and int(self.chunk) < 1:
-            raise ValueError(f"chunk width must be >= 1, got {self.chunk!r}")
-        if self.window is not None and int(self.window) < 1:
-            raise ValueError(f"window must be >= 1, got {self.window!r}")
-        if self.batch is not None and int(self.batch) < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch!r}")
+        for name, what in (("chunk", "chunk width"), ("window", "window")):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < 1:
+                raise ValueError(f"{what} must be >= 1, got {value!r}")
+            object.__setattr__(self, name, value)
 
     # -- resolution ----------------------------------------------------------
     def resolve(
@@ -207,7 +213,7 @@ class EngineConfig:
         This is what the experiment engine hashes into cell ids: default
         knobs leave the id untouched, so results sinks recorded before a
         knob existed keep resuming (dense and stream produce identical
-        records; batching never changes a result).
+        records).
         """
         default = DEFAULT_CONFIG
         return {

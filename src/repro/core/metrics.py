@@ -65,9 +65,7 @@ __all__ = [
 ScheduleLike = Union[Schedule, Sequence[Iterable[Node]]]
 
 #: what the trace-engine entry points accept and return: any
-#: :class:`~repro.core.trace.TraceView` — a dense or streamed trace, a
-#: member of a :class:`~repro.core.trace.TraceBatch` (which is how the
-#: experiment engine runs this module unchanged over a cell-batch), or a
+#: :class:`~repro.core.trace.TraceView` — a dense or streamed trace, or a
 #: :class:`~repro.core.trace.TraceMatrix`.
 TraceLike = TraceView
 
@@ -95,7 +93,7 @@ def build_trace(
     The fourth positional slot takes only ``None``: perfbench's span
     wrapper forwards ``(schedule, graph, horizon, None, trace)`` by
     position.  The slot goes once perfbench records spans through an API
-    instead of patching this function (ROADMAP item 3).
+    instead of patching this function (ROADMAP item 1).
     """
     if _reserved is not None:
         raise TypeError(

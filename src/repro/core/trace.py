@@ -1067,11 +1067,14 @@ class TraceBatch:
     same shape builds — and :meth:`scan` runs every member's summary pass,
     so a caller can time the shared trace cost apart from the queries.
     Members satisfy the shared-trace contract of
-    :func:`repro.core.metrics.build_trace` (matching graph and horizon),
-    which is how the experiment engine runs the unmodified metric suite and
-    validator over each member.  Differential tests
-    (``tests/core/test_batch.py``) assert every member query equals its
-    per-cell counterpart.
+    :func:`repro.core.metrics.build_trace` (matching graph and horizon).
+    Differential tests (``tests/core/test_batch.py``) assert every member
+    query equals its per-cell counterpart.
+
+    No module of the package builds a batch: the experiment engine runs
+    every cell through its own trace.  The class stays while perfbench's
+    span installer wraps it, and goes with the span change of ROADMAP
+    item 1.
     """
 
     def __init__(
@@ -1093,8 +1096,7 @@ class TraceBatch:
         if self.chunk < 1:
             raise ValueError(f"chunk width must be >= 1, got {chunk!r}")
         #: the representation every member reports as its ``mode`` —
-        #: resolved exactly like a per-cell trace of the same shape, so a
-        #: batched record's ``horizon_mode`` stamp matches per-cell runs.
+        #: resolved exactly like a per-cell trace of the same shape.
         self.member_mode = resolve_horizon_mode(horizon_mode, graph.num_nodes(), horizon)
         self._members = [
             make_trace(schedule, graph, horizon, self.member_mode, self.chunk)
@@ -1114,8 +1116,7 @@ class TraceBatch:
         """Run every member's summary pass once (idempotent).
 
         Triggered lazily by the first query of each member; callers that
-        want the shared cost timed separately (the experiment engine) invoke
-        it eagerly.
+        want the shared cost timed separately invoke it eagerly.
         """
         for trace in self._members:
             trace._scan()

@@ -28,11 +28,6 @@ folds the trace's blocks — one block of the whole horizon when dense,
 fixed-width chunks with boundary state when streamed — and
 ``fail_fast=True`` stops a stream at the first chunk containing a
 violation; later chunks are never materialised.
-
-The ``trace=`` parameter also accepts a :class:`~repro.core.trace.TraceBatch`
-member, which is the trace a per-cell run builds, so a batched experiment
-run validates each cell through this module unchanged and produces
-identical violation lists.
 """
 
 from __future__ import annotations

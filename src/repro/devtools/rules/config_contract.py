@@ -5,9 +5,9 @@ three contracts at once: cell ids (``non_default`` feeds
 ``ExperimentCell.cell_id``), spec JSON (``to_dict``/``from_dict``), and the
 serve-layer trace-cache key (``cache_key`` must either include the knob or
 *deliberately* exclude it as wall-clock-only).  Every knob added after the
-first (``window``, ``batch`` and the since-removed ``stream_jobs``) had to
-make that include-or-exclude call by hand; this rule makes forgetting it a
-lint error.
+first (``window`` and the since-removed ``stream_jobs`` and ``batch``) had
+to make that include-or-exclude call by hand; this rule makes forgetting it
+a lint error.
 
 The contract, as encoded in ``core/config.py``:
 

@@ -1,7 +1,7 @@
 """REP103 — nondeterminism sources in engine modules.
 
 The engine's headline contract is byte-level reproducibility:
-``jobs=1 == jobs=N``, dense == stream, batch == per-cell, and
+``jobs=1 == jobs=N``, dense == stream, and
 content-addressed ``cell_id``s that never move (the differential suites in
 ``tests/core/`` prove each equality dynamically).  Everything rests on the
 engine modules (``core/``, ``analysis/engine.py``) being pure functions of

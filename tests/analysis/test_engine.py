@@ -215,20 +215,38 @@ class TestEngine:
             record_to_json_line(r) for r in results
         ]
 
-    def test_serial_and_parallel_sinks_identical_on_small_suite(self, tmp_path):
-        """jobs=1 and jobs=4 write byte-identical JSONL modulo timing fields."""
+    @pytest.mark.parametrize(
+        "jobs, seeds, config",
+        [
+            (4, (0,), EngineConfig()),
+            (3, (0, 1), EngineConfig()),
+            (4, (0,), EngineConfig(horizon_mode="stream", chunk=7)),
+        ],
+        ids=["jobs4", "jobs3-two-seeds", "jobs4-stream-chunk7"],
+    )
+    def test_serial_and_parallel_sinks_identical_on_small_suite(
+        self, tmp_path, jobs, seeds, config
+    ):
+        """jobs=1 and jobs=N write byte-identical JSONL modulo timing fields,
+        in dense mode and in streamed chunks narrower than the horizon."""
         spec = ExperimentSpec(
             name="det",
             workloads=("small/*",),
             algorithms=("sequential", "degree-periodic"),
+            seeds=seeds,
             horizon=48,
+            config=config,
         )
         serial_sink = tmp_path / "serial.jsonl"
         parallel_sink = tmp_path / "parallel.jsonl"
         serial = ExperimentEngine(jobs=1, sink=serial_sink).run(spec)
-        parallel = ExperimentEngine(jobs=4, sink=parallel_sink).run(spec)
-        assert len(serial) == len(parallel) == len(SMALL_WORKLOADS) * 2
+        parallel = ExperimentEngine(jobs=jobs, sink=parallel_sink).run(spec)
+        assert len(serial) == len(parallel) == len(SMALL_WORKLOADS) * 2 * len(seeds)
         assert stripped_lines(serial_sink) == stripped_lines(parallel_sink)
+        expected_mode = "stream" if config.horizon_mode == "stream" else "dense"
+        assert {r.params["horizon_mode"] for r in read_records_jsonl(parallel_sink)} == {
+            expected_mode
+        }
 
     def test_resume_skips_completed_cells(self, tmp_path):
         spec = tiny_spec()
@@ -458,110 +476,6 @@ class TestRunGrid:
             {"a": 1, "b": "x"},
             {"a": 2, "b": "x"},
         ]
-
-
-class TestBatching:
-    """The cell-batching planner (spec/cell config `batch`)."""
-
-    def test_spec_round_trips_batch(self, tmp_path):
-        spec = tiny_spec(config=EngineConfig(batch=4))
-        path = spec.to_json(tmp_path / "spec.json")
-        assert ExperimentSpec.from_json(path) == spec
-
-    def test_invalid_batch_rejected(self):
-        with pytest.raises(ValueError, match="batch"):
-            tiny_spec(config=EngineConfig(batch=0))
-
-    def test_batch_never_changes_cell_ids(self):
-        """The planner provably produces the same record for every batch
-        size, so `batch` is never part of the cell id — batched and
-        per-cell sinks resume each other freely."""
-        base = tiny_spec().cells()[0]
-        for batch in (1, 2, 4):
-            assert tiny_spec(config=EngineConfig(batch=batch)).cells()[0].cell_id() == base.cell_id()
-
-    def test_planner_groups_compatible_cells(self):
-        from repro.analysis.engine import _graph_cache_key, _plan_units
-
-        spec = tiny_spec(seeds=(0, 1, 2), config=EngineConfig(batch=4))
-        cells = spec.cells()
-        graphs = {_graph_cache_key(c): None for c in cells}
-        units = _plan_units(list(enumerate(cells)), graphs)
-        # 2 workloads x 2 algorithms x 3 seeds = 12 cells; each workload's
-        # 6 compatible cells split into batches of 4 then 2
-        assert sorted(len(u) for u in units) == [2, 2, 4, 4]
-        for unit in units:
-            keys = {_graph_cache_key(c) for _, c in unit}
-            assert len(keys) == 1
-        # every cell appears exactly once, in spec order within its unit
-        flat = sorted(i for unit in units for i, _ in unit)
-        assert flat == list(range(len(cells)))
-
-    def test_batch_one_plans_singletons(self):
-        from repro.analysis.engine import _graph_cache_key, _plan_units
-
-        spec = tiny_spec(config=EngineConfig(batch=1))
-        cells = spec.cells()
-        graphs = {_graph_cache_key(c): None for c in cells}
-        units = _plan_units(list(enumerate(cells)), graphs)
-        assert [len(u) for u in units] == [1] * len(cells)
-
-    def test_batched_sink_is_byte_identical_to_per_cell(self, tmp_path):
-        """batch=4 and batch=1 write byte-identical JSONL modulo timing,
-        serially and across the process pool."""
-        def spec_with(batch):
-            return tiny_spec(seeds=(0, 1), config=EngineConfig(batch=batch))
-
-        sinks = {}
-        for label, batch, jobs in (
-            ("percell", 1, 1), ("batched", 4, 1), ("pooled", 4, 3),
-        ):
-            sink = tmp_path / f"{label}.jsonl"
-            ExperimentEngine(jobs=jobs, sink=sink).run(spec_with(batch))
-            sinks[label] = stripped_lines(sink)
-        assert sinks["batched"] == sinks["percell"]
-        assert sinks["pooled"] == sinks["percell"]
-
-    def test_auto_batch_matches_explicit_per_cell(self, tmp_path):
-        """The default config auto-sizes batches; records still match a
-        forced batch=1 run exactly (modulo timing)."""
-        auto_sink = tmp_path / "auto.jsonl"
-        one_sink = tmp_path / "one.jsonl"
-        ExperimentEngine(jobs=1, sink=auto_sink).run(tiny_spec())
-        ExperimentEngine(jobs=1, sink=one_sink).run(
-            tiny_spec(config=EngineConfig(batch=1))
-        )
-        assert stripped_lines(auto_sink) == stripped_lines(one_sink)
-
-    def test_streamed_batches_match_per_cell(self, tmp_path):
-        """Batching composes with streamed scans: oversized members degrade
-        to chunked folds and still reproduce per-cell records."""
-        def spec_with(batch):
-            return tiny_spec(
-                config=EngineConfig(horizon_mode="stream", chunk=7, batch=batch)
-            )
-
-        batched_sink = tmp_path / "batched.jsonl"
-        percell_sink = tmp_path / "percell.jsonl"
-        ExperimentEngine(jobs=1, sink=batched_sink).run(spec_with(4))
-        ExperimentEngine(jobs=1, sink=percell_sink).run(spec_with(1))
-        assert stripped_lines(batched_sink) == stripped_lines(percell_sink)
-        for record in read_records_jsonl(batched_sink):
-            assert record.params["horizon_mode"] == "stream"
-
-    def test_resume_crosses_batch_sizes(self, tmp_path):
-        """A sink written per-cell resumes under batching (and vice versa)
-        because cell ids are batch-independent."""
-        sink = tmp_path / "run.jsonl"
-        ExperimentEngine(jobs=1, sink=sink).run(tiny_spec(config=EngineConfig(batch=1)))
-        lines = sink.read_text().splitlines(keepends=True)
-        sink.write_text("".join(lines[:2]))  # drop half the records
-        engine = ExperimentEngine(
-            jobs=1, sink=sink, resume=True
-        )
-        engine.run(tiny_spec(config=EngineConfig(batch=4)))
-        assert engine.stats["skipped"] == 2 and engine.stats["executed"] == 2
-        assert len(read_records_jsonl(sink)) == 4
 
 
 def cached_stripped_lines(path):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import FrozenInstanceError, fields, replace
 
+import numpy as np
 import pytest
 
 from repro.algorithms.registry import get_scheduler
@@ -86,8 +87,29 @@ class TestEngineConfig:
             EngineConfig(chunk=0)
         with pytest.raises(ValueError, match="window"):
             EngineConfig(window=0)
-        with pytest.raises(ValueError, match="batch"):
-            EngineConfig(batch=0)
+
+    @pytest.mark.parametrize("value", ["7", 7.0, True], ids=["str", "float", "bool"])
+    @pytest.mark.parametrize("name", ["chunk", "window"])
+    def test_widths_must_be_integers(self, name, value):
+        """A width that is not an integer fails where the config is written,
+        naming the field, instead of keying and hashing apart from the equal
+        int (or crashing the JSON encoder far away)."""
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            EngineConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EngineConfig.from_dict({name: value})
+
+    def test_numpy_integer_widths_normalise_to_int(self):
+        config = EngineConfig(chunk=np.int64(7), window=np.int32(9))
+        assert config == EngineConfig(chunk=7, window=9)
+        assert type(config.chunk) is int and type(config.window) is int
+        assert config.cache_key() == EngineConfig(chunk=7, window=9).cache_key()
+        assert config.to_json() == EngineConfig(chunk=7, window=9).to_json()
+        cell = ExperimentCell(
+            experiment="t", workload="w", algorithm="sequential", params={}, seed=0,
+            config=config,
+        )
+        assert cell.cell_id() == replace(cell, config=EngineConfig(chunk=7, window=9)).cell_id()
 
     def test_removed_values_fail_loudly(self):
         """The bitmask backend and the checkpoint field are gone: naming
@@ -101,7 +123,7 @@ class TestEngineConfig:
             EngineConfig.from_dict({"backend": "auto", "checkpoint": False})
         assert str(field.value) == (
             "removed EngineConfig field 'checkpoint'; expected one of ('backend', "
-            "'horizon_mode', 'chunk', 'window', 'batch')"
+            "'horizon_mode', 'chunk', 'window')"
         )
         with pytest.raises(ValueError, match="removed EngineConfig field 'checkpoint'"):
             config_with(None, checkpoint=True)
@@ -129,7 +151,29 @@ class TestEngineConfig:
         with pytest.raises(TypeError, match="stream_jobs"):
             EngineConfig(stream_jobs=2)  # no longer a field at all
         assert [f.name for f in fields(EngineConfig)] == \
-            ["backend", "horizon_mode", "chunk", "window", "batch"]
+            ["backend", "horizon_mode", "chunk", "window"]
+
+    def test_removed_batch_fails_loudly(self):
+        """The experiment engine's batching planner is gone: its knob fails
+        in a spec file, a config payload and as a keyword."""
+        removed = (
+            "removed EngineConfig field 'batch'; expected one of "
+            "('backend', 'horizon_mode', 'chunk', 'window')"
+        )
+        with pytest.raises(ValueError) as loaded:
+            EngineConfig.from_dict({"backend": "auto", "batch": 4})
+        assert str(loaded.value) == removed
+        with pytest.raises(ValueError) as layered:
+            config_with(EngineConfig(horizon_mode="stream"), batch=1)
+        assert str(layered.value) == removed
+        with pytest.raises(ValueError) as spec:
+            ExperimentSpec.from_dict({
+                "name": "old", "workloads": ["small/path"], "algorithms": ["sequential"],
+                "config": {"batch": 4},
+            })
+        assert str(spec.value) == removed
+        with pytest.raises(TypeError, match="batch"):
+            EngineConfig(batch=4)  # no longer a field at all
 
     def test_sets_stream_rejected_with_one_message(self):
         """The historical asymmetry: backend='sets' + streaming used to raise
@@ -159,9 +203,7 @@ class TestEngineConfig:
 
 class TestJsonRoundTrip:
     def test_round_trip(self):
-        config = EngineConfig(
-            backend="numpy", horizon_mode="stream", chunk=1 << 12, window=500, batch=3
-        )
+        config = EngineConfig(backend="numpy", horizon_mode="stream", chunk=1 << 12, window=500)
         assert EngineConfig.from_json(config.to_json()) == config
         assert EngineConfig.from_dict(config.to_dict()) == config
 
@@ -172,7 +214,6 @@ class TestJsonRoundTrip:
             "horizon_mode": "auto",
             "chunk": None,
             "window": None,
-            "batch": None,
         }
 
     def test_unknown_fields_rejected(self):
@@ -417,6 +458,6 @@ class TestWindowPlumbing:
 
 def test_replace_derives_config_variants():
     config = EngineConfig(horizon_mode="stream", chunk=64)
-    assert replace(config, batch=4).chunk == 64
+    assert replace(config, window=4).chunk == 64
     with pytest.raises(ValueError, match="no streaming mode"):
         replace(config, backend="sets")

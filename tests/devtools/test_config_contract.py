@@ -19,10 +19,11 @@ from repro.devtools.driver import lint_paths
 
 REAL_CONFIG = Path(config_module.__file__).resolve()
 #: unique anchor inside EngineConfig (ResolvedEngine shares most fields, so
-#: the injection anchors on a field only EngineConfig declares)
-ANCHOR = "    batch: Optional[int] = None\n"
+#: the injection anchors on a field declaration only EngineConfig has: its
+#: ``window`` has a default, ResolvedEngine's does not)
+ANCHOR = "    window: Optional[int] = None\n"
 #: the WALL_CLOCK_KNOBS literal the stale-entry test edits
-WALL_CLOCK_LITERAL = 'WALL_CLOCK_KNOBS = frozenset({"batch"})'
+WALL_CLOCK_LITERAL = "WALL_CLOCK_KNOBS = frozenset()"
 
 
 
@@ -54,7 +55,7 @@ def test_stale_knob_list_entry_is_flagged(tmp_path):
     assert source.count(WALL_CLOCK_LITERAL) == 1, "literal drifted; update this test"
     source = source.replace(
         WALL_CLOCK_LITERAL,
-        'WALL_CLOCK_KNOBS = frozenset({"batch", "ghost"})',
+        'WALL_CLOCK_KNOBS = frozenset({"ghost"})',
     )
     copy = tmp_path / "config_copy.py"
     copy.write_text(source)
@@ -72,10 +73,12 @@ def test_knob_lists_cover_runtime_fields_exactly():
     assert RESULT_KNOBS & WALL_CLOCK_KNOBS == set()
 
 
-def test_wall_clock_knobs_never_reach_cache_key():
-    cfg = EngineConfig(backend="numpy", batch=3)
-    key = cfg.cache_key()
-    assert "batch" not in key
+def test_wall_clock_knobs_never_reach_cache_key(monkeypatch):
+    """No knob is wall-clock-only today, so every non-default field keys;
+    a field listed in WALL_CLOCK_KNOBS drops out of the key."""
+    cfg = EngineConfig(backend="numpy", chunk=64)
+    assert cfg.cache_key() == '{"backend": "numpy", "chunk": 64}'
+    monkeypatch.setattr(config_module, "WALL_CLOCK_KNOBS", frozenset({"chunk"}))
     assert cfg.cache_key() == EngineConfig(backend="numpy").cache_key()
 
 

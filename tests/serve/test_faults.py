@@ -121,6 +121,7 @@ class TestBadValues:
             ({"backend": "bitmask"}, "removed trace backend 'bitmask'"),
             ({"checkpoint": False}, "removed EngineConfig field 'checkpoint'"),
             ({"stream_jobs": 2}, "removed EngineConfig field 'stream_jobs'"),
+            ({"batch": 4}, "removed EngineConfig field 'batch'"),
         ],
     )
     def test_removed_config_values(self, service_client, config, removed):
@@ -131,6 +132,16 @@ class TestBadValues:
         assert_envelope(status, body, 400, "bad_request")
         assert removed in body["error"]["message"]
         assert "expected one of (" in body["error"]["message"]
+
+    @pytest.mark.parametrize("route", ["/report", "/cell"])
+    @pytest.mark.parametrize("chunk", ["7", 7.0, True], ids=["str", "float", "bool"])
+    def test_non_integer_config_width(self, service_client, route, chunk):
+        """A chunk width that is not an integer is a 400 naming the field,
+        rather than a trace-cache key or cell id apart from ``chunk: 7``."""
+        _service, client = service_client
+        status, body = client.post(route, dict(GOOD, config={"chunk": chunk}))
+        assert_envelope(status, body, 400, "bad_request")
+        assert "chunk must be an integer" in body["error"]["message"]
 
     def test_non_object_config(self, service_client):
         _service, client = service_client

@@ -26,6 +26,24 @@ def society_file(tmp_path):
     return str(path)
 
 
+def _assert_removed_flag(graph_file, capsys, command, flag, field):
+    """``command ... flag 4`` exits 2 with one error line naming the removed
+    config field and the valid ones, and ``command --help`` hides the flag."""
+    target = [graph_file] if command in ("schedule", "compare") else []
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *target, flag, "4"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"repro-holiday {command}: error: {flag}: removed EngineConfig field "
+        f"'{field}'; expected one of ('backend', 'horizon_mode', 'chunk', 'window')"
+    ]
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert flag not in capsys.readouterr().out
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -41,15 +59,15 @@ class TestParser:
         [
             (command, flag)
             for command in ("schedule", "compare", "experiment")
-            for flag in ("--horizon", "--chunk", "--batch")
+            for flag in ("--horizon", "--chunk")
         ]
         + [("satisfaction", "--horizon")],
     )
     def test_nonpositive_counts_are_parse_errors(
         self, graph_file, society_file, capsys, command, flag, value
     ):
-        """Horizons, chunk widths and batch counts below 1 exit 2
-        with one argparse error line, not a ValueError traceback."""
+        """Horizons and chunk widths below 1 exit 2 with one argparse
+        error line, not a ValueError traceback."""
         target = {"schedule": [graph_file], "compare": [graph_file],
                   "satisfaction": [society_file], "experiment": []}[command]
         with pytest.raises(SystemExit) as exit_info:
@@ -166,27 +184,21 @@ class TestSchedule:
                 main([*command, "--no-checkpoint"])
             assert (
                 "--no-checkpoint: removed EngineConfig field 'checkpoint'; expected one of "
-                "('backend', 'horizon_mode', 'chunk', 'window', 'batch')"
+                "('backend', 'horizon_mode', 'chunk', 'window')"
             ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["schedule", "compare", "experiment", "serve"])
     def test_stream_jobs_flag_is_removed(self, graph_file, capsys, command):
         """--stream-jobs is gone with the streamed-scan process pool: it exits
         2 with one error line naming the removed field, and --help hides it."""
-        target = [graph_file] if command in ("schedule", "compare") else []
-        with pytest.raises(SystemExit) as exit_info:
-            main([command, *target, "--stream-jobs", "2"])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert [line for line in err.splitlines() if "error:" in line] == [
-            f"repro-holiday {command}: error: --stream-jobs: removed EngineConfig field "
-            "'stream_jobs'; expected one of ('backend', 'horizon_mode', 'chunk', 'window', "
-            "'batch')"
-        ]
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
-        assert "--stream-jobs" not in capsys.readouterr().out
+        _assert_removed_flag(graph_file, capsys, command, "--stream-jobs", "stream_jobs")
+
+    @pytest.mark.parametrize("command", ["schedule", "compare", "experiment", "serve"])
+    def test_batch_flag_is_removed(self, graph_file, capsys, command):
+        """--batch is gone with the experiment engine's batching planner: it
+        exits 2 with one error line naming the removed field, and --help
+        hides it."""
+        _assert_removed_flag(graph_file, capsys, command, "--batch", "batch")
 
     def test_schedule_horizon_modes_are_observation_equivalent(self, graph_file, capsys):
         outputs = {}
