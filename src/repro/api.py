@@ -73,10 +73,7 @@ class SessionTraceCache:
     Extracted from ``Session`` (which used to inline the dictionary) so the
     cache is an *object* sessions can share: pass the same instance as
     ``traces=`` to several sessions and they reuse each other's builds.  Any
-    object with the same ``get_or_build``/``clear`` surface works — the
-    serving layer (:mod:`repro.serve`) substitutes a content-addressed,
-    byte-budgeted :class:`~repro.serve.cache.TraceCache` here so traces are
-    shared across *requests*, not just across calls within one session.
+    object with the same ``get_or_build``/``clear`` surface works.
 
     Keys are ``(id(schedule), id(graph), horizon, config)`` — schedule
     *identity*, the cheap exact notion a library session wants (no hashing
@@ -141,9 +138,7 @@ class Session:
             (default :class:`~repro.analysis.engine.HorizonPolicy`).
         traces: the trace cache (default: a private
             :class:`SessionTraceCache`).  Pass a shared instance to make
-            traces reusable *across* sessions — this is how the serving
-            layer keeps one content-addressed cache warm behind many
-            concurrent request sessions.
+            traces reusable *across* sessions.
 
     The default cache is keyed by schedule *identity* and horizon:
     evaluating and validating the same schedule object over the same horizon

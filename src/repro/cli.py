@@ -61,10 +61,10 @@ import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.algorithms.registry import available_schedulers, get_scheduler
-from repro.analysis.engine import ExperimentEngine, ExperimentSpec, HorizonPolicy
+from repro.analysis.engine import ExperimentEngine, ExperimentSpec
 from repro.analysis.runner import compare_schedulers, run_scheduler
 from repro.analysis.tables import render_table
 from repro.coloring.greedy import greedy_coloring

@@ -75,7 +75,6 @@ is that pass, and a second pass over evicted history (``appearances``,
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -526,13 +525,8 @@ class TraceView:
     # -- what subclasses provide ---------------------------------------------------
     def _blocks(self, first: int = 1) -> Iterator[Tuple[int, "TraceMatrix"]]:
         """``(start, block)`` pairs covering holidays ``first..horizon`` in
-        order, beginning with the block that contains ``first``.  A plain
-        :class:`TraceView` (a :meth:`summary_view`) has none."""
-        raise ValueError(
-            "this trace is a summary-only view (TraceView.summary_view) and keeps no "
-            "blocks: appearances, gaps, happy sets, legality scans against another "
-            "graph or with fail_fast, and collisions of non-edge pairs need the full trace"
-        )
+        order, beginning with the block that contains ``first``."""
+        raise NotImplementedError
 
     def _fold_pass(self, edge_rows: Sequence[Tuple[int, int]], fail_fast: bool = False) -> TraceSummary:
         return _fold_blocks(self._blocks(), edge_rows, fail_fast)
@@ -549,59 +543,6 @@ class TraceView:
 
     def _edge_rows(self, edges: Iterable[Tuple[Node, Node]]) -> List[Tuple[int, int]]:
         return [(self._index[u], self._index[v]) for u, v in edges]
-
-    def summary_view(self) -> "TraceView":
-        """This trace reduced to what its summary queries read: a plain
-        :class:`TraceView` holding the scanned :class:`TraceSummary` and the
-        mul array, and no matrix, stream or schedule.  Its size is O(n + m)
-        plus the collisions and the varied rows' gaps; only a block folded
-        flat (at most :data:`FLAT_FOLD_WIDTH` holidays wide) keeps one gap
-        per appearance, since its ``diffs`` are views of one temporary.
-
-        The view answers ``count``, ``mul``/``muls``, observed periods,
-        happiness rates, distinct differences, ``unknown``, graph-edge
-        ``edge_collisions`` and ``legality_scan`` against the trace's own
-        edges exactly as this trace does.  Queries that need the blocks
-        (positions queries, a foreign-graph or ``fail_fast`` legality scan,
-        a non-edge pair's collisions) raise :class:`ValueError` naming the
-        summary-only view.
-        """
-        view = TraceView(self.graph, self.horizon)
-        view.mode = self.mode
-        view._summary, view._muls = self.summary(), self._mul_array()
-        return view
-
-    def nbytes(self) -> int:
-        """Bytes held by this view's summary state: each distinct numpy
-        buffer of the summary and the mul array once (a flat fold's
-        ``diffs`` are views of one temporary), plus ``sys.getsizeof`` of the
-        view, the summary and their Python containers.  The graph and a full
-        trace's blocks are not counted, so for a :meth:`summary_view` this
-        is everything the view keeps alive.
-        """
-        python: List[object] = [self, self.__dict__, self._order, self._index]
-        arrays: List[np.ndarray] = []
-        if self._edge_ids is not None:
-            python.append(self._edge_ids)
-        if self._muls is not None:
-            arrays.append(self._muls)
-        s = self._summary
-        if s is not None:
-            python += [s, s.__dict__, s.diffs, s.collisions, s.unknown]
-            for hits in s.collisions.values():
-                python.append(hits)
-                python.extend(hits)
-            for pair in s.unknown:
-                python += [pair, pair[0]]
-            arrays += [s.count, s.first, s.last, s.dmax, s.dmin, *s.diffs.values()]
-        # a view's getsizeof is its header; the array owning the buffer adds
-        # the data, so walking each base chain counts every buffer once
-        buffers: Dict[int, np.ndarray] = {}
-        for array in arrays:
-            while isinstance(array, np.ndarray):
-                buffers[id(array)] = array
-                array = array.base
-        return sum(map(sys.getsizeof, python)) + sum(map(sys.getsizeof, buffers.values()))
 
     # -- per-node summary queries --------------------------------------------------
     def row_index(self, node: Node) -> int:

@@ -3,9 +3,12 @@
 Stdlib only: :class:`http.server.ThreadingHTTPServer` dispatches each
 connection to a worker thread, all of which share one service (and through
 it one trace cache, one metrics object, one optional result store).  The
-handler does exactly four things — parse JSON, route, serialize, record
-metrics — and everything domain-shaped stays in ``service.py`` where the
-differential tests can call it in-process.
+handler does exactly four things — parse JSON, route, write the body,
+record metrics — and everything domain-shaped stays in ``service.py`` where
+the differential tests can call it in-process.  ``/evaluate``,
+``/validate`` and ``/report`` answer the bytes the service splices from
+its cached answers, written as they are; every other route's dict is
+encoded here.
 
 Routes::
 
@@ -155,7 +158,7 @@ class RequestHandler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         started = time.perf_counter()
         try:
-            status, body = 200, _encode(self._route(method, path))
+            status, body = 200, self._route(method, path)
         except ServiceError as exc:
             status, body = exc.status, _encode(exc.payload())
         except Exception:
@@ -171,7 +174,7 @@ class RequestHandler(BaseHTTPRequestHandler):
         except ConnectionError:  # client went away mid-reply: counted once, above
             pass
 
-    def _route(self, method: str, path: str) -> Dict[str, object]:
+    def _route(self, method: str, path: str) -> bytes:
         raw = self._read_body()
         route = _ROUTES.get(path)
         if route is None:
@@ -193,17 +196,17 @@ def _encode(payload: Dict[str, object]) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
-#: path -> (method, handler(service, payload), needs_body)
-_ROUTES: Dict[str, Tuple[str, Callable[[SchedulingService, Optional[Dict]], Dict], bool]] = {
-    "/healthz": ("GET", lambda svc, _body: svc.health(), False),
-    "/metrics": ("GET", lambda svc, _body: svc.metrics_snapshot(), False),
-    "/workloads": ("GET", lambda svc, _body: svc.workloads(), False),
-    "/algorithms": ("GET", lambda svc, _body: svc.algorithms(), False),
-    "/evaluate": ("POST", lambda svc, body: svc.evaluate(body), True),
-    "/validate": ("POST", lambda svc, body: svc.validate(body), True),
-    "/report": ("POST", lambda svc, body: svc.report(body), True),
-    "/synthesize": ("POST", lambda svc, body: svc.synthesize(body), True),
-    "/cell": ("POST", lambda svc, body: svc.cell(body), True),
+#: path -> (method, handler(service, payload) -> body, needs_body)
+_ROUTES: Dict[str, Tuple[str, Callable[[SchedulingService, Optional[Dict]], bytes], bool]] = {
+    "/healthz": ("GET", lambda svc, _body: _encode(svc.health()), False),
+    "/metrics": ("GET", lambda svc, _body: _encode(svc.metrics_snapshot()), False),
+    "/workloads": ("GET", lambda svc, _body: _encode(svc.workloads()), False),
+    "/algorithms": ("GET", lambda svc, _body: _encode(svc.algorithms()), False),
+    "/evaluate": ("POST", lambda svc, body: svc.evaluate_json(body), True),
+    "/validate": ("POST", lambda svc, body: svc.validate_json(body), True),
+    "/report": ("POST", lambda svc, body: svc.report_json(body), True),
+    "/synthesize": ("POST", lambda svc, body: _encode(svc.synthesize(body)), True),
+    "/cell": ("POST", lambda svc, body: _encode(svc.cell(body)), True),
 }
 
 

@@ -15,15 +15,13 @@ Two primitives back :mod:`repro.serve`:
   schedule_key, horizon, config_key)`` — *content*, not object identity, so
   the cache outlives any one request, session or client (contrast
   :class:`repro.api.SessionTraceCache`, the identity-keyed private default).
-  The service stores a :class:`~repro.serve.service.TraceEntry` per built
-  trace — its :meth:`~repro.core.trace.TraceView.summary_view` (the scanned
-  summary and mul array, no matrix, stream or schedule) and the schedule's
-  advertised periods — and charges it by its
-  :meth:`~repro.serve.service.TraceEntry.nbytes`, which tracks what the
-  entry really keeps alive, so the budget bounds resident memory.  Values are
-  treated as immutable once inserted: a hit returns the very object a
-  previous request built, which is safe because the trace query API is
-  read-only.  Entries enter the cache only after their build completes, so
+  The service stores a :class:`~repro.serve.service.TraceEntry` per key —
+  the rendered JSON of every query answer about it, five strings — and
+  charges it by its :meth:`~repro.serve.service.TraceEntry.nbytes`, which
+  tracks what the entry really keeps alive, so the budget bounds resident
+  memory.  Values are treated as immutable once inserted: a hit returns the
+  very object a previous request built, which is safe because strings and
+  tuples are.  Entries enter the cache only after their build completes, so
   an in-flight build can never be evicted — eviction only ever considers
   fully materialised entries, and a caller that raced an eviction still gets
   its value from the single-flight slot.
@@ -41,11 +39,11 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 __all__ = ["SingleFlight", "TraceCache", "TraceKey", "DEFAULT_CACHE_BYTES"]
 
 #: default trace-cache budget.  An entry of a 60-node graph at its policy
-#: horizon holds ~7.5 KiB for a periodic schedule and ~21 KiB (up to 45
-#: KiB) for an aperiodic one, so 2 MiB keeps over a hundred entries: every
-#: hot key of the perfbench ``serve`` mix (trace-cache hit ratio ~0.97)
-#: while its fresh-seed misses are evicted, at a server peak RSS of ~63 MiB
-#: there (2 vCPU).
+#: horizon holds ~3.9 KB of rendered answers for a periodic schedule and
+#: ~9.7 KB (up to 12.8 KB) for an aperiodic one, so 2 MiB keeps a few
+#: hundred entries: every hot key of the perfbench ``serve`` mix
+#: (trace-cache hit ratio ~0.96) while its oldest fresh-seed misses are
+#: evicted, at a server peak RSS of ~64 MiB there (2 vCPU).
 DEFAULT_CACHE_BYTES = 2 * 1024 * 1024
 
 

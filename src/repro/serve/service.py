@@ -1,11 +1,11 @@
 """Scheduling-as-a-service request handlers (transport-independent).
 
 :class:`SchedulingService` is the whole service minus HTTP: JSON-shaped
-dictionaries in, JSON-shaped dictionaries out, raising :class:`ServiceError`
-with a status and machine-readable code on any client mistake.  The HTTP
-layer (:mod:`repro.serve.app`) is a thin adapter over it, which is what
-makes the differential test harness possible — the same handler methods
-answer in-process calls and socket requests identically.
+dictionaries in, JSON answers out, raising :class:`ServiceError` with a
+status and machine-readable code on any client mistake.  The HTTP layer
+(:mod:`repro.serve.app`) is a thin adapter over it, which is what makes the
+differential test harness possible — the same handler methods answer
+in-process calls and socket requests identically.
 
 Every query request resolves through the same objects the library path
 uses:
@@ -17,17 +17,18 @@ uses:
   which is what makes ``algorithm:seed`` a valid *content* key for the
   schedule they produce, and ``algorithm`` alone one for a scheduler that
   never reads its seed (:attr:`~repro.algorithms.base.Scheduler.seeded`);
-* evaluation through a per-request :class:`repro.api.Session` whose trace
-  cache is the service's shared, content-addressed
-  :class:`~repro.serve.cache.TraceCache` — so the expensive artifacts (the
-  schedule and its occupancy trace) are built once per ``(graph, schedule,
-  horizon, config)`` across *all* concurrent clients, with single-flight
-  coalescing while a build is in progress.  The key is computed from the
-  request alone; only a miss builds the schedule.
+* evaluation through a :class:`repro.api.Session` run once per *key*: a
+  miss of the service's shared, content-addressed
+  :class:`~repro.serve.cache.TraceCache` builds the request's schedule,
+  measures it (one trace build) and keeps the rendered JSON of every query
+  answer about the key, a :class:`TraceEntry`.  The key is computed from
+  the request alone; concurrent misses on one key coalesce.  A hit runs no
+  metric, validation or encoding work: :func:`_splice` writes the
+  request's echo fields and the entry's fragments into the body bytes.
 
 The serializers (:func:`report_payload`, :func:`validation_payload`, ...)
-are module-level on purpose: the differential suite imports them to render
-the library-path answer and asserts byte-equality with the service's JSON.
+are module-level on purpose: the entries are rendered with them, and the
+differential suite imports them to render the library-path answer.
 """
 
 from __future__ import annotations
@@ -35,18 +36,15 @@ from __future__ import annotations
 import json
 import sys
 import threading
-from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.algorithms.registry import available_schedulers, get_scheduler
 from repro.analysis.engine import ExperimentCell, HorizonPolicy, execute_cell
 from repro.api import Session
 from repro.core.config import DEFAULT_CONFIG, EngineConfig, config_with
-from repro.core.metrics import ScheduleReport, build_trace
-from repro.core.problem import ConflictGraph, Node
+from repro.core.metrics import ScheduleReport
+from repro.core.problem import ConflictGraph
 from repro.core.schedule import PeriodicSchedule, Schedule
-from repro.core.trace import TraceView
 from repro.core.validation import ValidationReport
 from repro.graphs.suites import available_workloads, get_workload
 from repro.io.results import record_to_dict
@@ -114,112 +112,6 @@ def schedule_key_for(algorithm: str, seed: int, seeded: bool) -> str:
     return f"{algorithm}:{seed}" if seeded else algorithm
 
 
-class TraceEntry(NamedTuple):
-    """One value of the service's trace cache.
-
-    ``view`` is the built trace's
-    :meth:`~repro.core.trace.TraceView.summary_view` — everything the
-    endpoints query of the trace, with no matrix, stream or schedule.
-    ``periods`` is what ``/validate`` with ``check_periodic`` reads of the
-    schedule itself: ``None`` when the schedule does not claim periodicity,
-    else each node's advertised ``node_period`` in graph order (0 where it
-    advertises none).
-    """
-
-    view: TraceView
-    periods: Optional[np.ndarray]
-
-    @classmethod
-    def of(cls, schedule: Schedule, view: TraceView) -> "TraceEntry":
-        if not schedule.is_periodic():
-            return cls(view, None)
-        periods = [schedule.node_period(p) or 0 for p in view.graph.nodes()]
-        return cls(view, np.array(periods, dtype=np.int64))
-
-    def nbytes(self) -> int:
-        """The view's :meth:`~repro.core.trace.TraceView.nbytes` plus this
-        tuple and the period table: everything the entry keeps alive."""
-        size = sys.getsizeof(self) + self.view.nbytes()
-        return size if self.periods is None else size + sys.getsizeof(self.periods)
-
-
-class _BoundTraceCache:
-    """Adapts the shared content-addressed cache to the Session protocol.
-
-    A :class:`~repro.api.Session` asks its cache for ``(schedule, graph,
-    horizon, config)`` by *identity*, with a callback that would trace that
-    schedule.  The service already knows the request's *content* key, and
-    the schedule it hands the session is a :class:`_CachedSchedule`
-    stand-in, so this one-request adapter ignores both and looks every
-    query up in the shared :class:`TraceCache` under the key.  Only a miss
-    builds: the real schedule (``build_schedule``), its trace — through
-    the same :func:`~repro.core.metrics.build_trace` a library session
-    uses, fast paths included — and the :class:`TraceEntry`.
-    """
-
-    def __init__(
-        self, cache: TraceCache, key: TraceKey, build_schedule: Callable[[], Schedule]
-    ) -> None:
-        self._cache = cache
-        self._key = key
-        self._build_schedule = build_schedule
-        #: the entry the last lookup returned (what the stand-in reads)
-        self.entry: Optional[TraceEntry] = None
-
-    def _build_entry(
-        self, graph: ConflictGraph, horizon: int, config: EngineConfig
-    ) -> TraceEntry:
-        schedule = self._build_schedule()
-        trace = build_trace(schedule, graph, horizon, config=config)
-        return TraceEntry.of(schedule, trace.summary_view())
-
-    def get_or_build(
-        self,
-        schedule: object,
-        graph: ConflictGraph,
-        horizon: int,
-        config: EngineConfig,
-        build: Callable[[], object],
-    ) -> TraceView:
-        self.entry = self._cache.get_or_build(
-            self._key, lambda: self._build_entry(graph, horizon, config), TraceEntry.nbytes
-        )
-        return self.entry.view
-
-    def clear(self) -> None:  # pragma: no cover - sessions here never clear
-        pass
-
-
-class _CachedSchedule(Schedule):
-    """The schedule a served query hands its session, hit or miss.
-
-    It takes its graph from the request and ``is_periodic()`` and
-    ``node_period()`` from the cache entry the query's trace came from:
-    everything the metric suite and the validator read of a schedule once
-    they have its trace.  It has no happy sets — a query that needs the
-    schedule itself fails loudly here instead of quietly building it.
-    """
-
-    def __init__(self, graph: ConflictGraph, traces: _BoundTraceCache) -> None:
-        super().__init__(graph)
-        self._traces = traces
-
-    def happy_set(self, holiday: int) -> FrozenSet[Node]:
-        raise TypeError(
-            "a served query reads its schedule's trace from the trace cache; "
-            "the stand-in schedule has no happy sets"
-        )
-
-    def is_periodic(self) -> bool:
-        return self._traces.entry.periods is not None
-
-    def node_period(self, node: Node) -> Optional[int]:
-        periods = self._traces.entry.periods
-        if periods is None:
-            return None
-        return int(periods[self.graph.index_of(node)]) or None
-
-
 # ---------------------------------------------------------------------------
 # payload serializers (shared with the differential test harness)
 # ---------------------------------------------------------------------------
@@ -273,6 +165,66 @@ def schedule_payload(schedule: Schedule, holidays: int) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
+# rendered answers
+# ---------------------------------------------------------------------------
+
+def _dumps(value: object) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+class TraceEntry(NamedTuple):
+    """One value of the service's trace cache: the rendered answers about
+    one key.
+
+    Each field is the ``json.dumps(..., sort_keys=True)`` text of one
+    top-level field of a query answer, none of which depends on anything
+    but the key: ``report`` (``/evaluate`` and ``/report``), ``summary``
+    and ``ok`` (``/report``), ``validation`` (``/report``, and
+    ``/validate`` without ``check_periodic``) and ``validation_periodic``
+    (``/validate`` with it).  The request's echo fields are not here.
+    """
+
+    report: str
+    summary: str
+    ok: str
+    validation: str
+    validation_periodic: str
+
+    @classmethod
+    def render(
+        cls, schedule: Schedule, graph: ConflictGraph, horizon: int, config: EngineConfig
+    ) -> "TraceEntry":
+        """Measure ``schedule`` through one :class:`~repro.api.Session` (one
+        trace build for every answer) and render each answer field."""
+        session = Session(graph, config=config)
+        combined = session.report(schedule, horizon)
+        periodic = session.validate(schedule, horizon, check_periodic=True)
+        return cls(
+            report=_dumps(report_payload(combined.report)),
+            summary=_dumps(combined.summary()),
+            ok=_dumps(combined.ok),
+            validation=_dumps(validation_payload(combined.validation)),
+            validation_periodic=_dumps(validation_payload(periodic)),
+        )
+
+    def nbytes(self) -> int:
+        """``sys.getsizeof`` of the tuple and of each string: everything
+        the entry keeps alive."""
+        return sys.getsizeof(self) + sum(map(sys.getsizeof, self))
+
+
+def _splice(identity: Mapping[str, object], **fragments: str) -> bytes:
+    """``json.dumps(answer, sort_keys=True)`` of the answer holding
+    ``identity``'s fields and, for each of ``fragments``, the value it is
+    the rendered text of — byte for byte, without decoding a fragment.
+    Field names are plain identifiers, so ``"name"`` is their JSON form."""
+    fields = {name: json.dumps(value) for name, value in identity.items()}
+    fields.update(fragments)
+    body = ", ".join(f'"{name}": {fields[name]}' for name in sorted(fields))
+    return ("{" + body + "}").encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
 # the service
 # ---------------------------------------------------------------------------
 
@@ -282,8 +234,8 @@ class SchedulingService:
     Parameters:
         config: base :class:`EngineConfig` requests inherit; a request's
             ``"config"`` object overrides individual fields.
-        cache: the shared :class:`TraceCache` of trace summary views
-            (defaults to a fresh one with the
+        cache: the shared :class:`TraceCache` of rendered answers, one
+            :class:`TraceEntry` per key (defaults to a fresh one with the
             :data:`~repro.serve.cache.DEFAULT_CACHE_BYTES` budget).
         store: optional :class:`~repro.io.store.ResultStore` enabling the
             ``/cell`` read-through endpoint to replay previously computed
@@ -416,58 +368,59 @@ class SchedulingService:
         }
         return identity, graph, key, config, lambda: scheduler.build(graph, seed=seed)
 
-    def _resolve_query(
-        self, payload: Mapping[str, object]
-    ) -> Tuple[Dict[str, object], Schedule, int, Session]:
-        """Everything the evaluate/validate/report endpoints share.
+    def _answers(self, payload: Mapping[str, object]) -> Tuple[Dict[str, object], TraceEntry]:
+        """The echo block and the rendered answers of a query request.
 
-        Returns ``(identity, schedule, horizon, session)`` where ``session``
-        is bound to the shared trace cache under the request's content key
-        and ``schedule`` is the stand-in a hit and a miss both query; only
-        a miss builds the real schedule.  The ``sets`` reference has no
-        trace to cache and walks the real schedule, built here.
+        A hit looks its key up once and builds nothing.  A miss builds the
+        request's schedule and renders its :class:`TraceEntry` inside the
+        cache's single-flight.  The ``sets`` reference has no trace to
+        cache: it renders afresh on every request.
         """
         identity, graph, key, config, build = self._resolve_request(payload)
         horizon = key.horizon
-        if config.resolve(graph.num_nodes(), horizon).uses_matrix:
-            traces = _BoundTraceCache(self.cache, key, build)
-            schedule: Schedule = _CachedSchedule(graph, traces)
-        else:
-            traces, schedule = None, build()
-        session = Session(graph, config=config, policy=self.policy, traces=traces)
-        return identity, schedule, horizon, session
+
+        def render() -> TraceEntry:
+            return TraceEntry.render(build(), graph, horizon, config)
+
+        if not config.resolve(graph.num_nodes(), horizon).uses_matrix:
+            return identity, render()
+        return identity, self.cache.get_or_build(key, render, TraceEntry.nbytes)
 
     # -- endpoints -----------------------------------------------------------
-    def evaluate(self, payload: Mapping[str, object]) -> Dict[str, object]:
-        """``POST /evaluate`` — the full metric suite over the shared trace."""
-        identity, schedule, horizon, session = self._resolve_query(payload)
-        report = session.evaluate(schedule, horizon)
-        identity["report"] = report_payload(report)
-        return identity
+    def evaluate_json(self, payload: Mapping[str, object]) -> bytes:
+        """``POST /evaluate`` — the full metric suite, as the body's bytes."""
+        identity, entry = self._answers(payload)
+        return _splice(identity, report=entry.report)
 
-    def validate(self, payload: Mapping[str, object]) -> Dict[str, object]:
-        """``POST /validate`` — legality (+ optional periodicity) checks."""
+    def validate_json(self, payload: Mapping[str, object]) -> bytes:
+        """``POST /validate`` — legality (+ optional periodicity) checks, as
+        the body's bytes."""
         check_periodic = payload.get("check_periodic", False)
         if not isinstance(check_periodic, bool):
             raise ServiceError(400, "bad_request", "'check_periodic' must be a boolean")
-        identity, schedule, horizon, session = self._resolve_query(payload)
-        validation = session.validate(schedule, horizon, check_periodic=check_periodic)
-        identity["validation"] = validation_payload(validation)
-        return identity
+        identity, entry = self._answers(payload)
+        validation = entry.validation_periodic if check_periodic else entry.validation
+        return _splice(identity, validation=validation)
+
+    def report_json(self, payload: Mapping[str, object]) -> bytes:
+        """``POST /report`` — evaluate *and* validate, as the body's bytes."""
+        identity, entry = self._answers(payload)
+        return _splice(
+            identity, ok=entry.ok, report=entry.report,
+            summary=entry.summary, validation=entry.validation,
+        )
+
+    def evaluate(self, payload: Mapping[str, object]) -> Dict[str, object]:
+        """:meth:`evaluate_json`, decoded."""
+        return json.loads(self.evaluate_json(payload))
+
+    def validate(self, payload: Mapping[str, object]) -> Dict[str, object]:
+        """:meth:`validate_json`, decoded."""
+        return json.loads(self.validate_json(payload))
 
     def report(self, payload: Mapping[str, object]) -> Dict[str, object]:
-        """``POST /report`` — evaluate *and* validate over one trace build."""
-        identity, schedule, horizon, session = self._resolve_query(payload)
-        combined = session.report(schedule, horizon)
-        identity.update(
-            {
-                "ok": combined.ok,
-                "summary": combined.summary(),
-                "report": report_payload(combined.report),
-                "validation": validation_payload(combined.validation),
-            }
-        )
-        return identity
+        """:meth:`report_json`, decoded."""
+        return json.loads(self.report_json(payload))
 
     def synthesize(self, payload: Mapping[str, object]) -> Dict[str, object]:
         """``POST /synthesize`` — build a schedule and return its calendar.

@@ -94,32 +94,6 @@ def test_only_a_miss_builds(algorithm, builds):
     assert answers == expected
 
 
-def test_the_stand_in_answers_from_the_entry_and_has_no_happy_sets():
-    service = SchedulingService(cache=TraceCache())
-    body = {"workload": WORKLOAD, "algorithm": "degree-periodic", "seed": 5}
-    graph = get_workload(WORKLOAD)
-    real = get_scheduler("degree-periodic").build(graph, seed=5)
-    for _ in range(2):  # a miss, then a hit
-        _identity, schedule, horizon, session = service._resolve_query(body)
-        session.evaluate(schedule, horizon)
-        assert schedule.is_periodic() is True
-        assert [schedule.node_period(p) for p in graph.nodes()] == [
-            real.node_period(p) for p in graph.nodes()
-        ]
-        with pytest.raises(TypeError, match="no happy sets"):
-            schedule.happy_set(1)
-    assert service.cache.stats()["misses"] == 1
-
-
-def test_an_aperiodic_entry_claims_no_periods():
-    service = SchedulingService(cache=TraceCache())
-    body = {"workload": WORKLOAD, "algorithm": "phased-greedy", "seed": 5}
-    _identity, schedule, horizon, session = service._resolve_query(body)
-    session.evaluate(schedule, horizon)
-    assert schedule.is_periodic() is False
-    assert schedule.node_period(get_workload(WORKLOAD).nodes()[0]) is None
-
-
 def test_synthesize_and_the_sets_backend_build():
     service = SchedulingService(cache=TraceCache())
     body = {"workload": "small/path", "algorithm": "degree-periodic", "seed": 1}

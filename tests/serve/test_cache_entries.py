@@ -1,10 +1,8 @@
 """What the service's trace cache holds, and what it charges for it.
 
-Each entry is a :class:`~repro.serve.service.TraceEntry`: the
-:meth:`~repro.core.trace.TraceView.summary_view` of a built trace (a plain
-:class:`~repro.core.trace.TraceView` with the scanned summary and mul
-array, holding no matrix, stream source or schedule) and the schedule's
-advertised periods.  It is charged by its
+Each entry is a :class:`~repro.serve.service.TraceEntry`: the rendered JSON
+of every query answer about one key, five ``str`` fragments holding no
+array, view or schedule.  It is charged by its
 :meth:`~repro.serve.service.TraceEntry.nbytes`, which must track what the
 entries really keep alive (measured with :mod:`tracemalloc`) so that
 ``max_bytes`` bounds resident memory.
@@ -18,12 +16,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.algorithms.registry import get_scheduler
 from repro.analysis.engine import HorizonPolicy
-from repro.core.schedule import Schedule
-from repro.core.trace import TraceStream, TraceView
 from repro.graphs.suites import BENCHMARK_WORKLOADS, get_workload
 from repro.serve import DEFAULT_CACHE_BYTES, SchedulingService, TraceCache
+from repro.serve.service import TraceEntry
 
 #: the schedulers the perfbench ``serve`` mix queries: four periodic, two
 #: aperiodic
@@ -50,13 +46,13 @@ class RecordingCache(TraceCache):
         return super().get_or_build(key, build, record)
 
 
-def reachable(root, stop):
+def reachable(root):
     """Every object reachable from ``root`` through containers, instance
-    attributes and array bases, not entering ``stop`` (the shared graph)."""
+    attributes and array bases."""
     seen, stack, found = set(), [root], []
     while stack:
         obj = stack.pop()
-        if obj is stop or id(obj) in seen:
+        if id(obj) in seen:
             continue
         seen.add(id(obj))
         found.append(obj)
@@ -72,36 +68,30 @@ def reachable(root, stop):
     return found
 
 
-def holds_trace_data(obj) -> bool:
-    return (
-        isinstance(obj, (Schedule, TraceStream))
-        or (isinstance(obj, TraceView) and type(obj) is not TraceView)
-        or (isinstance(obj, np.ndarray) and obj.ndim != 1)
-    )
+def assert_fragments_only(entry):
+    """A :class:`TraceEntry` of five strings, reaching nothing else."""
+    assert type(entry) is TraceEntry
+    assert {type(obj) for obj in reachable(entry)} == {TraceEntry, str}
 
 
 @pytest.mark.parametrize("config", [None, {"horizon_mode": "stream", "chunk": 16}])
 @pytest.mark.parametrize("algorithm", ["degree-periodic", "phased-greedy"])
-def test_cached_values_are_summary_views(algorithm, config):
+def test_cached_values_are_rendered_fragments(algorithm, config):
     cache = RecordingCache()
     service = SchedulingService(cache=cache)
     body = {"workload": "grid", "algorithm": algorithm, "seed": 3}
     if config is not None:
         body["config"] = config
-    service.evaluate(body)
-    service.validate(dict(body, check_periodic=True))
-    service.report(body)
-    assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 3  # /report asks twice
-    [(entry, size)] = cache.sized
-    assert type(entry.view) is TraceView
-    assert entry.view.mode == ("dense" if config is None else "stream")
-    assert size == entry.nbytes() == cache.total_bytes
-    assert not [obj for obj in reachable(entry, entry.view.graph) if holds_trace_data(obj)]
-    graph = entry.view.graph
-    schedule = get_scheduler(algorithm).build(graph, seed=3)
-    assert (entry.periods is not None) == schedule.is_periodic()
-    if schedule.is_periodic():
-        assert entry.periods.tolist() == [schedule.node_period(p) for p in graph.nodes()]
+    for key in (body, dict(body, horizon=200)):
+        service.evaluate(key)
+        service.validate(dict(key, check_periodic=True))
+        service.report(key)
+    assert cache.stats()["misses"] == 2 and cache.stats()["hits"] == 4  # one lookup per request
+    assert len(cache.sized) == 2
+    for entry, size in cache.sized:
+        assert_fragments_only(entry)
+        assert size == entry.nbytes()
+    assert sum(size for _, size in cache.sized) == cache.total_bytes
 
 
 def test_sets_backend_bypasses_the_cache():
@@ -117,22 +107,24 @@ POLICY_HORIZON = {
     graph: HorizonPolicy().resolve(get_workload(graph)) for graph in BENCHMARK_WORKLOADS
 }
 
-#: fresh-seed /evaluate bodies on the perfbench graphs: 264 distinct
-#: entries.  A seed-free scheduler's key leaves the seed out, so each seed
-#: also gets its own horizon (the policy horizon plus the seed).
-FRESH = [
-    {"workload": graph, "algorithm": algorithm, "seed": seed,
-     "horizon": POLICY_HORIZON[graph] + seed}
-    for seed in range(1, 5) for graph in BENCHMARK_WORKLOADS for algorithm in ALGORITHMS
-]
+
+def fresh(seeds):
+    """Fresh-seed /evaluate bodies on the perfbench graphs: 66 distinct
+    entries per seed.  A seed-free scheduler's key leaves the seed out, so
+    each seed also gets its own horizon (the policy horizon plus the seed)."""
+    return [
+        {"workload": graph, "algorithm": algorithm, "seed": seed,
+         "horizon": POLICY_HORIZON[graph] + seed}
+        for seed in seeds for graph in BENCHMARK_WORKLOADS for algorithm in ALGORITHMS
+    ]
 
 
 def test_charge_tracks_retained_memory_over_fresh_seed_entries():
     """The summed charge of the entries is within ±20% of what tracemalloc
     sees them free when the cache is cleared.  (First-come-first-grab is
     left out to keep the traced run short: its generation is the slowest
-    under tracemalloc, and test_summary_view.py checks its views' charge.)"""
-    bodies = [body for body in FRESH if body["algorithm"] != "first-come-first-grab"]
+    under tracemalloc, and its entries are strings like every other.)"""
+    bodies = [body for body in fresh(range(1, 5)) if body["algorithm"] != "first-come-first-grab"]
     service = SchedulingService(cache=TraceCache(1 << 30))
     for body in bodies:
         service.evaluate(dict(body, seed=0))  # warm graphs, schedulers, imports
@@ -155,12 +147,33 @@ def test_charge_tracks_retained_memory_over_fresh_seed_entries():
 
 
 def test_default_budget_is_reached_and_held():
-    """All 264 fresh-seed entries overflow the 2 MiB default: LRU evicts,
+    """All 528 fresh-seed entries overflow the 2 MiB default: LRU evicts,
     and the charged bytes stay within the budget."""
     service = SchedulingService()
-    for body in FRESH:
+    for body in fresh(range(1, 9)):
         service.evaluate(body)
     stats = service.cache.stats()
     assert stats["max_bytes"] == DEFAULT_CACHE_BYTES
     assert stats["evictions"] > 0
     assert stats["bytes"] <= stats["max_bytes"]
+
+
+def test_misses_of_a_fixed_mix_at_the_default_budget():
+    """Ten rounds of /report on the 66 pairs at seed 0, each followed by
+    /evaluate on every pair at the round's fresh seed and /validate on
+    every pair at seed 0.  The hot keys stay resident at the default
+    budget, so the misses are the 66 first lookups plus each round's 11
+    first-come-first-grab fresh seeds (the only seeded scheduler here): the
+    count summary-view entries gave as well."""
+    service = SchedulingService()
+    pairs = [(graph, algorithm) for graph in BENCHMARK_WORKLOADS for algorithm in ALGORITHMS]
+    for seed in range(1, 11):
+        for graph, algorithm in pairs:
+            service.report({"workload": graph, "algorithm": algorithm, "seed": 0})
+        for graph, algorithm in pairs:
+            service.evaluate({"workload": graph, "algorithm": algorithm, "seed": seed})
+        for graph, algorithm in pairs:
+            service.validate({"workload": graph, "algorithm": algorithm, "check_periodic": True})
+    stats = service.cache.stats()
+    assert stats["misses"] == 176
+    assert stats["hits"] == 3 * 10 * len(pairs) - 176
