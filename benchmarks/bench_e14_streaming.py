@@ -39,7 +39,7 @@ bookkeeping slows every allocation and so is never timed.  Results land in
 Run as a script::
 
     python benchmarks/bench_e14_streaming.py [--quick] [--horizon H]
-        [--chunk W] [--backend B] [--algorithm NAME]
+        [--chunk W] [--algorithm NAME]
         [--generator-horizon H] [--window W]
 
 Notes: the default scheduler is perfectly periodic (``degree-periodic``), so
@@ -64,7 +64,7 @@ from repro.algorithms.registry import get_scheduler
 from repro.analysis.runner import run_scheduler
 from repro.core.config import EngineConfig
 from repro.core.schedule import ExplicitSchedule
-from repro.core.trace import DEFAULT_CHUNK, dense_trace_bytes, resolve_backend
+from repro.core.trace import DEFAULT_CHUNK, dense_trace_bytes
 from repro.graphs.suites import get_workload
 
 FULL_HORIZON = 100_000_000
@@ -87,6 +87,9 @@ QUICK_GENERATOR_WINDOW = 1 << 13
 MIB = 1 << 20
 #: untraced runs per stage; the recorded wall time is the best of them
 REPEATS = 3
+#: the engine every stage streams through, stamped as each record's
+#: ``backend`` (``sets``, the frozenset reference, has no streaming mode)
+BACKEND = "numpy"
 
 
 class CyclicTwin:
@@ -124,16 +127,16 @@ def memory_budget(num_nodes: int, chunk: int) -> int:
     return 10 * dense_trace_bytes(num_nodes, chunk) + 48 * MIB
 
 
-def equivalence_check(graph, algorithm: str, backend: str, chunk: int):
+def equivalence_check(graph, algorithm: str, chunk: int):
     """Assert dense and stream runs agree report-for-report."""
     horizon = EQUIVALENCE_HORIZON
     dense = run_scheduler(
         get_scheduler(algorithm), graph, horizon=horizon, seed=1,
-        config=EngineConfig(backend=backend, horizon_mode="dense"),
+        config=EngineConfig(backend=BACKEND, horizon_mode="dense"),
     )
     stream = run_scheduler(
         get_scheduler(algorithm), graph, horizon=horizon, seed=1,
-        config=EngineConfig(backend=backend, horizon_mode="stream", chunk=chunk),
+        config=EngineConfig(backend=BACKEND, horizon_mode="stream", chunk=chunk),
     )
     assert dense.horizon_mode == "dense" and stream.horizon_mode == "stream"
     if stream.report.summary() != dense.report.summary():
@@ -171,8 +174,7 @@ def measured(run):
     return best, peak, outcome
 
 
-def streaming_run(graph, algorithm: str, horizon: int, chunk: int, backend: str,
-                  cyclic: bool = False):
+def streaming_run(graph, algorithm: str, horizon: int, chunk: int, cyclic: bool = False):
     """One streamed run: evaluate + validate at ``horizon`` (:func:`measured`).
 
     Returns ``(record, outcome)``.  Raises when the run is not actually
@@ -183,7 +185,7 @@ def streaming_run(graph, algorithm: str, horizon: int, chunk: int, backend: str,
     scheduler = CyclicTwin(get_scheduler(algorithm)) if cyclic else get_scheduler(algorithm)
     budget = memory_budget(graph.num_nodes(), chunk)
     dense_bytes = dense_trace_bytes(graph.num_nodes(), horizon)
-    config = EngineConfig(backend=backend, horizon_mode="stream", chunk=chunk)
+    config = EngineConfig(backend=BACKEND, horizon_mode="stream", chunk=chunk)
     seconds, peak, outcome = measured(
         lambda: run_scheduler(scheduler, graph, horizon=horizon, seed=1, config=config)
     )
@@ -204,7 +206,7 @@ def streaming_run(graph, algorithm: str, horizon: int, chunk: int, backend: str,
         "cyclic_stream_stage" if cyclic else "stream_measure_stage",
         horizon,
         seconds,
-        backend,
+        BACKEND,
         workload=graph.name,
         scheduler=algorithm,
         form="cyclic" if cyclic else "periodic",
@@ -248,7 +250,7 @@ def generator_memory_budget(window: int, chunk: int, num_nodes: int) -> int:
     return 2 * window * 2048 + 10 * dense_trace_bytes(num_nodes, chunk) + 48 * MIB
 
 
-def generator_streaming_run(graph, horizon: int, window: int, chunk: int, backend: str):
+def generator_streaming_run(graph, horizon: int, window: int, chunk: int):
     """The windowed-generator stage: aperiodic Phased Greedy at ``horizon``.
 
     The scheduler's :class:`~repro.core.schedule.GeneratorSchedule` keeps a
@@ -261,7 +263,7 @@ def generator_streaming_run(graph, horizon: int, window: int, chunk: int, backen
     assert horizon >= 8 * window, "horizon must dwarf the window for the claim to mean anything"
     scheduler = PhasedGreedyScheduler(initial_coloring="greedy", window=window)
     budget = generator_memory_budget(window, chunk, graph.num_nodes())
-    config = EngineConfig(backend=backend, horizon_mode="stream", chunk=chunk)
+    config = EngineConfig(backend=BACKEND, horizon_mode="stream", chunk=chunk)
     seconds, peak, outcome = measured(
         lambda: run_scheduler(scheduler, graph, horizon=horizon, seed=1, config=config)
     )
@@ -281,7 +283,7 @@ def generator_streaming_run(graph, horizon: int, window: int, chunk: int, backen
         "generator_stream_stage",
         horizon,
         seconds,
-        backend,
+        BACKEND,
         workload=graph.name,
         scheduler="phased-greedy",
         horizon_mode="stream",
@@ -306,7 +308,6 @@ def main(argv=None) -> int:
                         help="override the streamed horizon")
     parser.add_argument("--chunk", type=int, default=DEFAULT_CHUNK,
                         help=f"streaming chunk width (default {DEFAULT_CHUNK})")
-    parser.add_argument("--backend", default="auto", choices=["auto", "numpy"])
     parser.add_argument("--algorithm", default="degree-periodic",
                         help="registered scheduler (default: degree-periodic, perfectly periodic)")
     parser.add_argument("--generator-horizon", type=int, default=None,
@@ -316,17 +317,14 @@ def main(argv=None) -> int:
                              f"--quick {QUICK_GENERATOR_WINDOW})")
     args = parser.parse_args(argv)
 
-    backend = resolve_backend(args.backend)
     horizon = args.horizon or (QUICK_HORIZON if args.quick else FULL_HORIZON)
     graph = society_workload()
 
-    eq_horizon = equivalence_check(graph, args.algorithm, backend, args.chunk)
+    eq_horizon = equivalence_check(graph, args.algorithm, args.chunk)
     print(f"dense == stream at horizon {eq_horizon:,}: reports identical")
 
-    serial, serial_outcome = streaming_run(graph, args.algorithm, horizon, args.chunk, backend)
-    cyclic, cyclic_outcome = streaming_run(
-        graph, args.algorithm, horizon, args.chunk, backend, cyclic=True
-    )
+    serial, serial_outcome = streaming_run(graph, args.algorithm, horizon, args.chunk)
+    cyclic, cyclic_outcome = streaming_run(graph, args.algorithm, horizon, args.chunk, cyclic=True)
     assert_same_report(cyclic_outcome, serial_outcome, "the cyclic twin", "the closed form")
     records = [serial, cyclic]
     print("cyclic twin == closed form: reports identical")
@@ -338,11 +336,11 @@ def main(argv=None) -> int:
     # the chunk scan is not the bottleneck here (the generator is); a chunk
     # a quarter of the window keeps window >= chunk with headroom
     gen_chunk = max(1024, window // 4)
-    gen_record, _ = generator_streaming_run(graph, gen_horizon, window, gen_chunk, backend)
+    gen_record, _ = generator_streaming_run(graph, gen_horizon, window, gen_chunk)
     records.append(gen_record)
 
     print_table(
-        f"E14 streaming trace (backend {backend}, {graph.name})",
+        f"E14 streaming trace (backend {BACKEND}, {graph.name})",
         ["stage", "scheduler", "horizon", "chunk", "window",
          "seconds", "peak MiB", "budget MiB"],
         [[
@@ -378,21 +376,17 @@ def main(argv=None) -> int:
 
 def test_e14_stream_bounded_memory():
     graph = society_workload()
-    backend = resolve_backend("auto")
     chunk = 1 << 16
-    equivalence_check(graph, "degree-periodic", backend, chunk)
-    record, _ = streaming_run(graph, "degree-periodic", 500_000, chunk, backend)
+    equivalence_check(graph, "degree-periodic", chunk)
+    record, _ = streaming_run(graph, "degree-periodic", 500_000, chunk)
     assert record["peak_traced_bytes"] <= record["budget_bytes"]
 
 
 def test_e14_cyclic_twin_matches_closed_form():
     graph = society_workload()
-    backend = resolve_backend("auto")
     chunk = 1 << 15
-    _, closed_form = streaming_run(graph, "degree-periodic", 300_000, chunk, backend)
-    cyclic, cyclic_outcome = streaming_run(
-        graph, "degree-periodic", 300_000, chunk, backend, cyclic=True
-    )
+    _, closed_form = streaming_run(graph, "degree-periodic", 300_000, chunk)
+    cyclic, cyclic_outcome = streaming_run(graph, "degree-periodic", 300_000, chunk, cyclic=True)
     assert_same_report(cyclic_outcome, closed_form, "the cyclic twin", "the closed form")
     assert cyclic["metric"] == "cyclic_stream_stage" and cyclic["form"] == "cyclic"
     assert cyclic["peak_traced_bytes"] <= cyclic["budget_bytes"]
@@ -400,8 +394,7 @@ def test_e14_cyclic_twin_matches_closed_form():
 
 def test_e14_generator_window_bounds_memory():
     graph = society_workload()
-    backend = resolve_backend("auto")
-    record, _ = generator_streaming_run(graph, 40_000, window=4096, chunk=2048, backend=backend)
+    record, _ = generator_streaming_run(graph, 40_000, window=4096, chunk=2048)
     assert record["peak_traced_bytes"] <= record["budget_bytes"]
     assert record["window"] == 4096
 

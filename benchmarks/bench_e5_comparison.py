@@ -18,7 +18,7 @@ legality.  The qualitative shape expected from the paper:
   heavy-tailed worst-case gaps.
 
 Also runnable as a script (``python benchmarks/bench_e5_comparison.py
-[--quick] [--horizon H] [--backend B] [--jobs N]``): runs the comparison
+[--quick] [--horizon H] [--jobs N]``): runs the comparison
 through the declarative experiment engine (``--jobs`` fans cells out over
 worker processes; with ``--jobs > 1`` a serial reference run is also timed,
 its summaries asserted identical, and the wall-clock speedup recorded),
@@ -59,10 +59,12 @@ from repro.analysis.runner import compare_schedulers
 from repro.algorithms.registry import get_scheduler
 from repro.core.metrics import evaluate_schedule
 from repro.core.config import EngineConfig
-from repro.core.trace import resolve_backend
 from repro.io.results import record_to_json_line
 
 WORKLOADS = experiment_workloads()
+#: the engine the script-mode stages time against the ``sets`` reference,
+#: stamped as each record's ``backend``
+BACKEND = "numpy"
 SCHEDULERS = [
     "sequential",
     "round-robin-color",
@@ -146,14 +148,13 @@ def benchmark_grid(quick: bool = False):
     return workloads, schedulers
 
 
-def trace_speedup_report(horizon: int, backend: str, quick: bool = False, grid=None):
+def trace_speedup_report(horizon: int, quick: bool = False, grid=None):
     """Time ``evaluate_schedule`` per (workload, scheduler) on the trace
     engine vs the frozenset reference, asserting identical summaries.
 
     Returns ``(records, worst_speedup, geo_mean_speedup)`` where each record
     is one :func:`benchmarks.common.bench_record` row.
     """
-    backend = resolve_backend(backend)
     workloads, schedulers = grid if grid is not None else benchmark_grid(quick)
 
     records = []
@@ -166,7 +167,7 @@ def trace_speedup_report(horizon: int, backend: str, quick: bool = False, grid=N
             schedule.prefix(horizon)
 
             start = time.perf_counter()
-            fast = evaluate_schedule(schedule, graph, horizon, config=EngineConfig(backend=backend))
+            fast = evaluate_schedule(schedule, graph, horizon, config=EngineConfig(backend=BACKEND))
             fast_seconds = time.perf_counter() - start
 
             start = time.perf_counter()
@@ -175,7 +176,7 @@ def trace_speedup_report(horizon: int, backend: str, quick: bool = False, grid=N
 
             if fast.summary() != reference.summary():
                 raise AssertionError(
-                    f"backend {backend!r} diverges from 'sets' on "
+                    f"backend {BACKEND!r} diverges from 'sets' on "
                     f"{workload_name} × {scheduler_name}: "
                     f"{fast.summary()} != {reference.summary()}"
                 )
@@ -183,7 +184,7 @@ def trace_speedup_report(horizon: int, backend: str, quick: bool = False, grid=N
             speedups.append(speedup)
             records.append(
                 bench_record(
-                    "evaluate_schedule", horizon, fast_seconds, backend,
+                    "evaluate_schedule", horizon, fast_seconds, BACKEND,
                     workload=workload_name, scheduler=scheduler_name,
                     sets_seconds=sets_seconds, speedup=round(speedup, 2),
                 )
@@ -227,7 +228,7 @@ def stripped_records(results):
     return out
 
 
-def run_cached_comparison(workloads, horizon, backend, store):
+def run_cached_comparison(workloads, horizon, store):
     """One cache-stage run against ``store``; returns ``(results, wall, stats)``.
 
     The first run over an empty store is the cold measurement, every later
@@ -239,7 +240,7 @@ def run_cached_comparison(workloads, horizon, backend, store):
         algorithms=CACHE_SCHEDULERS,
         horizon=horizon,
         seeds=CACHE_SEEDS,
-        config=EngineConfig(backend=backend),
+        config=EngineConfig(backend=BACKEND),
     )
     engine = ExperimentEngine(jobs=1, store=store, campaign="E5-cache-stage")
     start = time.perf_counter()
@@ -247,7 +248,7 @@ def run_cached_comparison(workloads, horizon, backend, store):
     return results, time.perf_counter() - start, engine.stats
 
 
-def run_engine_comparison(workloads, schedulers, horizon, backend, jobs):
+def run_engine_comparison(workloads, schedulers, horizon, jobs):
     """One engine-driven comparison run; returns ``(results, wall_seconds)``."""
     start = time.perf_counter()
     results = compare_schedulers(
@@ -257,7 +258,7 @@ def run_engine_comparison(workloads, schedulers, horizon, backend, jobs):
         horizon=horizon,
         seed=1,
         jobs=jobs,
-        config=EngineConfig(backend=backend),
+        config=EngineConfig(backend=BACKEND),
     )
     return results, time.perf_counter() - start
 
@@ -266,16 +267,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small smoke grid for CI")
     parser.add_argument("--horizon", type=int, default=None, help="evaluation horizon (default: 2048 quick, 10000 full)")
-    parser.add_argument("--backend", default="auto", choices=["auto", "numpy"])
     parser.add_argument("--jobs", type=int, default=1, help="engine worker processes for the comparison stage")
     args = parser.parse_args(argv)
     horizon = args.horizon or (2048 if args.quick else 10_000)
 
     grid = benchmark_grid(args.quick)
-    records, worst, geo_mean = trace_speedup_report(horizon, args.backend, grid=grid)
-    backend = resolve_backend(args.backend)
+    records, worst, geo_mean = trace_speedup_report(horizon, grid=grid)
     print_table(
-        f"E5 trace-engine speedup vs backend='sets' (horizon {horizon}, backend {backend})",
+        f"E5 trace-engine speedup vs backend='sets' (horizon {horizon}, backend {BACKEND})",
         ["workload", "scheduler", "trace s", "sets s", "speedup"],
         [
             [r["workload"], r["scheduler"], round(r["seconds"], 4), round(r["sets_seconds"], 4), r["speedup"]]
@@ -286,13 +285,11 @@ def main(argv=None) -> int:
 
     workloads, schedulers = grid
     comparison_horizon = horizon if args.quick else None
-    results, wall = run_engine_comparison(
-        workloads, schedulers, comparison_horizon, backend, args.jobs
-    )
+    results, wall = run_engine_comparison(workloads, schedulers, comparison_horizon, args.jobs)
     meta = {"quick": args.quick, "jobs": args.jobs, "wall_seconds": round(wall, 4)}
     if args.jobs > 1:
         serial_results, serial_wall = run_engine_comparison(
-            workloads, schedulers, comparison_horizon, backend, jobs=1
+            workloads, schedulers, comparison_horizon, jobs=1
         )
         if summary_pivots(results) != summary_pivots(serial_results):
             raise AssertionError(
@@ -323,13 +320,13 @@ def main(argv=None) -> int:
 
         with ResultStore(store_path) as store:
             cold_results, cold_wall, cold_stats = run_cached_comparison(
-                cache_workloads, CACHE_HORIZON, backend, store
+                cache_workloads, CACHE_HORIZON, store
             )
             warm_wall = float("inf")
             warm_results = warm_stats = None
             for _ in range(CACHE_REPEATS):
                 warm_results, wall_w, warm_stats = run_cached_comparison(
-                    cache_workloads, CACHE_HORIZON, backend, store
+                    cache_workloads, CACHE_HORIZON, store
                 )
                 warm_wall = min(warm_wall, wall_w)
     if stripped_records(warm_results) != stripped_records(cold_results):
@@ -356,7 +353,7 @@ def main(argv=None) -> int:
     e5_records = engine_bench_records(results)
     e5_records.append(
         bench_record(
-            "cache_comparison", CACHE_HORIZON, warm_wall, backend,
+            "cache_comparison", CACHE_HORIZON, warm_wall, BACKEND,
             cells=len(cold_results),
             cold_seconds=round(cold_wall, 4),
             cache_hits=warm_stats["cached"],

@@ -22,7 +22,7 @@ See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 experiment suite documented in EXPERIMENTS.md.
 """
 
-from repro.api import Session, SessionReport, SessionTraceCache
+from repro.api import Session, SessionReport
 from repro.core import (
     ConflictGraph,
     EngineConfig,
@@ -85,7 +85,6 @@ __all__ = [
     "EngineConfig",
     "Session",
     "SessionReport",
-    "SessionTraceCache",
     "Gathering",
     "orientation_towards",
     "Schedule",

@@ -1,4 +1,4 @@
-"""Experiment harness: runners, result records, tables and sweeps.
+"""Experiment harness: the experiment engine, runners, result records and tables.
 
 The benchmark scripts under ``benchmarks/`` are thin: each one builds its
 workload, calls into this subpackage to execute schedulers and collect
@@ -21,7 +21,6 @@ from repro.analysis.engine import (
     HorizonPolicy,
     execute_cell,
     expand_grid,
-    run_grid,
 )
 from repro.analysis.records import ExperimentRecord, ResultSet
 from repro.analysis.runner import (
@@ -31,7 +30,6 @@ from repro.analysis.runner import (
     run_scheduler,
 )
 from repro.analysis.tables import format_value, render_table
-from repro.analysis.sweeps import sweep
 
 __all__ = [
     "ExperimentRecord",
@@ -42,14 +40,12 @@ __all__ = [
     "HorizonPolicy",
     "execute_cell",
     "expand_grid",
-    "run_grid",
     "RunOutcome",
     "run_scheduler",
     "compare_schedulers",
     "choose_horizon",
     "render_table",
     "format_value",
-    "sweep",
     "PeriodFeasibility",
     "StretchResult",
     "phase_assignment_exists",

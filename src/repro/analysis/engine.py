@@ -75,7 +75,6 @@ __all__ = [
     "ExperimentEngine",
     "execute_cell",
     "expand_grid",
-    "run_grid",
 ]
 
 _log = get_logger("analysis.engine")
@@ -166,7 +165,7 @@ class HorizonPolicy:
 
 
 # ---------------------------------------------------------------------------
-# grid expansion (canonical home; re-exported by analysis.sweeps)
+# grid expansion
 # ---------------------------------------------------------------------------
 
 def expand_grid(param_lists: Mapping[str, Sequence[object]]) -> List[Dict[str, object]]:
@@ -846,40 +845,3 @@ class ExperimentEngine:
                         index + 1, total, cell.describe(), record.metrics.get("max_mul"),
                     )
                 emit_ready()
-
-
-# ---------------------------------------------------------------------------
-# generic grid execution (backs analysis.sweeps.sweep)
-# ---------------------------------------------------------------------------
-
-def _invoke_runner(
-    payload: Tuple[Callable[..., Iterable[ExperimentRecord]], Dict[str, object]]
-) -> List[ExperimentRecord]:
-    runner, params = payload
-    return list(runner(**params))
-
-
-def run_grid(
-    param_lists: Mapping[str, Sequence[object]],
-    runner: Callable[..., Iterable[ExperimentRecord]],
-    jobs: int = 1,
-) -> ResultSet:
-    """Apply ``runner(**params)`` over a parameter grid, merging all records.
-
-    Results are merged in grid order (``Executor.map`` yields in submission
-    order).  With ``jobs > 1`` the runner is executed in worker processes
-    and must be picklable (a module-level function); closures require
-    ``jobs=1``.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    combos = expand_grid(param_lists)
-    results = ResultSet()
-    if jobs == 1 or len(combos) <= 1:
-        for params in combos:
-            results.extend(runner(**params))
-        return results
-    with ProcessPoolExecutor(max_workers=min(jobs, len(combos))) as pool:
-        for batch in pool.map(_invoke_runner, [(runner, params) for params in combos]):
-            results.extend(batch)
-    return results

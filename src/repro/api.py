@@ -9,10 +9,12 @@ The three-line happy path for library users::
     ok = session.validate(schedule).ok             # legality (+ bounds)
 
 A :class:`Session` binds a conflict graph to an
-:class:`~repro.core.config.EngineConfig` and owns the occupancy-trace cache:
-the first query against a ``(schedule, horizon)`` pair builds the trace
-(dense or streamed, per the config), and every later query —
-``evaluate``, ``validate``, ``report``, the per-metric helpers — reuses it.
+:class:`~repro.core.config.EngineConfig` and owns a private occupancy-trace
+cache: the first query against a ``(schedule, horizon)`` pair builds the
+trace (dense or streamed, per the config), and every later query on the
+same session — ``evaluate``, ``validate``, ``report``, the per-metric
+helpers — reuses it.  Sessions share no cache; the service's
+content-keyed cache lives in :mod:`repro.serve.cache`.
 This replaces the manual trace-sharing dance callers used to copy from
 ``analysis/runner.py`` (build a trace, thread ``trace=`` through every
 call); ``run_scheduler`` itself now runs on a session.
@@ -43,7 +45,7 @@ from repro.core.metrics import (
 from repro.core.problem import ConflictGraph, Node
 from repro.core.validation import ValidationReport, validate_schedule
 
-__all__ = ["Session", "SessionReport", "SessionTraceCache", "EngineConfig", "open_store"]
+__all__ = ["Session", "SessionReport", "EngineConfig", "open_store"]
 
 
 def open_store(path):
@@ -65,46 +67,6 @@ def open_store(path):
     from repro.io.store import ResultStore
 
     return ResultStore(path)
-
-
-class SessionTraceCache:
-    """The default trace cache one :class:`Session` owns privately.
-
-    Extracted from ``Session`` (which used to inline the dictionary) so the
-    cache is an *object* sessions can share: pass the same instance as
-    ``traces=`` to several sessions and they reuse each other's builds.  Any
-    object with the same ``get_or_build``/``clear`` surface works.
-
-    Keys are ``(id(schedule), id(graph), horizon, config)`` — schedule
-    *identity*, the cheap exact notion a library session wants (no hashing
-    of schedule content); the entry pins the schedule and graph so a dead
-    object's recycled ``id()`` can never serve the wrong trace.  Unbounded:
-    one entry per distinct key until :meth:`clear`.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[Tuple[int, int, int, EngineConfig], Tuple[object, object, Optional[TraceLike]]] = {}
-
-    def get_or_build(
-        self,
-        schedule: ScheduleLike,
-        graph: ConflictGraph,
-        horizon: int,
-        config: EngineConfig,
-        build: Callable[[], Optional[TraceLike]],
-    ) -> Optional[TraceLike]:
-        """The cached trace for this query, calling ``build()`` on a miss."""
-        key = (id(schedule), id(graph), horizon, config)
-        if key not in self._entries:
-            self._entries[key] = (schedule, graph, build())
-        return self._entries[key][2]
-
-    def clear(self) -> None:
-        """Drop every entry (and the schedules/graphs they pin)."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 @dataclass
@@ -136,16 +98,17 @@ class Session:
             :data:`~repro.core.config.DEFAULT_CONFIG`).
         policy: how long to observe when a call gives no explicit horizon
             (default :class:`~repro.analysis.engine.HorizonPolicy`).
-        traces: the trace cache (default: a private
-            :class:`SessionTraceCache`).  Pass a shared instance to make
-            traces reusable *across* sessions.
 
-    The default cache is keyed by schedule *identity* and horizon:
-    evaluating and validating the same schedule object over the same horizon
-    builds the occupancy trace exactly once (asserted by
-    ``tests/api/test_session.py``).  It only grows — one trace per
-    ``(schedule, horizon)`` pair, each pinning its schedule — so a session
-    sweeping many schedules should call :meth:`clear` between batches.
+    The session's private trace cache is keyed by
+    ``(id(schedule), id(graph), horizon, config)`` — schedule *identity*,
+    the cheap exact notion a library session wants (no hashing of schedule
+    content): evaluating and validating the same schedule object over the
+    same horizon builds the occupancy trace exactly once (asserted by
+    ``tests/api/test_session.py``).  Each entry pins its schedule and graph,
+    so a dead object's recycled ``id()`` can never serve the wrong trace.
+    The cache only grows — one trace per ``(schedule, horizon)`` pair — so
+    a session sweeping many schedules should call :meth:`clear` between
+    batches.
     Under ``backend="sets"`` there is no trace to share and every query
     walks the frozenset reference — the facade still works, just without
     the reuse.
@@ -156,17 +119,13 @@ class Session:
         graph: ConflictGraph,
         config: Optional[EngineConfig] = None,
         policy: Optional[HorizonPolicy] = None,
-        traces: Optional[SessionTraceCache] = None,
     ) -> None:
         self.graph = graph
         self.config = config if config is not None else DEFAULT_CONFIG
         self.policy = policy if policy is not None else HorizonPolicy()
-        self.traces = traces if traces is not None else SessionTraceCache()
-
-    @property
-    def _traces(self) -> Dict:
-        """The raw entries of a default cache (kept for introspection)."""
-        return getattr(self.traces, "_entries", {})
+        self._traces: Dict[
+            Tuple[int, int, int, EngineConfig], Tuple[ScheduleLike, ConflictGraph, Optional[TraceLike]]
+        ] = {}
 
     # -- plumbing ------------------------------------------------------------
     def resolve_horizon(
@@ -194,10 +153,9 @@ class Session:
         The cache holds a strong reference to each queried schedule and its
         trace, so a long-lived session sweeping many schedules grows by one
         trace per ``(schedule, horizon)`` pair — call this between batches
-        to release them.  On a *shared* cache this clears the whole cache,
-        for every session using it.
+        to release them.
         """
-        self.traces.clear()
+        self._traces.clear()
 
     def trace(
         self, schedule: ScheduleLike, horizon: Optional[int] = None
@@ -208,13 +166,11 @@ class Session:
         no trace object).
         """
         horizon = self.resolve_horizon(horizon)
-        return self.traces.get_or_build(
-            schedule,
-            self.graph,
-            horizon,
-            self.config,
-            lambda: build_trace(schedule, self.graph, horizon, config=self.config),
-        )
+        key = (id(schedule), id(self.graph), horizon, self.config)
+        if key not in self._traces:
+            trace = build_trace(schedule, self.graph, horizon, config=self.config)
+            self._traces[key] = (schedule, self.graph, trace)
+        return self._traces[key][2]
 
     # -- the facade ----------------------------------------------------------
     def evaluate(

@@ -15,7 +15,7 @@ from repro.core.schedule import (
     SlotAssignment,
 )
 from repro.core.config import EngineConfig, ResolvedEngine
-from repro.core.trace import TraceMatrix, resolve_backend
+from repro.core.trace import TraceMatrix
 from repro.core.metrics import (
     HappinessTrace,
     ScheduleReport,
@@ -70,7 +70,6 @@ __all__ = [
     "TraceMatrix",
     "EngineConfig",
     "ResolvedEngine",
-    "resolve_backend",
     "build_trace",
     "HappinessTrace",
     "ScheduleReport",

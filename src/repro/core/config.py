@@ -37,7 +37,11 @@ fields) fail with a :class:`ValueError` that says so and lists the valid
 choices.
 
 Every entry point from :func:`repro.core.metrics.build_trace` up to the CLI
-takes its knobs as ``config: EngineConfig`` and nowhere else.
+takes its knobs as ``config: EngineConfig`` and nowhere else.  The trace
+constructors below ``build_trace`` (:class:`~repro.core.trace.TraceStream`,
+:class:`~repro.core.trace.StreamedTrace`, ``TraceMatrix.from_schedule``,
+:class:`~repro.core.trace.TraceBatch`) take no backend at all: they only
+ever build the numpy engine, so ``backend`` is decided here alone.
 """
 
 from __future__ import annotations
@@ -47,12 +51,7 @@ import operator
 from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional
 
-from repro.core.trace import (
-    BACKENDS,
-    HORIZON_MODES,
-    resolve_backend,
-    resolve_horizon_mode,
-)
+from repro.core.trace import HORIZON_MODES, resolve_horizon_mode
 
 __all__ = [
     "EngineConfig",
@@ -75,9 +74,10 @@ RESULT_KNOBS = frozenset({"backend", "horizon_mode", "chunk", "window"})
 #: field changes computed results.
 WALL_CLOCK_KNOBS = frozenset()
 
-#: backends EngineConfig accepts: the matrix backends plus the frozenset
-#: reference engine (which is handled above the TraceMatrix layer).
-CONFIG_BACKENDS = tuple(BACKENDS) + ("sets",)
+#: backends EngineConfig accepts: ``auto`` and ``numpy`` both name the numpy
+#: trace engine, ``sets`` the frozenset reference (handled above the trace
+#: layer, in :mod:`repro.core.metrics` and :mod:`repro.core.validation`).
+CONFIG_BACKENDS = ("auto", "numpy", "sets")
 
 #: backend values and config fields earlier releases accepted: the
 #: pure-Python ``bitmask`` backend (numpy is now required), the
@@ -177,12 +177,11 @@ class EngineConfig:
         """
         if self.backend == "sets":
             return ResolvedEngine("sets", "sets", self.chunk, self.window)
-        backend = resolve_backend(self.backend)
         if self.horizon_mode == "auto" and num_nodes is not None and horizon is not None:
             mode = resolve_horizon_mode("auto", num_nodes, horizon)
         else:
             mode = self.horizon_mode
-        return ResolvedEngine(backend, mode, self.chunk, self.window)
+        return ResolvedEngine("numpy", mode, self.chunk, self.window)
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:

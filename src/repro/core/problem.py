@@ -222,9 +222,18 @@ class ConflictGraph:
         return True
 
     def subgraph(self, nodes: Iterable[Node], name: str | None = None) -> "ConflictGraph":
-        """Induced subgraph on ``nodes`` as a new :class:`ConflictGraph`."""
-        sub = self._graph.subgraph(list(nodes)).copy()
-        return ConflictGraph.from_networkx(sub, name=name or f"{self.name}-sub")
+        """Induced subgraph on ``nodes`` as a new :class:`ConflictGraph`.
+
+        Its node order is this graph's order restricted to the kept nodes,
+        so ``index_of`` ranks them as this graph does, mixed labels and
+        nodes added after construction included.
+        """
+        sub = ConflictGraph.from_networkx(
+            self._graph.subgraph(list(nodes)).copy(), name=name or f"{self.name}-sub"
+        )
+        sub._order = [p for p in self._order if p in sub._graph]
+        sub._index = {p: i for i, p in enumerate(sub._order)}
+        return sub
 
     # -- mutation (used by the dynamic setting of Section 6) ------------------------
     def add_edge(self, u: Node, v: Node) -> None:

@@ -21,12 +21,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.problem import ConflictGraph, Node
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard; trace.py imports us
-    from repro.core.trace import TraceMatrix
 
 __all__ = [
     "Schedule",
@@ -78,19 +75,6 @@ class Schedule(ABC):
     def describe(self) -> str:
         """Short human-readable description used by benchmark tables."""
         return type(self).__name__
-
-    def trace(self, horizon: int, backend: str = "auto") -> "TraceMatrix":
-        """Materialise the first ``horizon`` holidays as a dense occupancy matrix.
-
-        This is the vectorized counterpart of :meth:`prefix`: one
-        :class:`~repro.core.trace.TraceMatrix` built once and shared by the
-        metric suite and the validator.  Subclasses get vectorized fast paths
-        automatically (periodic schedules never materialise a single happy
-        set).  ``backend`` is ``"auto"`` or ``"numpy"`` (the same engine).
-        """
-        from repro.core.trace import TraceMatrix
-
-        return TraceMatrix.from_schedule(self, self.graph, horizon, backend=backend)
 
 
 @dataclass(frozen=True)

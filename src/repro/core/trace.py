@@ -95,20 +95,13 @@ __all__ = [
     "fold",
     "periodic_summary",
     "cyclic_summary",
-    "BACKENDS",
     "HORIZON_MODES",
     "DEFAULT_CHUNK",
     "AUTO_STREAM_BYTES",
     "dense_trace_bytes",
     "materialize_prefix",
-    "resolve_backend",
     "resolve_horizon_mode",
 ]
-
-#: Backends accepted by :func:`resolve_backend`; both name the numpy
-#: engine.  ``"sets"`` is *not* a trace backend — it names the frozenset
-#: reference path and is handled by :mod:`repro.core.metrics` / ``validation``.
-BACKENDS = ("auto", "numpy")
 
 #: Horizon representations accepted by :func:`resolve_horizon_mode`:
 #: ``dense`` is one chunk of the whole horizon (its n × horizon block kept
@@ -172,17 +165,6 @@ def resolve_horizon_mode(mode: str, num_nodes: int, horizon: int) -> str:
             return "stream"
         return "dense"
     return mode
-
-
-def resolve_backend(backend: str) -> str:
-    """Normalise a backend name: ``"auto"`` and ``"numpy"`` both resolve to
-    ``"numpy"``, the one trace engine."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown trace backend {backend!r}; expected one of {BACKENDS} (or 'sets' "
-            f"at the metrics/validation layer)"
-        )
-    return "numpy"
 
 
 def materialize_prefix(schedule: ScheduleOrSets, horizon: int) -> Sequence[FrozenSet[Node]]:
@@ -728,11 +710,10 @@ class TraceMatrix(TraceView):
         schedule: ScheduleOrSets,
         graph: ConflictGraph,
         horizon: int,
-        backend: str = "auto",
     ) -> "TraceMatrix":
         """Observe ``horizon`` holidays of ``schedule`` into a new matrix:
         the one block of a one-chunk :class:`TraceStream`."""
-        return TraceStream(schedule, graph, horizon, chunk=horizon, backend=backend).block(1, horizon)
+        return TraceStream(schedule, graph, horizon, chunk=horizon).block(1, horizon)
 
     @classmethod
     def _from_periodic(
@@ -843,7 +824,6 @@ class TraceStream:
         graph: ConflictGraph,
         horizon: int,
         chunk: Optional[int] = None,
-        backend: str = "auto",
     ) -> None:
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon!r}")
@@ -853,7 +833,6 @@ class TraceStream:
         self.schedule = schedule
         self.graph = graph
         self.horizon = horizon
-        resolve_backend(backend)
         self._cycle: Optional[TraceMatrix] = None
         if isinstance(schedule, PeriodicSchedule) and set(schedule.assignments) == set(graph.nodes()):
             self._kind = "periodic"
@@ -946,11 +925,9 @@ class StreamedTrace(TraceView):
         schedule: ScheduleOrSets,
         graph: ConflictGraph,
         horizon: int,
-        backend: str = "auto",
         chunk: Optional[int] = None,
     ) -> None:
         super().__init__(graph, horizon)
-        resolve_backend(backend)
         self.chunk = DEFAULT_CHUNK if chunk is None else int(chunk)
         self.schedule = schedule
         # one re-iterable stream shared by every pass, so the cyclic fast
@@ -1023,7 +1000,6 @@ class TraceBatch:
         schedules: Sequence[ScheduleOrSets],
         graph: ConflictGraph,
         horizon: int,
-        backend: str = "auto",
         horizon_mode: str = "auto",
         chunk: Optional[int] = None,
     ) -> None:
@@ -1032,7 +1008,6 @@ class TraceBatch:
             raise ValueError("TraceBatch needs at least one schedule")
         self.graph = graph
         self.horizon = horizon
-        resolve_backend(backend)
         self.chunk = DEFAULT_CHUNK if chunk is None else int(chunk)
         if self.chunk < 1:
             raise ValueError(f"chunk width must be >= 1, got {chunk!r}")

@@ -13,8 +13,8 @@ Two primitives back :mod:`repro.serve`:
 * :class:`TraceCache` — an immutable, content-addressed LRU cache under a
   byte budget.  Keys are :class:`TraceKey` tuples ``(graph_key,
   schedule_key, horizon, config_key)`` — *content*, not object identity, so
-  the cache outlives any one request, session or client (contrast
-  :class:`repro.api.SessionTraceCache`, the identity-keyed private default).
+  the cache outlives any one request, session or client (contrast the
+  identity-keyed private cache each :class:`repro.api.Session` keeps).
   The service stores a :class:`~repro.serve.service.TraceEntry` per key —
   the rendered JSON of every query answer about it, five strings — and
   charges it by its :meth:`~repro.serve.service.TraceEntry.nbytes`, which

@@ -1,10 +1,10 @@
-"""Tests for the experiment harness (records, tables, runner, sweeps)."""
+"""Tests for the experiment harness (records, tables, runner, grid expansion)."""
 
 import pytest
 
+from repro.analysis.engine import expand_grid
 from repro.analysis.records import ExperimentRecord, ResultSet
 from repro.analysis.runner import RunOutcome, choose_horizon, compare_schedulers, run_scheduler
-from repro.analysis.sweeps import expand_grid, sweep
 from repro.analysis.tables import format_value, render_table
 from repro.algorithms.degree_periodic import DegreePeriodicScheduler
 from repro.algorithms.naive import SequentialScheduler
@@ -163,55 +163,8 @@ class TestRunner:
         assert norm["star"]["degree-periodic"] < norm["star"]["sequential"]
 
 
-def _sweep_runner(n):
-    return [record(workload=f"n{n}", size=float(n))]
-
-
-def _config_sweep_runner(n, config=None):
-    backend = "default" if config is None else config.backend
-    return [record(workload=f"n{n}-{backend}", size=float(n))]
-
-
-class TestSweeps:
+class TestGridExpansion:
     def test_expand_grid(self):
         combos = expand_grid({"a": [1, 2], "b": ["x"]})
         assert combos == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
         assert expand_grid({}) == [{}]
-
-    def test_sweep_collects_records(self):
-        def runner(n):
-            return [record(workload=f"n{n}", size=float(n))]
-
-        results = sweep({"n": [2, 4, 8]}, runner)
-        assert len(results) == 3
-        assert results.workloads() == ["n2", "n4", "n8"]
-
-    def test_sweep_parallel_preserves_grid_order(self):
-        # jobs > 1 executes in worker processes, so the runner must be a
-        # module-level (picklable) function; record order stays grid order.
-        results = sweep({"n": [2, 4, 8]}, _sweep_runner, jobs=2)
-        assert results.workloads() == ["n2", "n4", "n8"]
-
-    def test_sweep_forwards_one_config_to_every_point(self):
-        from repro.core.config import EngineConfig
-
-        seen = []
-
-        def runner(n, config=None):
-            seen.append(config)
-            return [record(workload=f"n{n}", size=float(n))]
-
-        shared = EngineConfig(backend="numpy")
-        results = sweep({"n": [2, 4]}, runner, config=shared)
-        assert len(results) == 2 and seen == [shared, shared]
-
-    def test_sweep_config_composes_with_parallel_jobs(self):
-        # functools.partial(runner, config=...) pickles like the runner it
-        # wraps, so a shared config works across worker processes too
-        from repro.core.config import EngineConfig
-
-        results = sweep(
-            {"n": [2, 4, 8]}, _config_sweep_runner, jobs=2,
-            config=EngineConfig(backend="numpy"),
-        )
-        assert results.workloads() == ["n2-numpy", "n4-numpy", "n8-numpy"]

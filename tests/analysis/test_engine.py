@@ -16,8 +16,6 @@ from repro.analysis.engine import (
     HorizonPolicy,
     TIMING_METRICS,
     execute_cell,
-    expand_grid,
-    run_grid,
 )
 from repro.analysis.records import ExperimentRecord, ResultSet
 from repro.analysis.runner import choose_horizon
@@ -88,6 +86,20 @@ class TestSpec:
         assert [c.workload for c in cells[:8]] == ["small/path"] * 8
         assert [c.seed for c in cells[:2]] == [0, 1]
         assert cells[0].params == {"scale": 1} and cells[2].params == {"scale": 2}
+
+    def test_empty_grid_is_one_point(self):
+        """With no grid axes every (workload, algorithm, seed) still runs
+        once, with no swept params."""
+        cells = tiny_spec(grid={}, seeds=(0, 1)).cells()
+        assert len(cells) == 2 * 2 * 2
+        assert all(c.params == {} for c in cells)
+
+    def test_spec_config_reaches_every_cell(self):
+        """The spec's one EngineConfig is the engine knob of every grid point."""
+        config = EngineConfig(backend="sets")
+        cells = tiny_spec(grid={"scale": [1, 2]}, config=config).cells()
+        assert len(cells) == 2 * 2 * 2
+        assert all(c.config == config for c in cells)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -190,6 +202,16 @@ class TestEngine:
         assert [(r.workload, r.algorithm) for r in results] == [
             (c.workload, c.algorithm) for c in spec.cells()
         ]
+
+    def test_parallel_run_keeps_grid_order_and_config(self):
+        """The process pool returns records in spec order across a grid
+        axis, and every record stamps the spec config's backend."""
+        spec = tiny_spec(grid={"scale": [1, 2]}, config=EngineConfig(backend="sets"))
+        results = ExperimentEngine(jobs=2).run(spec)
+        assert [(r.workload, r.algorithm, r.params["scale"]) for r in results] == [
+            (c.workload, c.algorithm, c.params["scale"]) for c in spec.cells()
+        ]
+        assert {r.params["backend"] for r in results} == {"sets"}
 
     def test_unknown_workload_raises_before_touching_sink(self, tmp_path):
         sink = tmp_path / "precious.jsonl"
@@ -392,14 +414,6 @@ class TestEngine:
         assert stripped(direct) == stripped(wrapped)
 
 
-def _grid_runner(n):
-    return [
-        ExperimentRecord(
-            experiment="g", workload=f"n{n}", algorithm="a", metrics={"size": float(n)}
-        )
-    ]
-
-
 class TestHorizonMode:
     def test_spec_round_trips_horizon_mode(self, tmp_path):
         spec = tiny_spec(config=EngineConfig(horizon_mode="stream", chunk=128))
@@ -454,28 +468,6 @@ class TestHorizonMode:
     def test_horizon_mode_is_reserved_grid_key(self):
         with pytest.raises(ValueError, match="reserved"):
             tiny_spec(grid={"horizon_mode": ["dense", "stream"]})
-
-
-class TestRunGrid:
-    def test_serial_matches_parallel(self):
-        serial = run_grid({"n": [2, 4, 8]}, _grid_runner, jobs=1)
-        parallel = run_grid({"n": [2, 4, 8]}, _grid_runner, jobs=3)
-        assert [r.workload for r in serial] == ["n2", "n4", "n8"]
-        assert [record_to_json_line(r) for r in serial] == [
-            record_to_json_line(r) for r in parallel
-        ]
-
-    def test_empty_grid_runs_once(self):
-        def runner():
-            return [ExperimentRecord("g", "w", "a", {})]
-
-        assert len(run_grid({}, runner)) == 1
-
-    def test_expand_grid(self):
-        assert expand_grid({"a": [1, 2], "b": ["x"]}) == [
-            {"a": 1, "b": "x"},
-            {"a": 2, "b": "x"},
-        ]
 
 
 def cached_stripped_lines(path):

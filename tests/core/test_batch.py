@@ -22,8 +22,6 @@ from repro.core.trace import StreamedTrace, TraceBatch, TraceMatrix
 from repro.core.validation import validate_schedule
 from repro.graphs.random_graphs import erdos_renyi
 
-BACKENDS = ["numpy"]
-
 HORIZON = 64
 #: streamed-batch chunk widths: degenerate, non-dividing, == horizon, > horizon.
 CHUNKS = (1, 7, HORIZON, 200)
@@ -69,44 +67,39 @@ def assert_member_matches(view, reference, graph):
 
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dense_batch_matches_per_cell_for_every_split(graph, schedules, backend):
+def test_dense_batch_matches_per_cell_for_every_split(graph, schedules):
     built = [schedule for _, schedule in schedules]
     for size in batch_splits(len(built)):
         for lo in range(0, len(built), size):
             group = built[lo:lo + size]
-            batch = TraceBatch(group, graph, HORIZON, backend=backend)
+            batch = TraceBatch(group, graph, HORIZON)
             assert batch.member_mode == "dense"
             for s, schedule in enumerate(group):
-                reference = TraceMatrix.from_schedule(schedule, graph, HORIZON, backend=backend)
+                reference = TraceMatrix.from_schedule(schedule, graph, HORIZON)
                 assert_member_matches(batch.member(s), reference, graph)
 
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("chunk", CHUNKS)
-def test_streamed_batch_matches_per_cell(graph, schedules, backend, chunk):
+def test_streamed_batch_matches_per_cell(graph, schedules, chunk):
     built = [schedule for _, schedule in schedules]
-    batch = TraceBatch(
-        built, graph, HORIZON, backend=backend, horizon_mode="stream", chunk=chunk
-    )
+    batch = TraceBatch(built, graph, HORIZON, horizon_mode="stream", chunk=chunk)
     assert batch.member_mode == "stream"
     for s, schedule in enumerate(built):
-        reference = TraceMatrix.from_schedule(schedule, graph, HORIZON, backend=backend)
+        reference = TraceMatrix.from_schedule(schedule, graph, HORIZON)
         assert_member_matches(batch.member(s), reference, graph)
-        streamed = StreamedTrace(schedule, graph, HORIZON, backend=backend, chunk=chunk)
+        streamed = StreamedTrace(schedule, graph, HORIZON, chunk=chunk)
         view = batch.member(s)
         assert view.muls() == streamed.muls()
         assert view.unknown == streamed.unknown
 
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_member_views_drive_metrics_and_validation(graph, schedules, backend):
+def test_member_views_drive_metrics_and_validation(graph, schedules):
     """evaluate/validate over a member view ≡ per-cell, scheduler by scheduler."""
-    config = EngineConfig(backend=backend)
+    config = EngineConfig(backend="numpy")
     built = [schedule for _, schedule in schedules]
-    batch = TraceBatch(built, graph, HORIZON, backend=backend)
+    batch = TraceBatch(built, graph, HORIZON)
     for s, (name, schedule) in enumerate(schedules):
         scheduler = get_scheduler(name)
         view = batch.member(s)
@@ -136,23 +129,21 @@ def test_member_views_drive_metrics_and_validation(graph, schedules, backend):
 
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_raw_sequences_and_unknown_nodes(graph, backend):
+def test_raw_sequences_and_unknown_nodes(graph):
     """Non-schedule members (raw happy-set sequences, possibly mentioning
     nodes outside the graph) take the generic fill and track unknowns."""
     nodes = graph.nodes()
     known = [{nodes[t % len(nodes)]} for t in range(HORIZON)]
     alien = [{nodes[0]} if t % 2 else {"ghost"} for t in range(HORIZON)]
-    batch = TraceBatch([known, alien], graph, HORIZON, backend=backend)
+    batch = TraceBatch([known, alien], graph, HORIZON)
     for s, raw in enumerate((known, alien)):
-        reference = TraceMatrix.from_schedule(raw, graph, HORIZON, backend=backend)
+        reference = TraceMatrix.from_schedule(raw, graph, HORIZON)
         assert_member_matches(batch.member(s), reference, graph)
     assert batch.member(1).unknown  # the ghost node was recorded
 
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_colliding_periodic_members_match_the_matrix_fold(graph, backend):
+def test_colliding_periodic_members_match_the_matrix_fold(graph):
     """Periodic members with overlapping, colliding (period, phase) tables:
     each dense member summarises in closed form (``periodic_summary``) and
     answers exactly like the fold of its ``TraceMatrix.from_schedule``
@@ -170,9 +161,9 @@ def test_colliding_periodic_members_match_the_matrix_fold(graph, backend):
                 check_conflicts=False,  # collisions are wanted: they exercise edge_collisions
             )
         )
-    batch = TraceBatch(tables, graph, HORIZON, backend=backend)
+    batch = TraceBatch(tables, graph, HORIZON)
     for s, schedule in enumerate(tables):
-        reference = TraceMatrix.from_schedule(schedule, graph, HORIZON, backend=backend)
+        reference = TraceMatrix.from_schedule(schedule, graph, HORIZON)
         assert_member_matches(batch.member(s), reference, graph)
 
 

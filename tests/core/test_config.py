@@ -10,8 +10,10 @@ results sink recorded before the consolidation still resumes.
 
 from __future__ import annotations
 
+import importlib
 import json
 from dataclasses import FrozenInstanceError, fields, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ import pytest
 from repro.algorithms.registry import get_scheduler
 from repro.analysis.engine import ExperimentCell, ExperimentSpec
 from repro.analysis.runner import compare_schedulers, run_scheduler
+from repro.api import Session
 from repro.core.config import DEFAULT_CONFIG, EngineConfig, config_with
 from repro.core.metrics import (
     build_trace,
@@ -29,6 +32,7 @@ from repro.core.metrics import (
     unhappiness_gaps,
 )
 from repro.core.problem import ConflictGraph
+from repro.core.trace import StreamedTrace, TraceBatch, TraceMatrix, TraceStream
 from repro.core.validation import (
     certify_local_bound,
     certify_periodicity,
@@ -324,6 +328,29 @@ class TestRemovedSpellings:
             call(graph, schedule, **{keyword: _KNOB_VALUES[keyword]})
         call(graph, schedule, config=EngineConfig(backend="numpy"))
 
+    @pytest.mark.parametrize(
+        "call, keyword, value",
+        [
+            (lambda g, s, **kw: TraceStream(s, g, 16, **kw), "backend", "numpy"),
+            (lambda g, s, **kw: StreamedTrace(s, g, 16, **kw), "backend", "numpy"),
+            (lambda g, s, **kw: TraceMatrix.from_schedule(s, g, 16, **kw), "backend", "numpy"),
+            (lambda g, s, **kw: TraceBatch([s], g, 16, **kw), "backend", "numpy"),
+            (lambda g, s, **kw: Session(g, **kw), "traces", {}),
+        ],
+        ids=["TraceStream", "StreamedTrace", "TraceMatrix.from_schedule", "TraceBatch", "Session"],
+    )
+    def test_trace_layer_takes_no_engine_or_cache_keyword(
+        self, run_inputs, call, keyword, value
+    ):
+        """Below ``build_trace`` only the numpy engine is built, so no trace
+        constructor takes a ``backend``, and a session's trace cache is its
+        own: Python itself rejects each keyword, and the call without it
+        runs."""
+        graph, schedule = run_inputs
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            call(graph, schedule, **{keyword: value})
+        call(graph, schedule)
+
     def test_build_trace_slot_four_takes_only_none(self, run_inputs):
         """perfbench forwards ``(schedule, graph, horizon, None, trace)`` by
         position, so slot 4 stays as a placeholder: ``None`` passes, and a
@@ -358,6 +385,30 @@ class TestRemovedSpellings:
         graph, schedule = run_inputs
         with pytest.raises(TypeError, match="positional argument"):
             call(graph, schedule)
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.core.trace", "BACKENDS"),
+            ("repro.core.trace", "resolve_backend"),
+            ("repro.core", "resolve_backend"),
+            ("repro.core.schedule", "Schedule.trace"),
+            ("repro.api", "SessionTraceCache"),
+            ("repro", "SessionTraceCache"),
+            ("repro.analysis.engine", "run_grid"),
+            ("repro.analysis", "sweep"),
+        ],
+    )
+    def test_removed_name_has_no_shim(self, module, name):
+        """The deleted trace and sweep surfaces leave nothing behind, so a
+        caller still using one gets Python's own ImportError or
+        AttributeError."""
+        with pytest.raises(AttributeError):
+            attrgetter(name)(importlib.import_module(module))
+
+    def test_sweeps_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError, match="repro.analysis.sweeps"):
+            importlib.import_module("repro.analysis.sweeps")
 
 
 # ---------------------------------------------------------------------------

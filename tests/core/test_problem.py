@@ -10,6 +10,13 @@ from repro.core.problem import ConflictGraph, Gathering, orientation_towards
 from repro.graphs.random_graphs import erdos_renyi
 
 
+def _added_after_construction():
+    """Parent order [1, 2, 0, 5]: nodes added by a mutation go last."""
+    graph = ConflictGraph.from_edges([(1, 2)])
+    graph.add_edge(0, 5)
+    return graph
+
+
 class TestConflictGraphConstruction:
     def test_from_edges(self):
         g = ConflictGraph.from_edges([(0, 1), (1, 2)])
@@ -96,10 +103,28 @@ class TestConflictGraphQueries:
         with pytest.raises(ValueError):
             square_with_diagonal.is_independent_set([99])
 
-    def test_subgraph(self, square_with_diagonal):
-        sub = square_with_diagonal.subgraph([0, 1, 2])
-        assert sub.num_nodes() == 3
-        assert sub.num_edges() == 2
+    @pytest.mark.parametrize(
+        "parent, kept, order, num_edges",
+        [
+            (lambda: ConflictGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]),
+             [0, 1, 2], [0, 1, 2], 2),
+            # the parent orders ['a', 'b', 10, 2, 3] by repr; the kept ints
+            # alone would sort to [2, 3, 10]
+            (lambda: ConflictGraph(edges=[("a", 10), ("b", 2)], nodes=[3]),
+             [10, 2, 3], [10, 2, 3], 0),
+            (_added_after_construction, [0, 1, 5], [1, 0, 5], 1),
+        ],
+        ids=["square+diag", "mixed-labels", "added-after-construction"],
+    )
+    def test_subgraph(self, parent, kept, order, num_edges):
+        """A subgraph keeps its parent's node order restricted to the kept
+        nodes, so ``index_of`` ranks them as the parent does."""
+        graph = parent()
+        sub = graph.subgraph(kept)
+        assert sub.num_nodes() == len(kept)
+        assert sub.num_edges() == num_edges
+        assert sub.nodes() == order == sorted(kept, key=graph.index_of)
+        assert [sub.index_of(p) for p in order] == list(range(len(order)))
 
     def test_contains_and_len(self, square_with_diagonal):
         assert 0 in square_with_diagonal

@@ -118,11 +118,10 @@ class TestHorizonModeResolution:
 # ---------------------------------------------------------------------------
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestTraceStreamBlocks:
-    def assert_blocks_match_dense(self, schedule, graph, horizon, chunk, backend):
-        dense = TraceMatrix.from_schedule(schedule, graph, horizon, backend=backend)
-        stream = TraceStream(schedule, graph, horizon, chunk=chunk, backend=backend)
+    def assert_blocks_match_dense(self, schedule, graph, horizon, chunk):
+        dense = TraceMatrix.from_schedule(schedule, graph, horizon)
+        stream = TraceStream(schedule, graph, horizon, chunk=chunk)
         seen = blocks = 0
         for start, block in stream:
             for local in range(1, block.horizon + 1):
@@ -135,39 +134,39 @@ class TestTraceStreamBlocks:
         assert seen == horizon
         assert blocks == -(-horizon // chunk)
 
-    def test_periodic_fast_path_blocks(self, backend):
+    def test_periodic_fast_path_blocks(self):
         graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
         schedule = PeriodicSchedule(
             graph,
             {0: SlotAssignment(2, 1), 1: SlotAssignment(4, 0), 2: SlotAssignment(2, 1)},
         )
         for chunk in (1, 3, 5, 23, 50):
-            self.assert_blocks_match_dense(schedule, graph, 23, chunk, backend)
+            self.assert_blocks_match_dense(schedule, graph, 23, chunk)
 
-    def test_cyclic_tiling_blocks(self, backend):
+    def test_cyclic_tiling_blocks(self):
         graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
         schedule = ExplicitSchedule(graph, [[0, 2], [1], []], cyclic=True)
         for chunk in (1, 2, 7, 17, 40):  # cycle length 3 vs every alignment
-            self.assert_blocks_match_dense(schedule, graph, 17, chunk, backend)
+            self.assert_blocks_match_dense(schedule, graph, 17, chunk)
 
-    def test_cyclic_blocks_carry_unknown_nodes(self, backend):
+    def test_cyclic_blocks_carry_unknown_nodes(self):
         loose = ConflictGraph(edges=[(0, 1)], nodes=[], name="loose")
         schedule = ExplicitSchedule(
             ConflictGraph(edges=[(0, 1)], nodes=[9], name="rich"),
             [[0], [9], [1]],
             cyclic=True,
         )
-        self.assert_blocks_match_dense(schedule, loose, 11, 4, backend)
+        self.assert_blocks_match_dense(schedule, loose, 11, 4)
 
-    def test_generic_blocks(self, backend):
+    def test_generic_blocks(self):
         graph = erdos_renyi(9, 0.3, seed=2, name="gnp-9")
         schedule = get_scheduler("phased-greedy").build(graph, seed=1)
-        self.assert_blocks_match_dense(schedule, graph, 40, 11, backend)
+        self.assert_blocks_match_dense(schedule, graph, 40, 11)
 
-    def test_raw_sequence_too_short_rejected(self, backend):
+    def test_raw_sequence_too_short_rejected(self):
         graph = ConflictGraph.from_edges([(0, 1)], name="p2")
         with pytest.raises(ValueError, match="only 2 holidays"):
-            TraceStream([[0], [1]], graph, 5, chunk=2, backend=backend)
+            TraceStream([[0], [1]], graph, 5, chunk=2)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +222,11 @@ def test_metric_helpers_match_dense(backend):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_streamed_trace_query_parity(backend):
+def test_streamed_trace_query_parity():
     graph = erdos_renyi(10, 0.35, seed=7, name="gnp-10")
     schedule = get_scheduler("round-robin-color").build(graph, seed=0)
-    dense = TraceMatrix.from_schedule(schedule, graph, 50, backend=backend)
-    stream = StreamedTrace(schedule, graph, 50, backend=backend, chunk=7)
+    dense = TraceMatrix.from_schedule(schedule, graph, 50)
+    stream = StreamedTrace(schedule, graph, 50, chunk=7)
     for p in graph.nodes():
         assert stream.appearances(p) == dense.appearances(p)
         assert stream.appearance_diffs(p) == dense.appearance_diffs(p)
@@ -247,22 +245,20 @@ def test_streamed_trace_query_parity(backend):
 
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_streamed_edge_collisions_for_non_edges(backend):
+def test_streamed_edge_collisions_for_non_edges():
     """Pairs that are not edges of the trace's graph go through the
     dedicated per-chunk scan and must agree with the dense engine."""
     graph = ConflictGraph.from_edges([(0, 1)], name="p2-plus")
     sets = [[0], [0, 1], [], [1], [0, 1]]
-    dense = TraceMatrix.from_schedule(sets, graph, 5, backend=backend)
-    stream = StreamedTrace(sets, graph, 5, backend=backend, chunk=2)
+    dense = TraceMatrix.from_schedule(sets, graph, 5)
+    stream = StreamedTrace(sets, graph, 5, chunk=2)
     assert stream.edge_collisions(0, 1) == dense.edge_collisions(0, 1) == [2, 5]
 
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_streamed_unknown_nodes_and_mismatched_graphs(backend):
+def test_streamed_unknown_nodes_and_mismatched_graphs():
     graph = ConflictGraph.from_edges([(0, 1)], name="p2")
-    stream = StreamedTrace([[0], [99], [1]], graph, 3, backend=backend, chunk=1)
+    stream = StreamedTrace([[0], [99], [1]], graph, 3, chunk=1)
     assert stream.unknown == [(2, 99)]
 
     base = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
@@ -271,11 +267,11 @@ def test_streamed_unknown_nodes_and_mismatched_graphs(backend):
         {0: SlotAssignment(2, 1), 1: SlotAssignment(2, 0), 2: SlotAssignment(2, 1)},
     )
     bigger = ConflictGraph.from_edges([(0, 1), (1, 2), (2, 3)], name="p4")
-    fast = max_unhappiness_lengths(schedule, bigger, 6, config=cfg(backend=backend, mode="stream", chunk=2))
+    fast = max_unhappiness_lengths(schedule, bigger, 6, config=cfg(mode="stream", chunk=2))
     assert fast == max_unhappiness_lengths(schedule, bigger, 6, config=cfg(backend="sets"))
     smaller = ConflictGraph.from_edges([(0, 1)], name="p2")
     stream_report = check_independent_sets(
-        schedule, smaller, 4, config=cfg(backend=backend, mode="stream", chunk=3))
+        schedule, smaller, 4, config=cfg(mode="stream", chunk=3))
     reference = check_independent_sets(schedule, smaller, 4, config=cfg(backend="sets"))
     assert [(v.kind, v.holiday) for v in stream_report.violations] == \
         [(v.kind, v.holiday) for v in reference.violations]

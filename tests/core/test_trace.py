@@ -28,7 +28,7 @@ from repro.core.metrics import (
 from repro.core.config import EngineConfig
 from repro.core.problem import ConflictGraph
 from repro.core.schedule import ExplicitSchedule, PeriodicSchedule, SlotAssignment
-from repro.core.trace import TraceMatrix, resolve_backend
+from repro.core.trace import TraceMatrix
 from repro.core.validation import check_independent_sets, validate_schedule
 from repro.graphs.random_graphs import erdos_renyi
 
@@ -55,38 +55,19 @@ def random_graphs(seeds):
 
 
 # ---------------------------------------------------------------------------
-# backend resolution
-# ---------------------------------------------------------------------------
-
-class TestBackendResolution:
-    def test_auto_resolves(self):
-        assert resolve_backend("auto") == resolve_backend("numpy") == "numpy"
-
-    def test_unknown_rejected(self):
-        for name in ("cuda", "bitmask"):
-            with pytest.raises(ValueError, match=name):
-                resolve_backend(name)
-
-    def test_sets_is_not_a_matrix_backend(self):
-        with pytest.raises(ValueError):
-            resolve_backend("sets")
-
-
-# ---------------------------------------------------------------------------
 # engine-level equality on hand-crafted schedules
 # ---------------------------------------------------------------------------
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestTraceMatrixBasics:
-    def test_periodic_fast_path(self, backend):
+    def test_periodic_fast_path(self):
         graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
         schedule = PeriodicSchedule(
             graph,
             {0: SlotAssignment(2, 1), 1: SlotAssignment(4, 0), 2: SlotAssignment(2, 1)},
         )
         horizon = 23
-        matrix = schedule.trace(horizon, backend=backend)
+        matrix = TraceMatrix.from_schedule(schedule, graph, horizon)
         reference = HappinessTrace.from_schedule(schedule, graph, horizon)
         for p in graph.nodes():
             assert matrix.appearances(p) == reference.appearances[p]
@@ -95,49 +76,47 @@ class TestTraceMatrixBasics:
             assert matrix.observed_period(p) == reference.observed_period(p)
             assert matrix.happiness_rate(p) == reference.happiness_rate(p)
 
-    def test_happy_set_columns(self, backend):
+    def test_happy_set_columns(self):
         graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
         schedule = ExplicitSchedule(graph, [[0, 2], [1], [], [0]])
-        matrix = schedule.trace(4, backend=backend)
+        matrix = TraceMatrix.from_schedule(schedule, graph, 4)
         for t in range(1, 5):
             assert matrix.happy_set(t) == schedule.happy_set(t)
         with pytest.raises(ValueError):
             matrix.happy_set(5)
 
-    def test_cyclic_tiling(self, backend):
+    def test_cyclic_tiling(self):
         graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
         schedule = ExplicitSchedule(graph, [[0, 2], [1], []], cyclic=True)
         horizon = 17  # not a multiple of the cycle
-        matrix = schedule.trace(horizon, backend=backend)
+        matrix = TraceMatrix.from_schedule(schedule, graph, horizon)
         reference = HappinessTrace.from_schedule(schedule, graph, horizon)
         for p in graph.nodes():
             assert matrix.appearances(p) == reference.appearances[p]
             assert matrix.gaps(p) == reference.gaps(p)
 
-    def test_never_happy_node(self, backend):
+    def test_never_happy_node(self):
         graph = ConflictGraph.from_edges([(0, 1)], name="p2")
         schedule = ExplicitSchedule(graph, [[0], [0], [0]])
-        matrix = schedule.trace(3, backend=backend)
+        matrix = TraceMatrix.from_schedule(schedule, graph, 3)
         assert matrix.gaps(1) == [3]
         assert matrix.mul(1) == 3
         assert matrix.count(1) == 0
         assert matrix.observed_period(1) is None
 
-    def test_edge_collisions(self, backend):
+    def test_edge_collisions(self):
         graph = ConflictGraph.from_edges([(0, 1)], name="p2")
         # deliberately illegal: both endpoints happy at holidays 2 and 5
-        matrix = TraceMatrix.from_schedule(
-            [[0], [0, 1], [], [1], [0, 1]], graph, 5, backend=backend
-        )
+        matrix = TraceMatrix.from_schedule([[0], [0, 1], [], [1], [0, 1]], graph, 5)
         assert matrix.edge_collisions(0, 1) == [2, 5]
         assert matrix.conflicting_holidays() == {2: [(0, 1)], 5: [(0, 1)]}
 
-    def test_unknown_nodes_recorded(self, backend):
+    def test_unknown_nodes_recorded(self):
         graph = ConflictGraph.from_edges([(0, 1)], name="p2")
-        matrix = TraceMatrix.from_schedule([[0], [99], [1]], graph, 3, backend=backend)
+        matrix = TraceMatrix.from_schedule([[0], [99], [1]], graph, 3)
         assert matrix.unknown == [(2, 99)]
 
-    def test_periodic_schedule_against_mismatched_graph(self, backend):
+    def test_periodic_schedule_against_mismatched_graph(self):
         """A periodic schedule evaluated on a *different* graph must match
         the reference: extra graph nodes are never happy, extra scheduled
         nodes surface as unknown-node violations (not the fast path)."""
@@ -147,12 +126,12 @@ class TestTraceMatrixBasics:
             {0: SlotAssignment(2, 1), 1: SlotAssignment(2, 0), 2: SlotAssignment(2, 1)},
         )
         bigger = ConflictGraph.from_edges([(0, 1), (1, 2), (2, 3)], name="p4")
-        fast = max_unhappiness_lengths(schedule, bigger, 6, config=cfg(backend=backend))
+        fast = max_unhappiness_lengths(schedule, bigger, 6, config=cfg(backend="numpy"))
         assert fast == max_unhappiness_lengths(schedule, bigger, 6, config=cfg(backend="sets"))
         assert fast[3] == 6  # in the graph, never scheduled
 
         smaller = ConflictGraph.from_edges([(0, 1)], name="p2")
-        fast_report = check_independent_sets(schedule, smaller, 4, config=cfg(backend=backend))
+        fast_report = check_independent_sets(schedule, smaller, 4, config=cfg(backend="numpy"))
         reference = check_independent_sets(schedule, smaller, 4, config=cfg(backend="sets"))
         assert [(v.kind, v.holiday) for v in fast_report.violations] == \
             [(v.kind, v.holiday) for v in reference.violations]
@@ -232,7 +211,7 @@ def test_illegal_sequence_flagged_identically(backend):
 def test_shared_trace_is_reused():
     graph = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
     schedule = get_scheduler("degree-periodic").build(graph, seed=0)
-    matrix = schedule.trace(32)
+    matrix = TraceMatrix.from_schedule(schedule, graph, 32)
     report = evaluate_schedule(schedule, graph, 32, trace=matrix)
     validation = validate_schedule(schedule, graph, 32, check_periodic=True, trace=matrix)
     assert report.summary() == evaluate_schedule(schedule, graph, 32, config=cfg(backend="sets")).summary()
@@ -242,7 +221,7 @@ def test_shared_trace_is_reused():
 def test_shared_trace_horizon_mismatch_rejected():
     graph = ConflictGraph.from_edges([(0, 1)], name="p2")
     schedule = get_scheduler("degree-periodic").build(graph, seed=0)
-    matrix = schedule.trace(32)
+    matrix = TraceMatrix.from_schedule(schedule, graph, 32)
     with pytest.raises(ValueError):
         evaluate_schedule(schedule, graph, 16, trace=matrix)
 
@@ -250,22 +229,21 @@ def test_shared_trace_horizon_mismatch_rejected():
 def test_shared_trace_with_sets_backend_rejected():
     graph = ConflictGraph.from_edges([(0, 1)], name="p2")
     schedule = get_scheduler("degree-periodic").build(graph, seed=0)
-    matrix = schedule.trace(32)
+    matrix = TraceMatrix.from_schedule(schedule, graph, 32)
     with pytest.raises(ValueError, match="sets"):
         evaluate_schedule(schedule, graph, 32, trace=matrix, config=cfg(backend="sets"))
 
 
 @pytest.mark.usefixtures("fold_arm")
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_shared_trace_validates_against_passed_graphs_edges(backend):
+def test_shared_trace_validates_against_passed_graphs_edges():
     """Legality must be judged by the edges of the graph being validated,
     not by the edges of the graph the trace was built on."""
     loose = ConflictGraph(edges=[(0, 1)], nodes=[2], name="loose")
     strict = ConflictGraph.from_edges([(0, 1), (1, 2)], name="strict")
     sets = [[0], [1, 2], [0]]  # legal on loose, illegal on strict at holiday 2
-    matrix = TraceMatrix.from_schedule(sets, loose, 3, backend=backend)
-    assert check_independent_sets(sets, loose, 3, trace=matrix, config=cfg(backend=backend)).ok
-    strict_report = check_independent_sets(sets, strict, 3, trace=matrix, config=cfg(backend=backend))
+    matrix = TraceMatrix.from_schedule(sets, loose, 3)
+    assert check_independent_sets(sets, loose, 3, trace=matrix).ok
+    strict_report = check_independent_sets(sets, strict, 3, trace=matrix)
     assert [(v.kind, v.holiday) for v in strict_report.violations] == [("not-independent", 2)]
 
 
@@ -273,7 +251,7 @@ def test_shared_trace_graph_mismatch_rejected():
     graph = ConflictGraph.from_edges([(0, 1)], name="p2")
     bigger = ConflictGraph.from_edges([(0, 1), (1, 2)], name="p3")
     schedule = get_scheduler("degree-periodic").build(graph, seed=0)
-    matrix = schedule.trace(32)
+    matrix = TraceMatrix.from_schedule(schedule, graph, 32)
     with pytest.raises(ValueError, match="nodes"):
         evaluate_schedule(schedule, bigger, 32, trace=matrix)
 
