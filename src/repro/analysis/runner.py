@@ -56,8 +56,8 @@ class RunOutcome:
     #: wall time of the whole measurement stage: trace construction plus the
     #: metric suite plus all validation checks (they share the one trace).
     measure_seconds: float = 0.0
-    #: horizon representation actually used: "dense", "stream" or "sets"
-    #: (the frozenset reference has no streaming mode).
+    #: the ``mode`` of the trace the run was measured on: "dense", "stream"
+    #: or "sets" (the frozenset reference has no streaming mode).
     horizon_mode: str = "dense"
     #: the full execution configuration the run was measured under.
     config: EngineConfig = field(default_factory=EngineConfig)
@@ -111,12 +111,11 @@ def run_scheduler(
     would exceed :data:`repro.core.trace.AUTO_STREAM_BYTES`).
     ``config.window`` re-configures schedulers that support a sliding
     generator window (:meth:`~repro.algorithms.base.Scheduler.with_window`).
-    On the matrix engines the occupancy trace is built exactly once — the
-    run goes through :class:`repro.api.Session` — and shared by the metric
-    suite and the validator.  When ``horizon`` is ``None`` the observation
-    window comes from ``policy`` (default
-    :class:`~repro.analysis.engine.HorizonPolicy`), extended so any claimed
-    per-node bound can be witnessed.
+    The trace is built exactly once — the run goes through
+    :class:`repro.api.Session` — and shared by the metric suite and the
+    validator.  When ``horizon`` is ``None`` the observation window comes
+    from ``policy`` (default :class:`~repro.analysis.engine.HorizonPolicy`),
+    extended so any claimed per-node bound can be witnessed.
     """
     # Imported here, not at module level: repro.api sits above this module
     # (Session.run delegates back to run_scheduler), so the runner->api edge
@@ -162,7 +161,7 @@ def run_scheduler(
         bound_satisfied=bound_satisfied,
         backend=config.backend,
         measure_seconds=measure_seconds,
-        horizon_mode=getattr(session.trace(schedule, horizon), "mode", "sets"),
+        horizon_mode=session.trace(schedule, horizon).mode,
         config=config,
     )
 

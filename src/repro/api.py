@@ -108,10 +108,9 @@ class Session:
     so a dead object's recycled ``id()`` can never serve the wrong trace.
     The cache only grows — one trace per ``(schedule, horizon)`` pair — so
     a session sweeping many schedules should call :meth:`clear` between
-    batches.
-    Under ``backend="sets"`` there is no trace to share and every query
-    walks the frozenset reference — the facade still works, just without
-    the reuse.
+    batches.  Under ``backend="sets"`` the shared trace is the frozenset
+    reference (:class:`~repro.core.metrics.HappinessTrace`), so the
+    schedule prefix is materialised once per pair as well.
     """
 
     def __init__(
@@ -157,14 +156,11 @@ class Session:
         """
         self._traces.clear()
 
-    def trace(
-        self, schedule: ScheduleLike, horizon: Optional[int] = None
-    ) -> Optional[TraceLike]:
-        """The shared trace for ``(schedule, horizon)``, built on first use.
-
-        Returns ``None`` under ``backend="sets"`` (the reference engine has
-        no trace object).
-        """
+    def trace(self, schedule: ScheduleLike, horizon: Optional[int] = None) -> TraceLike:
+        """The shared trace for ``(schedule, horizon)``, built on first use
+        by :func:`~repro.core.metrics.build_trace` (a
+        :class:`~repro.core.metrics.HappinessTrace` under
+        ``backend="sets"``)."""
         horizon = self.resolve_horizon(horizon)
         key = (id(schedule), id(self.graph), horizon, self.config)
         if key not in self._traces:

@@ -213,11 +213,9 @@ def config_from_args(
     clean one-line error instead of a traceback in a worker process.
     """
     try:
-        config = config_with(base, **engine_overrides(args))
-        config.resolve()
+        return config_with(base, **engine_overrides(args))
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    return config
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.core.schedule import (
     Schedule,
     SlotAssignment,
 )
-from repro.core.config import EngineConfig, ResolvedEngine
+from repro.core.config import EngineConfig
 from repro.core.trace import TraceMatrix
 from repro.core.metrics import (
     HappinessTrace,
@@ -69,7 +69,6 @@ __all__ = [
     "SlotAssignment",
     "TraceMatrix",
     "EngineConfig",
-    "ResolvedEngine",
     "build_trace",
     "HappinessTrace",
     "ScheduleReport",

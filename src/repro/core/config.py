@@ -7,8 +7,8 @@ parallel execution parameters (``backend``, ``mode``, ``chunk``, ``jobs``,
 runner, the experiment engine and four CLI subcommands.  This module
 consolidates them the way :class:`~repro.analysis.engine.HorizonPolicy`
 consolidated the horizon rules: one frozen dataclass owns every knob, is
-validated in one place, serializes to JSON (for spec files), and resolves
-``"auto"`` values to concrete choices.
+validated in one place on construction, and serializes to JSON (for spec
+files).
 
 The knobs:
 
@@ -37,11 +37,14 @@ fields) fail with a :class:`ValueError` that says so and lists the valid
 choices.
 
 Every entry point from :func:`repro.core.metrics.build_trace` up to the CLI
-takes its knobs as ``config: EngineConfig`` and nowhere else.  The trace
-constructors below ``build_trace`` (:class:`~repro.core.trace.TraceStream`,
+takes its knobs as ``config: EngineConfig`` and nowhere else, and
+``build_trace`` alone reads them to pick the engine: the
+:class:`~repro.core.metrics.HappinessTrace` reference for ``sets``, else
+a numpy trace in the ``"auto"``-resolved horizon mode.  The trace
+constructors below it (:class:`~repro.core.trace.TraceStream`,
 :class:`~repro.core.trace.StreamedTrace`, ``TraceMatrix.from_schedule``,
 :class:`~repro.core.trace.TraceBatch`) take no backend at all: they only
-ever build the numpy engine, so ``backend`` is decided here alone.
+ever build the numpy engine.
 """
 
 from __future__ import annotations
@@ -51,11 +54,10 @@ import operator
 from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional
 
-from repro.core.trace import HORIZON_MODES, resolve_horizon_mode
+from repro.core.trace import HORIZON_MODES
 
 __all__ = [
     "EngineConfig",
-    "ResolvedEngine",
     "DEFAULT_CONFIG",
     "RESULT_KNOBS",
     "WALL_CLOCK_KNOBS",
@@ -75,8 +77,9 @@ RESULT_KNOBS = frozenset({"backend", "horizon_mode", "chunk", "window"})
 WALL_CLOCK_KNOBS = frozenset()
 
 #: backends EngineConfig accepts: ``auto`` and ``numpy`` both name the numpy
-#: trace engine, ``sets`` the frozenset reference (handled above the trace
-#: layer, in :mod:`repro.core.metrics` and :mod:`repro.core.validation`).
+#: trace engine, ``sets`` the frozenset reference
+#: (:class:`~repro.core.metrics.HappinessTrace`, built above the trace layer
+#: by :func:`~repro.core.metrics.build_trace`).
 CONFIG_BACKENDS = ("auto", "numpy", "sets")
 
 #: backend values and config fields earlier releases accepted: the
@@ -98,30 +101,6 @@ def _bad_choice(what: str, value: object, choices) -> ValueError:
     says whether an earlier release accepted it, and lists the choices."""
     status = "removed" if isinstance(value, str) and value in REMOVED else "unknown"
     return ValueError(f"{status} {what} {value!r}; expected one of {tuple(choices)}")
-
-
-@dataclass(frozen=True)
-class ResolvedEngine:
-    """The concrete engine choice an :class:`EngineConfig` resolves to.
-
-    ``backend`` is always concrete (``"numpy"`` or ``"sets"``).  ``mode`` is
-    ``"dense"`` or ``"stream"`` when the graph size and horizon were
-    supplied to :meth:`EngineConfig.resolve` (or the mode was explicit),
-    ``"auto"`` when they weren't, and ``"sets"`` for the reference engine —
-    matching the ``horizon_mode`` stamp
-    :class:`~repro.analysis.runner.RunOutcome` records.
-    """
-
-    backend: str
-    mode: str
-    chunk: Optional[int]
-    window: Optional[int]
-
-    @property
-    def uses_matrix(self) -> bool:
-        """True when a TraceMatrix/StreamedTrace engine answers queries
-        (False for the frozenset reference)."""
-        return self.backend != "sets"
 
 
 @dataclass(frozen=True)
@@ -162,26 +141,6 @@ class EngineConfig:
             if value < 1:
                 raise ValueError(f"{what} must be >= 1, got {value!r}")
             object.__setattr__(self, name, value)
-
-    # -- resolution ----------------------------------------------------------
-    def resolve(
-        self, num_nodes: Optional[int] = None, horizon: Optional[int] = None
-    ) -> ResolvedEngine:
-        """Resolve ``"auto"`` values to the concrete engine for one run.
-
-        The backend resolves to ``"numpy"`` (``"sets"`` stays itself);
-        ``horizon_mode="auto"`` resolves by estimated dense-matrix size when
-        ``num_nodes`` and ``horizon`` are given and stays ``"auto"``
-        otherwise — so the CLI can validate a config up front before any
-        graph exists.
-        """
-        if self.backend == "sets":
-            return ResolvedEngine("sets", "sets", self.chunk, self.window)
-        if self.horizon_mode == "auto" and num_nodes is not None and horizon is not None:
-            mode = resolve_horizon_mode("auto", num_nodes, horizon)
-        else:
-            mode = self.horizon_mode
-        return ResolvedEngine("numpy", mode, self.chunk, self.window)
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:

@@ -13,13 +13,14 @@ All functions accept either a :class:`~repro.core.schedule.Schedule` or a
 pre-materialised sequence of happy sets, so metrics can also be applied to
 traces produced outside this package.
 
-Two evaluation engines back every metric (see :mod:`repro.core.trace` for
-the architecture notes):
+Every metric is one query on the trace :func:`build_trace` returns, and
+:func:`build_trace` alone picks the engine behind it (see
+:mod:`repro.core.trace` for the architecture notes):
 
-* ``backend="sets"`` — the historical reference path: one ``frozenset`` per
-  holiday, walked node by node through :class:`HappinessTrace`.  Exact but
-  O(n·horizon) Python-object churn; kept as ground truth for differential
-  testing.
+* ``backend="sets"`` — the reference engine, :class:`HappinessTrace`: one
+  ``frozenset`` per holiday, walked node by node.  Exact but
+  O(n·horizon) Python-object churn, and free of numpy; kept as the ground
+  truth for differential testing.
 * ``backend="auto"`` / ``"numpy"`` — the numpy trace engine
   (:mod:`repro.core.trace`): the trace is summarised once per node (in
   closed form for periodic and cyclic schedules, by folding its occupancy
@@ -41,12 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.problem import ConflictGraph, Node
 from repro.core.schedule import Schedule
-from repro.core.trace import TraceView, make_trace, materialize_prefix
+from repro.core.trace import TraceView, make_trace, materialize_prefix, resolve_horizon_mode
 
 __all__ = [
     "HappinessTrace",
@@ -64,63 +65,6 @@ __all__ = [
 
 ScheduleLike = Union[Schedule, Sequence[Iterable[Node]]]
 
-#: what the trace-engine entry points accept and return: any
-#: :class:`~repro.core.trace.TraceView` — a dense or streamed trace, or a
-#: :class:`~repro.core.trace.TraceMatrix`.
-TraceLike = TraceView
-
-
-def build_trace(
-    schedule: ScheduleLike,
-    graph: ConflictGraph,
-    horizon: int,
-    _reserved: None = None,
-    trace: Optional[TraceLike] = None,
-    *,
-    config: Optional[EngineConfig] = None,
-) -> Optional[TraceLike]:
-    """Resolve the evaluation engine for one metric call.
-
-    Returns a :class:`~repro.core.trace.StreamedTrace` (the given trace
-    when the caller already built one, a fresh one from
-    :func:`~repro.core.trace.make_trace` otherwise), or ``None`` when
-    ``config.backend == "sets"`` selects the frozenset reference path.
-    ``config`` carries the representation choice (``horizon_mode`` resolved
-    by estimated memory when ``"auto"``) and the streaming chunk width,
-    which is ignored when the resolved representation is dense: a dense
-    trace is one chunk of the whole horizon.
-
-    The fourth positional slot takes only ``None``: perfbench's span
-    wrapper forwards ``(schedule, graph, horizon, None, trace)`` by
-    position.  The slot goes once perfbench records spans through an API
-    instead of patching this function (ROADMAP item 1).
-    """
-    if _reserved is not None:
-        raise TypeError(
-            f"build_trace() takes no engine knob by position (got {_reserved!r}); "
-            "pass config=EngineConfig(backend=...)"
-        )
-    engine = (config or DEFAULT_CONFIG).resolve(graph.num_nodes(), horizon)
-    if trace is not None:
-        if not engine.uses_matrix:
-            raise ValueError(
-                "backend='sets' selects the frozenset reference engine and cannot "
-                "use a prebuilt trace; omit trace="
-            )
-        if trace.horizon != horizon:
-            raise ValueError(
-                f"shared trace covers horizon {trace.horizon}, requested {horizon}"
-            )
-        if trace.graph is not graph and trace.graph.nodes() != graph.nodes():
-            raise ValueError(
-                f"shared trace was built on graph {trace.graph.name!r} whose nodes "
-                f"differ from {graph.name!r}"
-            )
-        return trace
-    if not engine.uses_matrix:
-        return None
-    return make_trace(schedule, graph, horizon, engine.mode, engine.chunk)
-
 
 def materialize(schedule: ScheduleLike, graph: ConflictGraph, horizon: int) -> List[FrozenSet[Node]]:
     """Return the first ``horizon`` happy sets of ``schedule`` as frozensets."""
@@ -131,16 +75,25 @@ def materialize(schedule: ScheduleLike, graph: ConflictGraph, horizon: int) -> L
 
 @dataclass
 class HappinessTrace:
-    """Per-node appearance times extracted from a schedule prefix.
+    """The ``backend="sets"`` trace: per-node appearance times read off the
+    happy sets of a schedule prefix.  It answers the queries the metric and
+    validation entry points ask of a trace by walking one frozenset per
+    holiday, with no numpy, so it stays the independent oracle the trace
+    engine is differentially tested against.
 
     Attributes:
         horizon: number of holidays observed.
         appearances: ``{node: sorted list of holidays at which it was happy}``.
+        sets: the observed happy sets, holiday 1 first.
     """
 
     graph: ConflictGraph
     horizon: int
     appearances: Dict[Node, List[int]] = field(default_factory=dict)
+    sets: List[FrozenSet[Node]] = field(default_factory=list)
+
+    #: representation tag, like :attr:`repro.core.trace.TraceView.mode`.
+    mode = "sets"
 
     @classmethod
     def from_schedule(cls, schedule: ScheduleLike, graph: ConflictGraph, horizon: int) -> "HappinessTrace":
@@ -151,7 +104,7 @@ class HappinessTrace:
             for p in happy:
                 if p in appearances:
                     appearances[p].append(t)
-        return cls(graph=graph, horizon=horizon, appearances=appearances)
+        return cls(graph=graph, horizon=horizon, appearances=appearances, sets=sets)
 
     def gaps(self, node: Node) -> List[int]:
         """Unhappiness interval lengths for ``node``.
@@ -203,6 +156,116 @@ class HappinessTrace:
         """Fraction of observed holidays at which ``node`` was happy."""
         return len(self.appearances[node]) / self.horizon
 
+    def distinct_appearance_diffs(self, node: Node) -> List[int]:
+        """Sorted distinct inter-appearance differences of ``node``."""
+        return sorted(set(self.inter_appearance_gaps(node)))
+
+    # -- bulk queries (graph-node order) ---------------------------------------
+    def muls(self) -> Dict[Node, int]:
+        """``{node: mul(node)}`` for every node."""
+        return {p: self.mul(p) for p in self.graph.nodes()}
+
+    def all_gaps(self) -> Dict[Node, List[int]]:
+        """``{node: gap list}`` for every node."""
+        return {p: self.gaps(p) for p in self.graph.nodes()}
+
+    def observed_periods(self) -> Dict[Node, Optional[int]]:
+        """``{node: observed period or None}`` for every node."""
+        return {p: self.observed_period(p) for p in self.graph.nodes()}
+
+    def happiness_rates(self) -> Dict[Node, float]:
+        """``{node: happiness rate}`` for every node."""
+        return {p: self.happiness_rate(p) for p in self.graph.nodes()}
+
+    def legality_scan(
+        self, graph: ConflictGraph, fail_fast: bool = False
+    ) -> Tuple[Dict[int, List[Node]], Dict[int, List[Tuple[Node, Node]]]]:
+        """``(unknown_by_holiday, collisions_by_holiday)`` against ``graph``:
+        a holiday's unknown nodes in set order, and one adjacent pair when its
+        known nodes are not independent.  ``fail_fast`` stops the walk at the
+        first holiday with either."""
+        node_set = set(graph.nodes())
+        unknown_by_holiday: Dict[int, List[Node]] = {}
+        collisions: Dict[int, List[Tuple[Node, Node]]] = {}
+        for t, happy in enumerate(self.sets, start=1):
+            unknown = [p for p in happy if p not in node_set]
+            if unknown:
+                unknown_by_holiday[t] = unknown
+            known = [p for p in happy if p in node_set]
+            if not graph.is_independent_set(known):
+                collisions[t] = [_find_adjacent_pair(graph, known)]
+            if fail_fast and (unknown or t in collisions):
+                break
+        return unknown_by_holiday, collisions
+
+
+def _find_adjacent_pair(graph: ConflictGraph, nodes: Sequence[Node]) -> Optional[Tuple[Node, Node]]:
+    selected = set(nodes)
+    for p in nodes:
+        for q in graph.neighbors(p):
+            if q in selected:
+                return (p, q)
+    return None
+
+
+#: what the engine entry points accept and return: a numpy
+#: :class:`~repro.core.trace.TraceView` (a dense or streamed trace, or a
+#: :class:`~repro.core.trace.TraceMatrix`) or the :class:`HappinessTrace`
+#: reference.
+TraceLike = Union[TraceView, HappinessTrace]
+
+
+def build_trace(
+    schedule: ScheduleLike,
+    graph: ConflictGraph,
+    horizon: int,
+    _reserved: None = None,
+    trace: Optional[TraceLike] = None,
+    *,
+    config: Optional[EngineConfig] = None,
+) -> TraceLike:
+    """The trace that answers one metric or validation call: the one place
+    the engine is picked.
+
+    Returns ``trace`` when the caller already built one (it must come from
+    the engine ``config`` selects), else a :class:`HappinessTrace` when
+    ``config.backend == "sets"`` and otherwise a
+    :class:`~repro.core.trace.StreamedTrace` from
+    :func:`~repro.core.trace.make_trace`, in ``config.horizon_mode``
+    (``"auto"`` resolved by estimated memory) with ``config.chunk``.
+
+    The fourth positional slot takes only ``None``: perfbench's span
+    wrapper forwards ``(schedule, graph, horizon, None, trace)`` by
+    position.  The slot goes once perfbench records spans through an API
+    instead of patching this function (ROADMAP item 1).
+    """
+    if _reserved is not None:
+        raise TypeError(
+            f"build_trace() takes no engine knob by position (got {_reserved!r}); "
+            "pass config=EngineConfig(backend=...)"
+        )
+    config = config or DEFAULT_CONFIG
+    if trace is not None:
+        if isinstance(trace, HappinessTrace) != (config.backend == "sets"):
+            raise ValueError(
+                f"shared {type(trace).__name__} cannot answer for "
+                f"backend={config.backend!r}; omit trace= or build it under the same config"
+            )
+        if trace.horizon != horizon:
+            raise ValueError(
+                f"shared trace covers horizon {trace.horizon}, requested {horizon}"
+            )
+        if trace.graph is not graph and trace.graph.nodes() != graph.nodes():
+            raise ValueError(
+                f"shared trace was built on graph {trace.graph.name!r} whose nodes "
+                f"differ from {graph.name!r}"
+            )
+        return trace
+    if config.backend == "sets":
+        return HappinessTrace.from_schedule(schedule, graph, horizon)
+    mode = resolve_horizon_mode(config.horizon_mode, graph.num_nodes(), horizon)
+    return make_trace(schedule, graph, horizon, mode, config.chunk)
+
 
 def max_unhappiness_lengths(
     schedule: ScheduleLike,
@@ -213,11 +276,7 @@ def max_unhappiness_lengths(
     config: Optional[EngineConfig] = None,
 ) -> Dict[Node, int]:
     """``{node: mul(node)}`` over the first ``horizon`` holidays."""
-    matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
-    if matrix is not None:
-        return matrix.muls()
-    reference = HappinessTrace.from_schedule(schedule, graph, horizon)
-    return {p: reference.mul(p) for p in graph.nodes()}
+    return build_trace(schedule, graph, horizon, trace=trace, config=config).muls()
 
 
 def unhappiness_gaps(
@@ -229,11 +288,7 @@ def unhappiness_gaps(
     config: Optional[EngineConfig] = None,
 ) -> Dict[Node, List[int]]:
     """``{node: list of unhappiness interval lengths}``."""
-    matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
-    if matrix is not None:
-        return matrix.all_gaps()
-    reference = HappinessTrace.from_schedule(schedule, graph, horizon)
-    return {p: reference.gaps(p) for p in graph.nodes()}
+    return build_trace(schedule, graph, horizon, trace=trace, config=config).all_gaps()
 
 
 def observed_periods(
@@ -245,11 +300,7 @@ def observed_periods(
     config: Optional[EngineConfig] = None,
 ) -> Dict[Node, Optional[int]]:
     """``{node: empirically observed period or None}``."""
-    matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
-    if matrix is not None:
-        return matrix.observed_periods()
-    reference = HappinessTrace.from_schedule(schedule, graph, horizon)
-    return {p: reference.observed_period(p) for p in graph.nodes()}
+    return build_trace(schedule, graph, horizon, trace=trace, config=config).observed_periods()
 
 
 def happiness_rates(
@@ -261,11 +312,7 @@ def happiness_rates(
     config: Optional[EngineConfig] = None,
 ) -> Dict[Node, float]:
     """``{node: fraction of holidays hosted}``."""
-    matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
-    if matrix is not None:
-        return matrix.happiness_rates()
-    reference = HappinessTrace.from_schedule(schedule, graph, horizon)
-    return {p: reference.happiness_rate(p) for p in graph.nodes()}
+    return build_trace(schedule, graph, horizon, trace=trace, config=config).happiness_rates()
 
 
 def normalized_gaps(
@@ -392,23 +439,15 @@ def evaluate_schedule(
     identical reports — this is enforced by the differential tests in
     ``tests/core/test_trace.py`` and ``tests/core/test_stream.py``.
     """
-    matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
-    if matrix is not None:
-        muls = matrix.muls()
-        periods = matrix.observed_periods()
-        rates = matrix.happiness_rates()
-    else:
-        reference = HappinessTrace.from_schedule(schedule, graph, horizon)
-        muls = {p: reference.mul(p) for p in graph.nodes()}
-        periods = {p: reference.observed_period(p) for p in graph.nodes()}
-        rates = {p: reference.happiness_rate(p) for p in graph.nodes()}
+    trace = build_trace(schedule, graph, horizon, trace=trace, config=config)
+    muls = trace.muls()
     report = ScheduleReport(
         name=name,
         graph_name=graph.name,
         horizon=horizon,
         muls=muls,
-        periods=periods,
-        rates=rates,
+        periods=trace.observed_periods(),
+        rates=trace.happiness_rates(),
         normalized=normalized_gaps(muls, graph),
     )
     report._degrees = graph.degrees()

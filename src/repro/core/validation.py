@@ -13,13 +13,14 @@ Three levels of checking are provided:
    periodic indeed shows a constant inter-appearance gap equal to the
    advertised period for every node (:func:`certify_periodicity`).
 
-Like the metric suite, every check runs on either engine: the numpy trace
-engine (default), where legality reads the per-edge collision holidays of
-the trace's summary (in closed form for periodic and cyclic schedules, one
-AND of two rows per edge and block otherwise) and bound/periodicity
-certification reads its per-node statistics, or the ``backend="sets"``
-frozenset reference that walks every holiday.  A pre-built ``trace=`` can
-be shared across checks and with the metric suite.
+Like the metric suite, every check is a query on the one trace
+:func:`~repro.core.metrics.build_trace` returns: on the numpy trace engine
+(default) legality reads the per-edge collision holidays of the trace's
+summary (in closed form for periodic and cyclic schedules, one AND of two
+rows per edge and block otherwise) and bound/periodicity certification
+reads its per-node statistics; the ``backend="sets"`` reference
+(:class:`~repro.core.metrics.HappinessTrace`) walks every holiday.  A
+pre-built ``trace=`` can be shared across checks and with the metric suite.
 
 Execution knobs travel on one :class:`~repro.core.config.EngineConfig`
 (``config=``).  Every check honours the horizon representation
@@ -33,10 +34,10 @@ violation; later chunks are never materialised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional
 
 from repro.core.config import EngineConfig
-from repro.core.metrics import HappinessTrace, ScheduleLike, TraceLike, build_trace, materialize
+from repro.core.metrics import ScheduleLike, TraceLike, build_trace
 from repro.core.problem import ConflictGraph, Node
 from repro.core.schedule import Schedule
 
@@ -113,52 +114,18 @@ def check_independent_sets(
     ``row(u) & row(v)`` flags every holiday at which two in-laws host
     simultaneously — instead of a per-holiday membership scan; on the
     streaming engine the row-ANDs run chunk by chunk (or not at all: a
-    periodic or cyclic schedule's collisions come in closed form).  With
-    ``fail_fast`` the report stops at the first offending holiday
-    (identically on every engine) and a streaming scan stops building
-    chunks there.
+    periodic or cyclic schedule's collisions come in closed form).  Each
+    offending holiday reports its unknown nodes, then one not-independent
+    record, whose named pair may differ by engine (the trace engine names
+    the first colliding edge in graph edge order).  With ``fail_fast`` the
+    report stops at the first offending holiday (identically on every
+    engine) and a streaming scan stops building chunks there.
     """
-    matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
-    if matrix is not None:
-        return _check_independent_sets_trace(matrix, graph, horizon, fail_fast=fail_fast)
-    sets = materialize(schedule, graph, horizon)
-    report = ValidationReport(checked_holidays=horizon)
-    node_set = set(graph.nodes())
-    for t, happy in enumerate(sets, start=1):
-        unknown = [p for p in happy if p not in node_set]
-        for p in unknown:
-            report.violations.append(
-                Violation("unknown-node", p, t, "scheduled node is not in the conflict graph")
-            )
-        known = [p for p in happy if p in node_set]
-        if not graph.is_independent_set(known):
-            offending = _find_adjacent_pair(graph, known)
-            report.violations.append(
-                Violation(
-                    "not-independent",
-                    None,
-                    t,
-                    f"adjacent nodes scheduled together: {offending!r}",
-                )
-            )
-        if fail_fast and report.violations:
-            break
-    return report
-
-
-def _check_independent_sets_trace(
-    matrix: TraceLike, graph: ConflictGraph, horizon: int, fail_fast: bool = False
-) -> ValidationReport:
-    """Trace-engine legality check, emitting the same violation kinds per
-    holiday (unknown nodes first, then one not-independent record) as the
-    reference.  The *pair* named in a not-independent detail may differ from
-    the reference's choice — the matrix cannot recover the original set
-    iteration order, so the first colliding edge (in graph edge order) is
-    named as the witness."""
+    trace = build_trace(schedule, graph, horizon, trace=trace, config=config)
     report = ValidationReport(checked_holidays=horizon)
     # Collisions are computed against the *passed* graph's edge set — a
     # shared trace only guarantees node agreement, not edge agreement.
-    unknown_by_holiday, collisions = matrix.legality_scan(graph, fail_fast=fail_fast)
+    unknown_by_holiday, collisions = trace.legality_scan(graph, fail_fast=fail_fast)
     for t in sorted(set(unknown_by_holiday) | set(collisions)):
         for p in unknown_by_holiday.get(t, ()):
             report.violations.append(
@@ -177,15 +144,6 @@ def _check_independent_sets_trace(
         if fail_fast and report.violations:
             break
     return report
-
-
-def _find_adjacent_pair(graph: ConflictGraph, nodes: Sequence[Node]) -> Optional[Tuple[Node, Node]]:
-    selected = set(nodes)
-    for p in nodes:
-        for q in graph.neighbors(p):
-            if q in selected:
-                return (p, q)
-    return None
 
 
 def certify_local_bound(
@@ -207,14 +165,13 @@ def certify_local_bound(
     holiday without coordination; the paper's guarantees are stated for
     nodes that actually have in-laws).
     """
-    matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
-    reference = None if matrix is not None else HappinessTrace.from_schedule(schedule, graph, horizon)
+    trace = build_trace(schedule, graph, horizon, trace=trace, config=config)
     report = ValidationReport(checked_holidays=horizon)
     for p in graph.nodes():
         if skip_isolated and graph.degree(p) == 0:
             continue
         limit = bound[p] if isinstance(bound, Mapping) else bound(p)
-        measured = matrix.mul(p) if matrix is not None else reference.mul(p)
+        measured = trace.mul(p)
         if measured > limit:
             report.violations.append(
                 Violation(
@@ -242,21 +199,16 @@ def certify_periodicity(
     the schedule advertises :meth:`~repro.core.schedule.Schedule.node_period`,
     the observed period must also equal the advertised one.
 
-    On the trace engine only the *distinct* inter-appearance differences
-    are consulted (:meth:`~repro.core.trace.TraceView.distinct_appearance_diffs`),
-    which is what lets the streaming engine certify a 10⁸-holiday horizon
-    without ever holding the full diff list.
+    Only the *distinct* inter-appearance differences are consulted
+    (:meth:`~repro.core.trace.TraceView.distinct_appearance_diffs`), which
+    is what lets the streaming engine certify a 10⁸-holiday horizon without
+    ever holding the full diff list.
     """
     graph = schedule.graph
-    matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
-    reference = None if matrix is not None else HappinessTrace.from_schedule(schedule, graph, horizon)
+    trace = build_trace(schedule, graph, horizon, trace=trace, config=config)
     report = ValidationReport(checked_holidays=horizon)
     for p in graph.nodes():
-        distinct = (
-            matrix.distinct_appearance_diffs(p)
-            if matrix is not None
-            else sorted(set(reference.inter_appearance_gaps(p)))
-        )
+        distinct = trace.distinct_appearance_diffs(p)
         if not distinct:
             continue
         if len(distinct) != 1:
@@ -293,15 +245,16 @@ def validate_schedule(
 ) -> ValidationReport:
     """Run legality + optional bound + optional periodicity checks in one call.
 
-    On a non-``"sets"`` backend the occupancy trace (dense or streamed,
-    per ``config.horizon_mode``) is built at most once and shared by all
-    three checks (or taken from ``trace=`` when the caller already built it
-    for the metric suite).  ``fail_fast`` applies to the legality check only
-    — bound and periodicity certification always cover every node.
+    The trace (the numpy engine's, dense or streamed per
+    ``config.horizon_mode``, or the ``sets`` reference) is built at most
+    once and shared by all three checks (or taken from ``trace=`` when the
+    caller already built it for the metric suite).  ``fail_fast`` applies
+    to the legality check only — bound and periodicity certification
+    always cover every node.
     """
-    matrix = build_trace(schedule, graph, horizon, trace=trace, config=config)
+    trace = build_trace(schedule, graph, horizon, trace=trace, config=config)
     report = check_independent_sets(
-        schedule, graph, horizon, trace=matrix, fail_fast=fail_fast, config=config
+        schedule, graph, horizon, trace=trace, fail_fast=fail_fast, config=config
     )
     if bound is not None:
         report = report.merge(
@@ -312,7 +265,7 @@ def validate_schedule(
                 bound,
                 bound_name=bound_name,
                 skip_isolated=skip_isolated,
-                trace=matrix,
+                trace=trace,
                 config=config,
             )
         )
@@ -320,12 +273,12 @@ def validate_schedule(
         # The periodicity check runs over schedule.graph's nodes; the trace
         # built on this call's `graph` can only be shared when the two agree
         # (certify_periodicity builds its own otherwise).
-        shareable = matrix is not None and matrix.graph.nodes() == schedule.graph.nodes()
+        shareable = trace.graph.nodes() == schedule.graph.nodes()
         report = report.merge(
             certify_periodicity(
                 schedule,
                 horizon,
-                trace=matrix if shareable else None,
+                trace=trace if shareable else None,
                 config=config,
             )
         )

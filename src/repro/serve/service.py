@@ -89,6 +89,12 @@ class ServiceError(Exception):
         return {"error": {"code": self.code, "message": self.message, "status": self.status}}
 
 
+def _require_object(payload: object) -> None:
+    """The check every payload endpoint makes before it reads a field."""
+    if not isinstance(payload, Mapping):
+        raise ServiceError(400, "bad_request", "request body must be a JSON object")
+
+
 # ---------------------------------------------------------------------------
 # content keys
 # ---------------------------------------------------------------------------
@@ -274,11 +280,9 @@ class SchedulingService:
         if not isinstance(overrides, Mapping):
             raise ServiceError(400, "bad_request", "'config' must be an object")
         try:
-            config = config_with(self.config, **overrides)
-            config.resolve()
+            return config_with(self.config, **overrides)
         except (ValueError, TypeError) as exc:
             raise ServiceError(400, "bad_request", f"invalid config: {exc}")
-        return config
 
     def _int_field(
         self, payload: Mapping[str, object], name: str, default: Optional[int]
@@ -333,8 +337,7 @@ class SchedulingService:
         key of the request's trace and ``build()`` builds the request's
         schedule.  Nothing is built here.
         """
-        if not isinstance(payload, Mapping):
-            raise ServiceError(400, "bad_request", "request body must be a JSON object")
+        _require_object(payload)
         workload = payload.get("workload")
         algorithm = payload.get("algorithm")
         if workload is None or algorithm is None:
@@ -373,17 +376,15 @@ class SchedulingService:
 
         A hit looks its key up once and builds nothing.  A miss builds the
         request's schedule and renders its :class:`TraceEntry` inside the
-        cache's single-flight.  The ``sets`` reference has no trace to
-        cache: it renders afresh on every request.
+        cache's single-flight, on every engine: a ``sets`` request has a key
+        of its own (its config is part of the key) and renders from one
+        shared reference trace.
         """
         identity, graph, key, config, build = self._resolve_request(payload)
-        horizon = key.horizon
 
         def render() -> TraceEntry:
-            return TraceEntry.render(build(), graph, horizon, config)
+            return TraceEntry.render(build(), graph, key.horizon, config)
 
-        if not config.resolve(graph.num_nodes(), horizon).uses_matrix:
-            return identity, render()
         return identity, self.cache.get_or_build(key, render, TraceEntry.nbytes)
 
     # -- endpoints -----------------------------------------------------------
@@ -395,6 +396,7 @@ class SchedulingService:
     def validate_json(self, payload: Mapping[str, object]) -> bytes:
         """``POST /validate`` — legality (+ optional periodicity) checks, as
         the body's bytes."""
+        _require_object(payload)
         check_periodic = payload.get("check_periodic", False)
         if not isinstance(check_periodic, bool):
             raise ServiceError(400, "bad_request", "'check_periodic' must be a boolean")
@@ -429,6 +431,7 @@ class SchedulingService:
         as a service, without measuring it (chain ``/report`` for metrics).
         It always builds: the schedule is the answer.
         """
+        _require_object(payload)
         holidays = self._int_field(payload, "holidays", 12)
         if holidays < 1 or holidays > 10_000:
             raise ServiceError(400, "bad_request", "'holidays' must be in [1, 10000]")
@@ -445,8 +448,7 @@ class SchedulingService:
         record without executing anything; a miss executes exactly once
         (concurrent identical requests coalesce) and writes the record back.
         """
-        if not isinstance(payload, Mapping):
-            raise ServiceError(400, "bad_request", "request body must be a JSON object")
+        _require_object(payload)
         workload = payload.get("workload")
         algorithm = payload.get("algorithm")
         if workload is None or algorithm is None:

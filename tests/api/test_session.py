@@ -15,8 +15,9 @@ from repro.algorithms.registry import get_scheduler
 from repro.analysis.engine import HorizonPolicy
 from repro.api import SessionReport
 from repro.core.config import EngineConfig
-from repro.core.metrics import evaluate_schedule
+from repro.core.metrics import HappinessTrace, evaluate_schedule
 from repro.core.problem import ConflictGraph
+from repro.core.schedule import Schedule
 from repro.core.trace import StreamedTrace, TraceMatrix
 from repro.core.validation import validate_schedule
 
@@ -103,9 +104,25 @@ class TestConfigSemantics:
         assert isinstance(streamed, StreamedTrace) and streamed.chunk == 8
         assert dense.evaluate(schedule, 48).summary() == stream.evaluate(schedule, 48).summary()
 
-    def test_sets_backend_has_no_trace_but_works(self, graph, schedule):
+    def test_sets_backend_shares_one_reference_trace(self, graph, schedule, monkeypatch):
+        """Under ``sets`` the session's trace is the frozenset reference: a
+        report plus a periodic validation materialise the prefix once."""
+        prefixes = []
+        prefix = Schedule.prefix
+
+        def counting_prefix(self, *args, **kwargs):
+            prefixes.append(args)
+            return prefix(self, *args, **kwargs)
+
+        monkeypatch.setattr(Schedule, "prefix", counting_prefix)
         session = Session(graph, config=EngineConfig(backend="sets"))
-        assert session.trace(schedule, 48) is None
+        session.report(schedule, 48)
+        session.validate(schedule, 48, check_periodic=True)
+        assert len(prefixes) == 1
+        trace = session.trace(schedule, 48)
+        assert isinstance(trace, HappinessTrace) and trace.mode == "sets"
+        assert session.trace(schedule, 48) is trace
+        assert len(prefixes) == 1
         reference = Session(graph)
         assert session.evaluate(schedule, 48).summary() == \
             reference.evaluate(schedule, 48).summary()

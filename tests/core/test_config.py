@@ -1,8 +1,8 @@
 """Tests for :class:`repro.core.config.EngineConfig`, the one spelling of
 every engine knob.
 
-Covers the config's contracts: JSON round-trip, ``resolve()``, the
-consolidated sets/stream error, removed values and removed spellings
+Covers the config's contracts: JSON round-trip, the consolidated
+sets/stream error, removed values and removed spellings
 failing loudly, and cell-id stability — default-config ids must be
 byte-identical to golden ids captured from the PR 4 codebase, so every
 results sink recorded before the consolidation still resumes.
@@ -226,38 +226,6 @@ class TestJsonRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# resolve()
-# ---------------------------------------------------------------------------
-
-class TestResolve:
-    def test_auto_resolves_to_numpy(self):
-        engine = EngineConfig().resolve()
-        assert engine.backend == "numpy"
-        assert engine.mode == "auto"  # no sizes given: representation open
-        assert engine.uses_matrix
-
-    def test_sets_resolves_to_sets_mode(self):
-        engine = EngineConfig(backend="sets").resolve(10, 1000)
-        assert engine.backend == "sets" and engine.mode == "sets"
-        assert not engine.uses_matrix
-
-    def test_auto_mode_resolves_by_size(self):
-        config = EngineConfig(backend="numpy")
-        assert config.resolve(60, 10_000).mode == "dense"
-        assert config.resolve(60, 10**9).mode == "stream"
-
-    def test_explicit_mode_passes_through(self):
-        assert EngineConfig(horizon_mode="dense").resolve(60, 10**9).mode == "dense"
-        assert EngineConfig(horizon_mode="stream").resolve(1, 1).mode == "stream"
-
-    def test_resolved_carries_all_knobs(self):
-        engine = EngineConfig(
-            backend="numpy", horizon_mode="stream", chunk=7, window=99
-        ).resolve(4, 100)
-        assert (engine.chunk, engine.window) == (7, 99)
-
-
-# ---------------------------------------------------------------------------
 # one spelling per knob: every spelling the config replaced fails loudly
 # ---------------------------------------------------------------------------
 
@@ -397,12 +365,15 @@ class TestRemovedSpellings:
             ("repro", "SessionTraceCache"),
             ("repro.analysis.engine", "run_grid"),
             ("repro.analysis", "sweep"),
+            ("repro.core.config", "EngineConfig.resolve"),
+            ("repro.core.config", "ResolvedEngine"),
+            ("repro.core", "ResolvedEngine"),
         ],
     )
     def test_removed_name_has_no_shim(self, module, name):
-        """The deleted trace and sweep surfaces leave nothing behind, so a
-        caller still using one gets Python's own ImportError or
-        AttributeError."""
+        """The deleted trace, sweep and engine-resolution surfaces leave
+        nothing behind, so a caller still using one gets Python's own
+        ImportError or AttributeError."""
         with pytest.raises(AttributeError):
             attrgetter(name)(importlib.import_module(module))
 

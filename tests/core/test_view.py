@@ -13,7 +13,10 @@ colliding edges, an unknown node, a never-happy node, periodic, single and
 irregular rows — and compares the answer with one computed directly from the
 frozensets.  The raw kinds observe one fixed draw; the cyclic kind observes
 a cyclic schedule repeating a short illegal cycle, checked against the
-frozensets of that same schedule.
+frozensets of that same schedule.  Over the same two sources, the ``sets``
+reference trace :func:`~repro.core.metrics.build_trace` returns must answer
+the queries the metric and validation entry points ask like the numpy
+engine, dense and streamed.
 """
 
 from __future__ import annotations
@@ -249,3 +252,30 @@ def test_view_answers_query_like_the_sets_reference(kind, query):
     assert view.graph is GRAPH and view.horizon == HORIZON
     answer, expected = QUERIES[query](view, seen)
     assert answer == expected
+
+
+def violations(scan, first_only=False):
+    """``{holiday: (unknown nodes, collides)}`` of a legality scan — what
+    the validator reports — cut to the first violating holiday when
+    ``first_only``."""
+    unknown, collisions = scan
+    holidays = sorted(set(unknown) | set(collisions))[: 1 if first_only else None]
+    return {t: (unknown.get(t, []), t in collisions) for t in holidays}
+
+
+@pytest.mark.parametrize("mode", ["dense", "stream"])
+@pytest.mark.parametrize("source", [SETS, CYCLIC], ids=["raw", "cyclic"])
+def test_sets_reference_answers_like_the_trace_engine(source, mode):
+    view = build_trace(source, GRAPH, HORIZON, config=EngineConfig(horizon_mode=mode, chunk=CHUNK))
+    reference = build_trace(source, GRAPH, HORIZON, config=EngineConfig(backend="sets"))
+    assert isinstance(reference, HappinessTrace) and reference.mode == "sets"
+    for query in ("muls", "all_gaps", "observed_periods", "happiness_rates"):
+        assert list(getattr(reference, query)().items()) == list(getattr(view, query)().items())
+    assert [reference.distinct_appearance_diffs(p) for p in GRAPH.nodes()] == \
+        [view.distinct_appearance_diffs(p) for p in GRAPH.nodes()]
+    for graph in (GRAPH, FOREIGN):
+        # under fail_fast the reference stops at the first violating holiday,
+        # a streamed trace at the end of the chunk holding it
+        for fail_fast in (False, True):
+            assert violations(reference.legality_scan(graph, fail_fast)) == \
+                violations(view.legality_scan(graph, fail_fast), first_only=fail_fast)

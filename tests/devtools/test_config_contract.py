@@ -18,9 +18,8 @@ from repro.core.config import RESULT_KNOBS, WALL_CLOCK_KNOBS, EngineConfig
 from repro.devtools.driver import lint_paths
 
 REAL_CONFIG = Path(config_module.__file__).resolve()
-#: unique anchor inside EngineConfig (ResolvedEngine shares most fields, so
-#: the injection anchors on a field declaration only EngineConfig has: its
-#: ``window`` has a default, ResolvedEngine's does not)
+#: unique anchor inside EngineConfig: its last field declaration, where an
+#: injected knob lands as the config's newest field
 ANCHOR = "    window: Optional[int] = None\n"
 #: the WALL_CLOCK_KNOBS literal the stale-entry test edits
 WALL_CLOCK_LITERAL = "WALL_CLOCK_KNOBS = frozenset()"

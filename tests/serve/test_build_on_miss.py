@@ -101,7 +101,7 @@ def test_synthesize_and_the_sets_backend_build():
     assert "schedule" in service.synthesize(dict(body, holidays=4))
     report = service.evaluate(dict(body, config={"backend": "sets"}))["report"]
     assert report == service.evaluate(body)["report"]
-    assert service.cache.stats()["misses"] == 1
+    assert service.cache.stats()["misses"] == 2  # `sets` is a key of its own
 
 
 def strip_timing(record: dict) -> dict:

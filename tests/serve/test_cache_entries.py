@@ -94,13 +94,22 @@ def test_cached_values_are_rendered_fragments(algorithm, config):
     assert sum(size for _, size in cache.sized) == cache.total_bytes
 
 
-def test_sets_backend_bypasses_the_cache():
+def test_sets_backend_is_cached_under_its_own_key():
+    """The ``sets`` reference renders fragments like the numpy engine, under
+    a key apart from the default config's: one body makes two entries, and
+    each hits on repeat."""
     cache = RecordingCache()
     service = SchedulingService(cache=cache)
-    body = {"workload": "grid", "algorithm": "degree-periodic", "config": {"backend": "sets"}}
-    service.report(body)
-    assert cache.sized == [] and len(cache) == 0
-    assert cache.stats()["hits"] == cache.stats()["misses"] == 0
+    body = {"workload": "grid", "algorithm": "degree-periodic"}
+    sets = dict(body, config={"backend": "sets"})
+    answers = [service.report(body), service.report(sets)]
+    assert len(cache) == 2 and len(cache.sized) == 2
+    for entry, size in cache.sized:
+        assert_fragments_only(entry)
+        assert size == entry.nbytes()
+    assert cache.sized[0][0] == cache.sized[1][0]  # the engines agree
+    assert [service.report(body), service.report(sets)] == answers
+    assert cache.stats()["misses"] == 2 and cache.stats()["hits"] == 2
 
 
 POLICY_HORIZON = {

@@ -15,6 +15,7 @@ import socket
 
 import pytest
 
+from repro.serve import SchedulingService, ServiceError
 from repro.serve.app import MAX_BODY_BYTES, RequestHandler
 
 GOOD = {"workload": "small/path", "algorithm": "degree-periodic", "horizon": 32}
@@ -51,6 +52,15 @@ class TestMalformedBodies:
         _service, client = service_client
         status, body = client.post("/evaluate", {"workload": "small/path"})
         assert_envelope(status, body, 400, "bad_request")
+
+    @pytest.mark.parametrize("payload", [[1, 2], "x", None], ids=["list", "string", "null"])
+    @pytest.mark.parametrize("endpoint", ["evaluate", "validate", "report", "synthesize", "cell"])
+    def test_non_object_payload_in_process(self, endpoint, payload):
+        """An in-process caller gets the 400 the HTTP layer answers: every
+        payload endpoint checks for an object before it reads a field."""
+        with pytest.raises(ServiceError) as raised:
+            getattr(SchedulingService(), endpoint)(payload)
+        assert (raised.value.status, raised.value.code) == (400, "bad_request")
 
 
 class TestUnknownNames:

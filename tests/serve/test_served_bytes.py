@@ -9,8 +9,8 @@ body of a miss, and of the hit that follows it, must equal
 ``json.dumps(answer, sort_keys=True).encode("utf-8")`` of the answer
 computed on the library path — for the 66 (graph, scheduler) pairs of the
 perfbench ``serve`` mix, at two seeds, on every query endpoint, under the
-default config, a streamed one and the ``sets`` reference, which stays
-uncached.
+default config, a streamed one and the ``sets`` reference, each cached
+under its own key.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def test_miss_and_hit_bodies_are_the_library_encoding(served, graph, algorithm):
                     assert miss == expected, (config, seed, endpoint, extra)
                     assert hit == expected, (config, seed, endpoint, extra)
                     lookups = (after["misses"] - before["misses"], after["hits"] - before["hits"])
-                    assert lookups == ((0, 0) if config == {"backend": "sets"} else (1, 1))
-                    assert after["entries"] == (0 if config == {"backend": "sets"} else 1)
+                    assert lookups == (1, 1)
+                    assert after["entries"] == 1
     finally:
         conn.close()
