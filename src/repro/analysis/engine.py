@@ -7,22 +7,21 @@ schedulers, a parameter grid, seeds, a :class:`HorizonPolicy` and one
 :class:`~repro.core.config.EngineConfig` of trace-engine knobs (backend,
 horizon representation, chunk width, generator window) — and an
 :class:`ExperimentEngine` executes its
-cartesian product of cells with pluggable executors:
+cartesian product of cells through one ordered ``map`` of
+:func:`execute_cell` (build, evaluate, validate and record in one place):
 
-* ``jobs=1`` — in-process serial loop (no pool overhead);
-* ``jobs=N`` — :class:`concurrent.futures.ProcessPoolExecutor` fan-out,
-  one future per cell.
+* ``jobs=1`` — the builtin ``map``, in process (no pool overhead);
+* ``jobs=N`` — :meth:`concurrent.futures.ProcessPoolExecutor.map`, one
+  task per cell.
 
-Either way every cell runs through :func:`execute_cell`: build, evaluate,
-validate and record happen in one place.
-
-Records stream to a JSONL *sink* as cells complete, but always in spec
-order (a small reorder buffer holds out-of-order completions), so a serial
-and a parallel run of the same spec produce **byte-identical** files modulo
-the timing metrics.  That determinism rests on per-cell seeding: every
-cell's scheduler seed is derived from ``(workload, algorithm, params,
-seed)`` via :func:`repro.utils.rng.derive_seed`, never from execution
-order or worker identity.
+Both yield records in spec order, so records stream to a JSONL *sink*
+one by one in that order, and a serial and a parallel run of the same
+spec produce **byte-identical** files modulo the timing metrics.  That
+determinism rests on per-cell seeding: every cell's scheduler seed is
+derived from ``(workload, algorithm, params, seed)`` via
+:func:`repro.utils.rng.derive_seed`, never from execution order or worker
+identity.  A cell that raises stops the run, serial or pooled, with every
+earlier record already in the sink (and the store).
 
 Every cell also carries a content-keyed :attr:`~ExperimentCell.cell_id`
 (a SHA-256 over the cell identity and the spec's execution knobs), which is
@@ -46,13 +45,14 @@ import hashlib
 import itertools
 import json
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -523,10 +523,14 @@ def _stamp_cached(record: ExperimentRecord) -> ExperimentRecord:
 class ExperimentEngine:
     """Executes an :class:`ExperimentSpec`, streaming records to a sink.
 
+    Pending cells run through one ordered map of :func:`execute_cell`
+    (:meth:`_execute`), so each record is written in spec order as soon
+    as it and every record before it exist.
+
     Parameters:
         jobs: worker processes; ``1`` runs in-process (no pool).
         sink: optional JSONL path records are appended to, in spec order,
-            flushed as each cell's turn comes up.
+            flushed one record at a time.
         resume: read the sink first and skip cells whose ``cell_id`` already
             has a record (a malformed trailing line is dropped and its cell
             re-run).  With a store attached, completed cells are resolved
@@ -536,7 +540,7 @@ class ExperimentEngine:
             one, opened on first use) acting as a cross-campaign cell
             cache: planned cells already in the store replay their stored
             record (stamped ``cached: true``) instead of executing, and
-            freshly executed records are written back as they are emitted.
+            freshly executed records are written back, in spec order.
         cache: set ``False`` to disable cache *lookups* while still
             recording fresh results into the store (a forced re-run that
             leaves the store warm for the next campaign).
@@ -655,7 +659,6 @@ class ExperimentEngine:
         multiprocessing start method.
         """
         from repro.graphs.suites import available_workloads
-        from repro.io.results import record_to_json_line
 
         workloads = dict(workloads or {})
         cells = spec.cells(extra_workloads=tuple(workloads))
@@ -737,43 +740,38 @@ class ExperimentEngine:
             len(cache_hits), len(pending), self.jobs,
         )
 
-        records: Dict[int, ExperimentRecord] = {
-            i: completed[cell_ids[i]] for i, _ in enumerate(cells) if cell_ids[i] in completed
-        }
-        records.update(cache_hits)
+        records: List[ExperimentRecord] = []
         sink_fh = self._open_sink()
-        emitted = 0  # cells whose records have reached the sink, in spec order
+        executed = self._execute([cell for _, cell in pending], graphs)
         try:
-            def emit_ready() -> None:
-                nonlocal emitted
-                while emitted < len(cells) and emitted in records:
-                    record = records[emitted]
-                    fresh = cell_ids[emitted] not in completed
-                    if sink_fh is not None and fresh:
-                        sink_fh.write(record_to_json_line(record) + "\n")
-                        sink_fh.flush()
-                    if self.store is not None and fresh and emitted not in cache_hits:
-                        # Write freshly executed records back as their turn
-                        # comes up (same crash-durability as the sink: a
-                        # completed prefix survives).  Replayed hits are
-                        # already stored — re-putting them would be a no-op
-                        # INSERT OR IGNORE, skipped to keep the warm path
-                        # read-only.
+            for i, cell in enumerate(cells):
+                if cell_ids[i] in completed:
+                    records.append(completed[cell_ids[i]])
+                    continue
+                record = cache_hits.get(i)
+                if record is None:
+                    record = next(executed)
+                    _log.info(
+                        "cell %d/%d %s: max_mul=%s",
+                        i + 1, len(cells), cell.describe(), record.metrics.get("max_mul"),
+                    )
+                    if self.store is not None:
+                        # Written back in spec order, like the sink, so a
+                        # completed prefix survives a crash.  Replayed hits
+                        # are already stored: re-putting them would be a
+                        # no-op INSERT OR IGNORE, skipped to keep the warm
+                        # path read-only.
                         self.store.put(
-                            record,
-                            campaign=campaign,
-                            config_json=cells[emitted].config.to_json(),
+                            record, campaign=campaign, config_json=cell.config.to_json()
                         )
-                    emitted += 1
-
-            if self.jobs == 1 or len(pending) <= 1:
-                for index, cell in pending:
-                    records[index] = self._run_one(cell, graphs, index, len(cells))
-                    emit_ready()
-            else:
-                self._run_pool(pending, graphs, records, len(cells), emit_ready)
-            emit_ready()
+                records.append(record)
+                if sink_fh is not None:
+                    sink_fh.write(_record_line(record) + "\n")
+                    sink_fh.flush()
         finally:
+            # Closing the map first shuts a pool down and cancels the cells
+            # that have not started (a no-op once it is exhausted).
+            executed.close()
             if sink_fh is not None:
                 sink_fh.close()
 
@@ -782,9 +780,7 @@ class ExperimentEngine:
             # complete, rewrite the sink (atomically) as foreign lines
             # followed by this spec's records in spec order, so every finished
             # run of the same spec produces the same file layout.
-            self._rewrite_lines(
-                foreign + [_record_line(records[i]) for i in range(len(cells))]
-            )
+            self._rewrite_lines(foreign + [_record_line(record) for record in records])
 
         wall = time.perf_counter() - start
         self.stats = {
@@ -798,50 +794,23 @@ class ExperimentEngine:
             "experiment %s done: %d cells in %.3fs (%d executed, %d cached, %d resumed)",
             spec.name, len(cells), wall, len(pending), len(cache_hits), len(completed),
         )
-        return ResultSet(records[i] for i in range(len(cells)))
+        return ResultSet(records)
 
-    def _run_one(
+    def _execute(
         self,
-        cell: ExperimentCell,
+        cells: Sequence[ExperimentCell],
         graphs: Mapping[Tuple[str, str], ConflictGraph],
-        index: int,
-        total: int,
-    ) -> ExperimentRecord:
-        start = time.perf_counter()
-        record = execute_cell(cell, graph=graphs[_graph_cache_key(cell)])
-        _log.info(
-            "cell %d/%d %s: max_mul=%s (%.3fs)",
-            index + 1, total, cell.describe(),
-            record.metrics.get("max_mul"), time.perf_counter() - start,
-        )
-        return record
-
-    def _run_pool(
-        self,
-        pending: Sequence[Tuple[int, ExperimentCell]],
-        graphs: Mapping[Tuple[str, str], ConflictGraph],
-        records: Dict[int, ExperimentRecord],
-        total: int,
-        emit_ready: Callable[[], None],
-    ) -> None:
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(pending))) as pool:
-            # The graph is pickled with each cell, not once per worker:
-            # workers must not resolve names themselves (runtime
-            # registrations don't exist in spawned children), and per-worker
-            # caching isn't worth the machinery at the graph sizes this
-            # package runs.
-            futures = {
-                pool.submit(execute_cell, cell, graphs[_graph_cache_key(cell)]): (index, cell)
-                for index, cell in pending
-            }
-            running = set(futures)
-            while running:
-                done, running = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, cell = futures[future]
-                    records[index] = record = future.result()
-                    _log.info(
-                        "cell %d/%d %s: max_mul=%s",
-                        index + 1, total, cell.describe(), record.metrics.get("max_mul"),
-                    )
-                emit_ready()
+    ) -> Iterator[ExperimentRecord]:
+        """The records of ``cells``, computed by :func:`execute_cell` and
+        yielded in order: in process when ``jobs == 1`` or only one cell is
+        pending, otherwise over a process pool."""
+        # The graph is pickled with each cell, not once per worker: workers
+        # must not resolve names themselves (runtime registrations don't
+        # exist in spawned children), and per-worker caching isn't worth
+        # the machinery at the graph sizes this package runs.
+        cell_graphs = [graphs[_graph_cache_key(cell)] for cell in cells]
+        if self.jobs == 1 or len(cells) <= 1:
+            yield from map(execute_cell, cells, cell_graphs)
+            return
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(cells))) as pool:
+            yield from pool.map(execute_cell, cells, cell_graphs)

@@ -131,23 +131,6 @@ def _positive_int(value: str) -> int:
     return number
 
 
-class _RemovedFlag(argparse.Action):
-    """A flag earlier releases accepted for a config field that is gone:
-    hidden from ``--help``, and an error naming the field and the valid
-    ones when given."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(
-            option_strings, dest, nargs=0, default=argparse.SUPPRESS, help=argparse.SUPPRESS
-        )
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        try:
-            config_with(None, **{self.dest: None})
-        except ValueError as exc:
-            parser.error(f"{option_string}: {exc}")
-
-
 def add_engine_args(parser: argparse.ArgumentParser) -> None:
     """Register the shared trace-engine flags on a subcommand.
 
@@ -185,9 +168,6 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
         metavar="W",
         help="streaming chunk width in holidays (default: 262144)",
     )
-    parser.add_argument("--no-checkpoint", dest="checkpoint", action=_RemovedFlag)
-    parser.add_argument("--stream-jobs", action=_RemovedFlag)
-    parser.add_argument("--batch", action=_RemovedFlag)
 
 
 def engine_overrides(args: argparse.Namespace) -> dict:

@@ -31,11 +31,6 @@ The knobs:
 (``operator.index``: a numpy integer is accepted, a ``bool``, ``float`` or
 ``str`` is not), so equal widths compare, hash and key equally.
 
-Values earlier releases accepted and this one dropped (:data:`REMOVED`: the
-``bitmask`` backend and the ``checkpoint``, ``stream_jobs`` and ``batch``
-fields) fail with a :class:`ValueError` that says so and lists the valid
-choices.
-
 Every entry point from :func:`repro.core.metrics.build_trace` up to the CLI
 takes its knobs as ``config: EngineConfig`` and nowhere else, and
 ``build_trace`` alone reads them to pick the engine: the
@@ -82,13 +77,6 @@ WALL_CLOCK_KNOBS = frozenset()
 #: by :func:`~repro.core.metrics.build_trace`).
 CONFIG_BACKENDS = ("auto", "numpy", "sets")
 
-#: backend values and config fields earlier releases accepted: the
-#: pure-Python ``bitmask`` backend (numpy is now required), the
-#: ``checkpoint`` knob of the deleted generator checkpoint fan-out, the
-#: ``stream_jobs`` knob of the deleted streamed-scan process pool and the
-#: ``batch`` knob of the deleted experiment-engine batching planner.
-REMOVED = frozenset({"bitmask", "checkpoint", "stream_jobs", "batch"})
-
 _SETS_STREAM_ERROR = (
     "backend='sets' (the frozenset reference) has no streaming mode; "
     "use backend='auto'/'numpy' with horizon_mode='stream', "
@@ -97,10 +85,9 @@ _SETS_STREAM_ERROR = (
 
 
 def _bad_choice(what: str, value: object, choices) -> ValueError:
-    """The one error for a value outside ``choices``: it names the value,
-    says whether an earlier release accepted it, and lists the choices."""
-    status = "removed" if isinstance(value, str) and value in REMOVED else "unknown"
-    return ValueError(f"{status} {what} {value!r}; expected one of {tuple(choices)}")
+    """The one error for a value outside ``choices``: it names the value
+    and lists the choices."""
+    return ValueError(f"unknown {what} {value!r}; expected one of {tuple(choices)}")
 
 
 @dataclass(frozen=True)
@@ -213,5 +200,5 @@ DEFAULT_CONFIG = EngineConfig()
 def config_with(config: Optional[EngineConfig], **overrides: object) -> EngineConfig:
     """A copy of ``config`` (default config when ``None``) with overrides
     applied — convenience for callers layering flags over a spec config.
-    Unknown or removed fields fail like :meth:`EngineConfig.from_dict`."""
+    Unknown fields fail like :meth:`EngineConfig.from_dict`."""
     return EngineConfig.from_dict({**(config or DEFAULT_CONFIG).to_dict(), **overrides})

@@ -29,7 +29,6 @@ from repro.io.schedules import (
     write_calendar_csv,
 )
 from repro.io.results import (
-    append_records_jsonl,
     read_records_jsonl,
     record_from_dict,
     record_to_dict,
@@ -58,7 +57,6 @@ __all__ = [
     "record_to_dict",
     "record_from_dict",
     "write_records_jsonl",
-    "append_records_jsonl",
     "read_records_jsonl",
     "ResultStore",
     "CACHED_PARAM",

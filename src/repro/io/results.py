@@ -22,7 +22,6 @@ __all__ = [
     "record_to_dict",
     "record_from_dict",
     "write_records_jsonl",
-    "append_records_jsonl",
     "read_records_jsonl",
 ]
 
@@ -61,16 +60,6 @@ def write_records_jsonl(path: _PathLike, records: Iterable[ExperimentRecord]) ->
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record_to_json_line(record) + "\n")
-    return out
-
-
-def append_records_jsonl(path: _PathLike, records: Iterable[ExperimentRecord]) -> Path:
-    """Append records to ``path`` (creates it if missing)."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("a", encoding="utf-8") as fh:
         for record in records:
             fh.write(record_to_json_line(record) + "\n")
     return out

@@ -364,6 +364,40 @@ class TestEngine:
         )
         assert list(results)[0].params["n"] == 9  # star(8), not the stale clique
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_run_keeps_finished_cells(self, tmp_path, jobs):
+        """A cell that raises inside execute_cell stops the run, serial or
+        pooled, with every earlier cell's record in the sink and the store;
+        resuming then runs only what is missing.  The unknown algorithm
+        fails at once, long before the phased-greedy cell ahead of it in
+        spec order finishes in the other worker."""
+        from repro.io.store import ResultStore
+
+        sink = tmp_path / "run.jsonl"
+        store = ResultStore(tmp_path / "s.sqlite")
+        spec = ExperimentSpec(
+            name="partial", workloads=("small/path",),
+            algorithms=("phased-greedy", "no-such-algo"), horizon=2000,
+        )
+        finished = spec.cells()[0].cell_id()
+        with pytest.raises(KeyError):
+            ExperimentEngine(jobs=jobs, sink=sink, store=store).run(spec)
+        lines = sink.read_text().splitlines()
+        assert [json.loads(line)["params"]["cell_id"] for line in lines] == [finished]
+        assert len(store) == 1
+        assert lines == [record_to_json_line(store.lookup([finished])[finished])]
+
+        fixed = ExperimentSpec(
+            name="partial", workloads=("small/path",),
+            algorithms=("phased-greedy", "sequential"), horizon=2000,
+        )
+        engine = ExperimentEngine(jobs=jobs, sink=sink, store=store, resume=True)
+        engine.run(fixed)
+        assert engine.stats["skipped"] == 1 and engine.stats["executed"] == 1
+        assert [r.params["cell_id"] for r in read_records_jsonl(sink)] == [
+            c.cell_id() for c in fixed.cells()
+        ]
+
     def test_fresh_run_overwrites_sink(self, tmp_path):
         sink = tmp_path / "run.jsonl"
         sink.write_text("garbage\n")

@@ -117,21 +117,22 @@ class TestEngineConfig:
 
     def test_removed_values_fail_loudly(self):
         """The bitmask backend and the checkpoint field are gone: naming
-        either raises one error that says so and lists the valid choices."""
+        either raises the one unknown-value error, which lists the valid
+        choices."""
         with pytest.raises(ValueError) as backend:
             EngineConfig(backend="bitmask")
         assert str(backend.value) == (
-            "removed trace backend 'bitmask'; expected one of ('auto', 'numpy', 'sets')"
+            "unknown trace backend 'bitmask'; expected one of ('auto', 'numpy', 'sets')"
         )
         with pytest.raises(ValueError) as field:
             EngineConfig.from_dict({"backend": "auto", "checkpoint": False})
         assert str(field.value) == (
-            "removed EngineConfig field 'checkpoint'; expected one of ('backend', "
+            "unknown EngineConfig field 'checkpoint'; expected one of ('backend', "
             "'horizon_mode', 'chunk', 'window')"
         )
-        with pytest.raises(ValueError, match="removed EngineConfig field 'checkpoint'"):
+        with pytest.raises(ValueError, match="unknown EngineConfig field 'checkpoint'"):
             config_with(None, checkpoint=True)
-        with pytest.raises(ValueError, match="removed EngineConfig field 'checkpoint'"):
+        with pytest.raises(ValueError, match="unknown EngineConfig field 'checkpoint'"):
             ExperimentSpec.from_dict({
                 "name": "old", "workloads": ["small/path"], "algorithms": ["sequential"],
                 "config": {"backend": "auto", "checkpoint": True},
@@ -142,7 +143,7 @@ class TestEngineConfig:
     def test_removed_stream_jobs_fails_loudly(self):
         """The streamed-scan process pool is gone: its knob fails in a spec
         file, a config payload and as a keyword."""
-        removed = "removed EngineConfig field 'stream_jobs'"
+        removed = "unknown EngineConfig field 'stream_jobs'"
         with pytest.raises(ValueError, match=removed):
             EngineConfig.from_dict({"backend": "auto", "stream_jobs": 2})
         with pytest.raises(ValueError, match=removed):
@@ -161,7 +162,7 @@ class TestEngineConfig:
         """The experiment engine's batching planner is gone: its knob fails
         in a spec file, a config payload and as a keyword."""
         removed = (
-            "removed EngineConfig field 'batch'; expected one of "
+            "unknown EngineConfig field 'batch'; expected one of "
             "('backend', 'horizon_mode', 'chunk', 'window')"
         )
         with pytest.raises(ValueError) as loaded:

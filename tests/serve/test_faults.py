@@ -128,14 +128,14 @@ class TestBadValues:
     @pytest.mark.parametrize(
         "config,removed",
         [
-            ({"backend": "bitmask"}, "removed trace backend 'bitmask'"),
-            ({"checkpoint": False}, "removed EngineConfig field 'checkpoint'"),
-            ({"stream_jobs": 2}, "removed EngineConfig field 'stream_jobs'"),
-            ({"batch": 4}, "removed EngineConfig field 'batch'"),
+            ({"backend": "bitmask"}, "unknown trace backend 'bitmask'"),
+            ({"checkpoint": False}, "unknown EngineConfig field 'checkpoint'"),
+            ({"stream_jobs": 2}, "unknown EngineConfig field 'stream_jobs'"),
+            ({"batch": 4}, "unknown EngineConfig field 'batch'"),
         ],
     )
     def test_removed_config_values(self, service_client, config, removed):
-        """Values earlier releases accepted are a 400 naming the removed
+        """Values earlier releases accepted are a 400 naming the unknown
         value and listing the valid choices."""
         _service, client = service_client
         status, body = client.post("/evaluate", dict(GOOD, config=config))

@@ -26,9 +26,9 @@ def society_file(tmp_path):
     return str(path)
 
 
-def _assert_removed_flag(graph_file, capsys, command, flag, field):
-    """``command ... flag 4`` exits 2 with one error line naming the removed
-    config field and the valid ones, and ``command --help`` hides the flag."""
+def _assert_removed_flag(graph_file, capsys, command, flag):
+    """``command ... flag 4`` exits 2 with argparse's one error line for an
+    unrecognized flag, and ``command --help`` does not list the flag."""
     target = [graph_file] if command in ("schedule", "compare") else []
     with pytest.raises(SystemExit) as exit_info:
         main([command, *target, flag, "4"])
@@ -36,8 +36,7 @@ def _assert_removed_flag(graph_file, capsys, command, flag, field):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [
-        f"repro-holiday {command}: error: {flag}: removed EngineConfig field "
-        f"'{field}'; expected one of ('backend', 'horizon_mode', 'chunk', 'window')"
+        f"repro-holiday: error: unrecognized arguments: {flag} 4"
     ]
     with pytest.raises(SystemExit):
         main([command, "--help"])
@@ -171,34 +170,34 @@ class TestSchedule:
             main(["schedule", graph_file, "--backend", "cuda"])
 
     def test_removed_engine_values_fail_loudly(self, graph_file, capsys):
-        """--backend bitmask and --no-checkpoint fail at parse time, naming
-        the removed value and listing the valid choices."""
+        """--backend bitmask and --no-checkpoint fail at parse time: the
+        backend names the unknown value and lists the valid choices, the
+        flag is an unrecognized argument."""
         with pytest.raises(SystemExit):
             main(["schedule", graph_file, "--backend", "bitmask"])
         assert (
-            "argument --backend: removed trace backend 'bitmask'; "
+            "argument --backend: unknown trace backend 'bitmask'; "
             "expected one of ('auto', 'numpy', 'sets')"
         ) in capsys.readouterr().err
         for command in (["schedule", graph_file], ["compare", graph_file], ["experiment"]):
             with pytest.raises(SystemExit):
                 main([*command, "--no-checkpoint"])
             assert (
-                "--no-checkpoint: removed EngineConfig field 'checkpoint'; expected one of "
-                "('backend', 'horizon_mode', 'chunk', 'window')"
+                "repro-holiday: error: unrecognized arguments: --no-checkpoint"
             ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["schedule", "compare", "experiment", "serve"])
     def test_stream_jobs_flag_is_removed(self, graph_file, capsys, command):
         """--stream-jobs is gone with the streamed-scan process pool: it exits
-        2 with one error line naming the removed field, and --help hides it."""
-        _assert_removed_flag(graph_file, capsys, command, "--stream-jobs", "stream_jobs")
+        2 with one unrecognized-argument error line, and --help omits it."""
+        _assert_removed_flag(graph_file, capsys, command, "--stream-jobs")
 
     @pytest.mark.parametrize("command", ["schedule", "compare", "experiment", "serve"])
     def test_batch_flag_is_removed(self, graph_file, capsys, command):
         """--batch is gone with the experiment engine's batching planner: it
-        exits 2 with one error line naming the removed field, and --help
-        hides it."""
-        _assert_removed_flag(graph_file, capsys, command, "--batch", "batch")
+        exits 2 with one unrecognized-argument error line, and --help omits
+        it."""
+        _assert_removed_flag(graph_file, capsys, command, "--batch")
 
     def test_schedule_horizon_modes_are_observation_equivalent(self, graph_file, capsys):
         outputs = {}
