@@ -29,7 +29,10 @@ This benchmark demonstrates exactly that claim and turns it into assertions:
    (Phased Greedy with a sliding-window memo cache) streams a horizon far
    beyond its window, asserting the peak is bounded by the *eviction
    window*, not the horizon — closing the historical caveat that streaming
-   bounded the trace but not the generator's cache.
+   bounded the trace but not the generator's cache.  The schedule is a
+   lasso (E15): once its colour state repeats it replays its cycle instead
+   of recolouring, and the stage records the transient ``T`` and cycle
+   ``C`` it found.
 
 Every stage is timed untraced, as the best of :data:`REPEATS` runs; its
 ``peak_traced_bytes`` comes from one more run under ``tracemalloc``, whose
@@ -45,9 +48,9 @@ Run as a script::
 Notes: the default scheduler is perfectly periodic (``degree-periodic``), so
 no schedule prefix is ever materialised — that is the fast path the 10⁸
 claim rests on; its cyclic twin materialises one global period.  The
-generator stage runs Phased Greedy, whose per-holiday cost is inherently
-Python-loop-bound, so its horizon is set in the hundreds of thousands
-rather than 10⁸.
+generator stage runs Phased Greedy, whose holidays still pass one by one
+through the generator and the chunk fold, so its horizon is set in the
+hundreds of thousands rather than 10⁸.
 """
 
 from __future__ import annotations
@@ -74,9 +77,10 @@ EQUIVALENCE_HORIZON = 200_000
 
 #: the windowed-generator stage: an aperiodic Phased Greedy schedule
 #: streamed far past its sliding window (full / --quick horizons).  Sized
-#: in the 10⁵ range, not 10⁸: each Phased Greedy holiday costs ~100 µs of
-#: inherent Python recoloring, so the stage demonstrates window-bounded
-#: memory, not throughput.
+#: in the 10⁵ range, not 10⁸: past its lasso a holiday costs no
+#: recolouring, but each still passes through the generator's memo and the
+#: chunk fold, so the stage demonstrates window-bounded memory, not
+#: throughput.
 GENERATOR_HORIZON = 400_000
 QUICK_GENERATOR_HORIZON = 80_000
 #: sliding-window width for the generator memo cache (holidays retained);
@@ -257,7 +261,8 @@ def generator_streaming_run(graph, horizon: int, window: int, chunk: int):
     sliding window of ``window`` holidays, so the whole evaluate + validate
     pipeline (which shares one streaming summary pass) runs at memory
     bounded by ``window``/``chunk`` — asserted against
-    :func:`generator_memory_budget` (:func:`measured`).
+    :func:`generator_memory_budget` (:func:`measured`).  The record carries
+    the lasso the schedule found (``transient``/``cycle``, None if none).
     """
     assert window >= chunk, "the window must cover at least one chunk"
     assert horizon >= 8 * window, "horizon must dwarf the window for the claim to mean anything"
@@ -279,6 +284,9 @@ def generator_streaming_run(graph, horizon: int, window: int, chunk: int):
             f"{budget / MIB:.1f} MiB (window={window}, chunk={chunk}) — the memo "
             "cache is scaling with the horizon again"
         )
+    # (T, C) of the last run's lasso, None if it found none: a cycle longer
+    # than the window can go unseen
+    lasso = scheduler.last_lasso or (None, None)
     record = bench_record(
         "generator_stream_stage",
         horizon,
@@ -289,6 +297,8 @@ def generator_streaming_run(graph, horizon: int, window: int, chunk: int):
         horizon_mode="stream",
         chunk=chunk,
         window=window,
+        transient=lasso[0],
+        cycle=lasso[1],
         peak_traced_bytes=int(peak),
         budget_bytes=int(budget),
         max_mul=int(outcome.report.max_mul),

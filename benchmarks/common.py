@@ -82,9 +82,13 @@ BENCH_SUITE: Mapping[str, BenchEntry] = {
     "bench_e13_coloring_ablation": BenchEntry(
         "initial-coloring ablation for the Section 4 scheduler", "policy <= 8192", "dense"),
     "bench_e14_streaming": BenchEntry(
-        "streaming chunked trace: horizon 10^8 at bounded memory, serial + "
-        "parallel + windowed generator (BENCH_stream.json)",
+        "streaming chunked trace: horizon 10^8 at bounded memory, closed-form + "
+        "cyclic + windowed generator stages (BENCH_stream.json)",
         "10^8 (quick 2*10^6)", "dense+stream"),
+    "bench_e15_lasso": BenchEntry(
+        "Phased Greedy is a lasso: transient T, cycle C and holidays generated "
+        "at the policy horizon (BENCH_lasso.json)",
+        "until the repeat (cap 10^5, quick 2*10^4)", "-"),
 }
 
 #: display name -> workload-registry name, for the standard benchmark set.

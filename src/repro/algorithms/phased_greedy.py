@@ -12,15 +12,19 @@ The algorithm keeps a legal coloring that evolves over time:
    at most ``i + deg(p) + 1``, so ``p`` is happy again within ``deg(p) + 1``
    holidays — Theorem 3.1.
 
-The schedule is aperiodic in general (the gap of a node varies between
-holidays depending on which colors its neighbors currently occupy) and
-requires ``O(1)`` communication rounds per holiday; both facts are surfaced
-by the E1/E6 benchmarks.
+The schedule is eventually periodic, never perfectly periodic: the
+recoloring rule reads nothing but the colors relative to the current
+holiday, so once that vector repeats the schedule is a lasso (a transient
+of ``T`` holidays, then a cycle of ``C``), yet a node's gap still varies
+inside the cycle with the colors its neighbors occupy.  It requires ``O(1)``
+communication rounds per holiday.  E1/E6 surface both facts and E15
+measures ``T`` and ``C``.  The built schedule finds its lasso while it
+generates and then replays the cycle instead of recoloring.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.algorithms.base import Scheduler, SchedulerInfo
 from repro.coloring.base import Coloring, greedy_color_for
@@ -85,7 +89,7 @@ class PhasedGreedyState:
 
 
 class PhasedGreedyScheduler(Scheduler):
-    """Theorem 3.1 scheduler: ``mul(p) ≤ deg(p) + 1``, aperiodic, O(1) rounds/holiday.
+    """Theorem 3.1 scheduler: ``mul(p) ≤ deg(p) + 1``, eventually periodic, O(1) rounds/holiday.
 
     Args:
         initial_coloring: ``"distributed"`` (default) runs the LOCAL-model
@@ -99,7 +103,16 @@ class PhasedGreedyScheduler(Scheduler):
             the memo into a sliding window of that many holidays so a
             streamed evaluation runs at memory bounded by the window, not
             the horizon.  Windowed schedules support a single forward pass
-            — see the ``GeneratorSchedule`` notes before opting in.
+            — see the ``GeneratorSchedule`` notes before opting in.  The
+            lasso search below then remembers only the last ``window + 1``
+            holidays (trimmed in batches, like the memo), which still finds
+            every cycle no longer than the window.
+
+    A built schedule looks for its lasso while it generates: the colour
+    state after holiday ``T + C`` first repeats the one after ``T``, which
+    holiday ``T + C + 1`` confirms; every later holiday replays the kept
+    happy set of holiday ``T + ((h - T - 1) mod C) + 1`` and the state is
+    stepped no further.  :attr:`last_lasso` reports ``(T, C)``.
     """
 
     def __init__(
@@ -110,6 +123,8 @@ class PhasedGreedyScheduler(Scheduler):
         self._initial_coloring = initial_coloring
         self._window = window
         self.last_state: Optional[PhasedGreedyState] = None
+        # the last build's (T, C), appended when its schedule finds the lasso
+        self._last_lasso: List[Tuple[int, int]] = []
         self.init_rounds: Optional[int] = None
         self.init_messages: Optional[int] = None
 
@@ -146,6 +161,13 @@ class PhasedGreedyScheduler(Scheduler):
             "expected 'distributed', 'greedy' or a callable"
         )
 
+    @property
+    def last_lasso(self) -> Optional[Tuple[int, int]]:
+        """``(T, C)`` of the last built schedule: its colour state after
+        holiday ``T + C`` first repeats the one after ``T``.  ``None`` until
+        the schedule has generated that far."""
+        return self._last_lasso[0] if self._last_lasso else None
+
     def build(self, graph: ConflictGraph, seed: int = 0) -> Schedule:
         initial = self._make_initial(graph, seed)
         if not initial.is_degree_bounded():
@@ -156,14 +178,78 @@ class PhasedGreedyScheduler(Scheduler):
         self.last_state = state
         self.init_rounds = initial.rounds
         self.init_messages = initial.messages
+        lasso: List[Tuple[int, int]] = []
+        self._last_lasso = lasso
+        window = self._window
+        colors = state.colors
+        # the colour state after holiday b decides happy set b + 1, so states
+        # are looked up by that set's hash (computed once, in C, and cached
+        # by the frozenset): the state after b is matched at holiday b + 1
+        seen: Dict[int, List[int]] = {}  # hash of happy set b + 1 -> holidays b
+        kept: List[FrozenSet[Node]] = []  # happy sets of holidays base + 1, ...
+        base = 0
+        cycle: Tuple[FrozenSet[Node], ...] = ()
+
+        def repeats(a: int, t: int) -> bool:
+            """Whether the colour state after holiday ``a`` is the one after
+            ``t``: a node's colour after ``a`` is the first holiday it hosts
+            in ``a+1..t`` (the kept sets), which must be ``t - a`` short of
+            its colour now; a node hosting in none of them differs."""
+            shift = t - a
+            hosted = set()
+            for s, happy in enumerate(kept[a - base:t - base], start=a + 1):
+                for p in happy:
+                    if p not in hosted:
+                        if colors[p] != s + shift:
+                            return False
+                        hosted.add(p)
+            return len(hosted) == len(colors)
 
         def step(holiday: int) -> FrozenSet[Node]:
+            nonlocal base, cycle
+            if cycle:
+                # any later holiday is a kept set; only the state can go astray
+                start, period = lasso[0]
+                if state.holiday != start + period + 1:
+                    raise RuntimeError(
+                        f"Phased Greedy must be advanced sequentially (its state is at "
+                        f"holiday {state.holiday}, not {start + period + 1})"
+                    )
+                return cycle[(holiday - start - 1) % period]
             if holiday != state.holiday + 1:
                 raise RuntimeError(
                     f"Phased Greedy must be advanced sequentially (expected holiday "
                     f"{state.holiday + 1}, got {holiday})"
                 )
-            return state.step()
+            happy = state.step()
+            kept.append(happy)
+            key = hash(happy)
+            earlier = seen.get(key)
+            if earlier is None:
+                seen[key] = [holiday - 1]
+            else:
+                # the state after a equals the one after b = holiday - 1 iff
+                # they decide the same next happy set and the next states match
+                for a in earlier:
+                    if kept[a - base] == happy and repeats(a + 1, holiday):
+                        lasso.append((a, holiday - 1 - a))
+                        cycle = tuple(kept[a - base:holiday - 1 - base])
+                        seen.clear()
+                        kept.clear()
+                        return happy
+                earlier.append(holiday - 1)
+            if window is not None and len(kept) > 2 * (window + 1):
+                # keep the last window + 1 holidays: a cycle of C <= window is
+                # confirmed from C + 1 sets
+                drop = len(kept) - window - 1
+                for old in kept[:drop]:  # the oldest state with its key
+                    bucket = seen[hash(old)]
+                    del bucket[0]
+                    if not bucket:
+                        del seen[hash(old)]
+                del kept[:drop]
+                base += drop
+            return happy
 
         return GeneratorSchedule(
             graph, step, validate=False, name=self.info.name, window=self._window

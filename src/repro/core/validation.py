@@ -167,11 +167,13 @@ def certify_local_bound(
     """
     trace = build_trace(schedule, graph, horizon, trace=trace, config=config)
     report = ValidationReport(checked_holidays=horizon)
+    limit_of = bound.__getitem__ if isinstance(bound, Mapping) else bound
+    muls = trace.muls()
     for p in graph.nodes():
         if skip_isolated and graph.degree(p) == 0:
             continue
-        limit = bound[p] if isinstance(bound, Mapping) else bound(p)
-        measured = trace.mul(p)
+        limit = limit_of(p)
+        measured = muls[p]
         if measured > limit:
             report.violations.append(
                 Violation(
@@ -199,32 +201,36 @@ def certify_periodicity(
     the schedule advertises :meth:`~repro.core.schedule.Schedule.node_period`,
     the observed period must also equal the advertised one.
 
-    Only the *distinct* inter-appearance differences are consulted
-    (:meth:`~repro.core.trace.TraceView.distinct_appearance_diffs`), which
-    is what lets the streaming engine certify a 10⁸-holiday horizon without
-    ever holding the full diff list.
+    Only the summary's per-node statistics are consulted: the observed
+    periods in one bulk read, and the *distinct* inter-appearance
+    differences (:meth:`~repro.core.trace.TraceView.distinct_appearance_diffs`)
+    of a node without one, which is what lets the streaming engine certify a
+    10⁸-holiday horizon without ever holding the full diff list.
     """
     graph = schedule.graph
     trace = build_trace(schedule, graph, horizon, trace=trace, config=config)
     report = ValidationReport(checked_holidays=horizon)
+    periods = trace.observed_periods()
+    advertise = require_advertised and schedule.is_periodic()
     for p in graph.nodes():
-        distinct = trace.distinct_appearance_diffs(p)
-        if not distinct:
+        period = periods[p]
+        if period is None:
+            # fewer than two appearances, or gaps that vary
+            distinct = trace.distinct_appearance_diffs(p)
+            if distinct:
+                report.violations.append(
+                    Violation("aperiodic", p, None, f"inter-appearance gaps vary: {distinct}")
+                )
             continue
-        if len(distinct) != 1:
-            report.violations.append(
-                Violation("aperiodic", p, None, f"inter-appearance gaps vary: {distinct}")
-            )
-            continue
-        if require_advertised and schedule.is_periodic():
+        if advertise:
             advertised = schedule.node_period(p)
-            if advertised is not None and distinct[0] != advertised:
+            if advertised is not None and period != advertised:
                 report.violations.append(
                     Violation(
                         "period-mismatch",
                         p,
                         None,
-                        f"observed period {distinct[0]} != advertised {advertised}",
+                        f"observed period {period} != advertised {advertised}",
                     )
                 )
     return report

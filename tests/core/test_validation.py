@@ -2,14 +2,19 @@
 
 import pytest
 
+from repro.algorithms.phased_greedy import PhasedGreedyScheduler
+from repro.core.config import EngineConfig
+from repro.core.metrics import build_trace
 from repro.core.problem import ConflictGraph
 from repro.core.schedule import ExplicitSchedule, PeriodicSchedule, SlotAssignment
 from repro.core.validation import (
+    Violation,
     certify_local_bound,
     certify_periodicity,
     check_independent_sets,
     validate_schedule,
 )
+from repro.graphs.random_graphs import erdos_renyi
 
 
 @pytest.fixture
@@ -103,6 +108,74 @@ class TestCertifyPeriodicity:
         report = certify_periodicity(schedule, 32)
         assert not report.ok
         assert any(v.kind == "period-mismatch" for v in report.violations)
+
+
+class TestCertificationMatchesPerNodeLoops:
+    """Both certifiers read the trace in bulk; the per-node loops they
+    replaced are kept here, and every violation's order, kind and text must
+    match them on either backend."""
+
+    @staticmethod
+    def local_bound_loop(trace, graph, bound, skip_isolated):
+        out = []
+        for p in graph.nodes():
+            if skip_isolated and graph.degree(p) == 0:
+                continue
+            limit = bound[p] if isinstance(bound, dict) else bound(p)
+            measured = trace.mul(p)
+            if measured > limit:
+                out.append(Violation("bound-exceeded", p, None,
+                                     f"mul={measured} exceeds half={limit} (degree {graph.degree(p)})"))
+        return out
+
+    @staticmethod
+    def periodicity_loop(trace, schedule):
+        out = []
+        for p in schedule.graph.nodes():
+            distinct = trace.distinct_appearance_diffs(p)
+            if not distinct:
+                continue
+            if len(distinct) != 1:
+                out.append(Violation("aperiodic", p, None, f"inter-appearance gaps vary: {distinct}"))
+                continue
+            advertised = schedule.node_period(p) if schedule.is_periodic() else None
+            if advertised is not None and distinct[0] != advertised:
+                out.append(Violation("period-mismatch", p, None,
+                                     f"observed period {distinct[0]} != advertised {advertised}"))
+        return out
+
+    @pytest.mark.parametrize("backend", ["numpy", "sets"])
+    @pytest.mark.parametrize("skip_isolated", [False, True])
+    def test_local_bound(self, backend, skip_isolated):
+        graph = erdos_renyi(30, 0.15, seed=4)
+        graph.add_node(99)  # isolated: hosts every holiday
+        schedule = PhasedGreedyScheduler(initial_coloring="greedy").build(graph)
+        config = EngineConfig(backend=backend)
+        trace = build_trace(schedule, graph, 90, config=config)
+        half = {p: graph.degree(p) // 2 for p in graph.nodes()}  # some nodes exceed it
+        for bound in (half, half.__getitem__):
+            report = certify_local_bound(schedule, graph, 90, bound, bound_name="half",
+                                         skip_isolated=skip_isolated, config=config)
+            expected = self.local_bound_loop(trace, graph, bound, skip_isolated)
+            assert 0 < len(expected) < graph.num_nodes() - 1
+            assert report.violations == expected
+
+    @pytest.mark.parametrize("backend", ["numpy", "sets"])
+    def test_periodicity(self, backend, triangle):
+        class Lying(PeriodicSchedule):
+            def node_period(self, node):
+                return 8 if node == 1 else super().node_period(node)
+
+        periodic = Lying(triangle, {0: SlotAssignment(4, 0), 1: SlotAssignment(4, 1),
+                                    2: SlotAssignment(8, 2)})
+        graph = erdos_renyi(20, 0.2, seed=2)
+        aperiodic = PhasedGreedyScheduler(initial_coloring="greedy").build(graph)
+        config = EngineConfig(backend=backend)
+        for schedule, horizon in ((periodic, 32), (aperiodic, 60), (periodic, 5)):
+            report = certify_periodicity(schedule, horizon, config=config)
+            trace = build_trace(schedule, schedule.graph, horizon, config=config)
+            assert report.violations == self.periodicity_loop(trace, schedule)
+        assert [v.kind for v in certify_periodicity(periodic, 32).violations] == ["period-mismatch"]
 
 
 class TestValidateSchedule:
